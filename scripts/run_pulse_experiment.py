@@ -28,7 +28,7 @@ def main() -> None:
     ap.add_argument("--pulse-site", type=int, default=None)
     ap.add_argument("--gamma-min", type=float, default=1e-2)
     ap.add_argument("--gamma-max", type=float, default=1e2,
-                    help="keep within the explicit-integrator regime (~1e2 ps^-1)")
+                    help="highest dephasing rate (ps^-1); the exact propagator has no upper limit")
     ap.add_argument("--points", type=int, default=60)
     ap.add_argument("--gamma-inj", type=float, default=5.0)
     ap.add_argument("--gamma-ext", type=float, default=5.0)

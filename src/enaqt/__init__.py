@@ -11,7 +11,6 @@ the spread of the site occupations.
 from ._version import __version__
 from .lindblad import (
     ChannelSet,
-    apply_liouvillian,
     build_liouvillian,
     check_density_matrix,
     dissipator,
@@ -74,7 +73,6 @@ __all__ = [
     "Unit",
     "analytic_chain_current",
     "analytic_chain_occupations",
-    "apply_liouvillian",
     "apply_permutation",
     "assemble_hamiltonian",
     "brute_force_steady_state",

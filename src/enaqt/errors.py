@@ -45,10 +45,6 @@ class SolveFailure(RuntimeError):
     pass
 
 
-class StepSizeUnderflow(RuntimeError):
-    """The adaptive integrator could not meet the tolerance."""
-
-
 class NonPhysicalState(RuntimeError):
     """A density matrix violates hermiticity, trace or positivity bounds."""
 

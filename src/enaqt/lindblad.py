@@ -22,8 +22,10 @@ materialized generator is therefore
         + sum_k gamma_k [conj(V_k) kron V_k
                          - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2].
 
-`apply_liouvillian` evaluates the same action directly on a matrix without
-building the d^2 x d^2 superoperator; the two paths agree to rounding.
+`build_liouvillian` is the only generator the solvers use.  A matrix-free
+evaluation of the same action from the closed forms of the jump operators
+lives in `reference.py`, where the tests use it as an independent check of
+the materialized generator.
 """
 
 from __future__ import annotations
@@ -135,53 +137,6 @@ def build_liouvillian(
     if sparse:
         return sp.csr_matrix(L)
     return L
-
-
-def apply_liouvillian(
-    H: np.ndarray,
-    channels: ChannelSet,
-    spec: NetworkSpec,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """Action of the generator on rho without materializing the superoperator.
-
-    The channel terms use the closed forms of the jump operators:
-    injection moves vacuum population to the source sites and damps the
-    vacuum row/column, extraction does the reverse, and dephasing removes
-    inter-site coherences at gamma_deph (site-vacuum coherences at half
-    that rate) while leaving every population untouched.
-    """
-    d = spec.dim
-    if H.shape != (d, d) or rho.shape != (d, d):
-        raise DimensionMismatch(
-            f"expected {d}x{d} operators, got H {H.shape} and rho {rho.shape}"
-        )
-    drho = -1j * (H @ rho - rho @ H)
-
-    g = channels.gamma_inj
-    if g:
-        for s in sorted(spec.inject_sites):
-            term = np.zeros_like(rho)
-            term[s, s] = rho[0, 0]
-            term[0, :] -= 0.5 * rho[0, :]
-            term[:, 0] -= 0.5 * rho[:, 0]
-            drho += g * term
-    g = channels.gamma_ext
-    if g:
-        for s in sorted(spec.extract_sites):
-            term = np.zeros_like(rho)
-            term[0, 0] = rho[s, s]
-            term[s, :] -= 0.5 * rho[s, :]
-            term[:, s] -= 0.5 * rho[:, s]
-            drho += g * term
-    g = channels.gamma_deph
-    if g:
-        damp = rho.copy()
-        damp[0, :] *= 0.5
-        damp[:, 0] *= 0.5
-        np.fill_diagonal(damp, 0.0)
-        drho -= g * damp
-    return drho
 
 
 # ---------------------------------------------------------------------------

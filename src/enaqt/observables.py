@@ -54,19 +54,13 @@ def heat_current(
 ) -> float:
     """Energy flow out through the extraction channels, -Tr(H L_ext[rho]).
 
-    Per sink e the closed form is
-        gamma_ext * (eps_e rho_ee + (1/2) sum_j H_ej (rho_ej + rho_je)),
-    where the sum runs over sites coupled to e and H_ej = -t_ej.
+    With the vacuum row of H zero this is gamma_ext * sum_e Re (H rho)_ee
+    over the sinks e; per sink that reads
+        gamma_ext * (eps_e rho_ee + (1/2) sum_j H_ej (rho_ej + rho_je)).
+    Linear in rho, so it also takes time-integrated states.
     """
-    cmap = spec.coupling_map()
-    total = 0.0
-    for e in spec.extract_sites:
-        val = H[e, e].real * rho[e, e].real
-        for (a, b), _t in cmap.items():
-            if a == e:
-                val += 0.5 * (H[e, b] * (rho[e, b] + rho[b, e])).real
-        total += channels.gamma_ext * val
-    return float(total)
+    sinks = sorted(spec.extract_sites)
+    return channels.gamma_ext * float(np.einsum("ej,je->", H[sinks], rho[:, sinks]).real)
 
 
 def delta_n(occ: Occupations, extract_sites: Iterable[int]) -> float:

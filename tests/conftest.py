@@ -50,3 +50,16 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (A + A.conj().T)
+
+
+def spectral_gap(L: np.ndarray) -> float:
+    """Slowest nonzero decay rate: min |Re lambda| over the spectrum of L.
+
+    Exactly one eigenvalue (the steady state) may have a real part that
+    vanishes to rounding; it is left out.
+    """
+    evals = np.linalg.eigvals(L)
+    rates = np.abs(evals.real)
+    near_zero = rates < 1e-9 * np.max(np.abs(evals))
+    assert np.count_nonzero(near_zero) == 1, "steady state is not unique"
+    return float(np.min(rates[~near_zero]))

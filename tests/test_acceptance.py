@@ -15,7 +15,7 @@ reproduces.
 import numpy as np
 import pytest
 
-from conftest import RATE, random_density_matrix
+from conftest import RATE, random_density_matrix, spectral_gap
 from enaqt.lindblad import (
     ChannelSet,
     annihilation_op,
@@ -152,19 +152,6 @@ def test_criterion_5_flux_balance_and_state_invariants(preset_results):
             assert evals.min() >= -1e-10
             assert abs(np.trace(sol.rho).real - 1.0) < 1e-10
     report(5, "flux balance and physical states")
-
-
-def spectral_gap(L: np.ndarray) -> float:
-    """Slowest nonzero decay rate: min |Re lambda| over the spectrum of L.
-
-    Exactly one eigenvalue (the steady state) may have a real part that
-    vanishes to rounding; it is left out.
-    """
-    evals = np.linalg.eigvals(L)
-    rates = np.abs(evals.real)
-    near_zero = rates < 1e-9 * np.max(np.abs(evals))
-    assert np.count_nonzero(near_zero) == 1, "steady state is not unique"
-    return float(np.min(rates[~near_zero]))
 
 
 def test_criterion_6_cross_method_steady_state(asymmetric_chain):

@@ -7,7 +7,6 @@ from enaqt.errors import DimensionMismatch, NonPhysicalState
 from enaqt.lindblad import (
     ChannelSet,
     annihilation_op,
-    apply_liouvillian,
     build_liouvillian,
     check_density_matrix,
     dissipator,
@@ -15,6 +14,7 @@ from enaqt.lindblad import (
     vec,
 )
 from enaqt.network import Uniform, generate_geometry
+from enaqt.reference import apply_liouvillian
 
 
 def trace_functional(d):
