@@ -23,7 +23,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--output", default="results", help="output directory")
     ap.add_argument("--format", choices=("csv", "json"), default="json")
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--fmo-file", default=None)
     ap.add_argument("--seed", type=int, default=None,
                     help="override the pinned seeds of the random presets")
@@ -37,8 +36,7 @@ def main() -> None:
             print(f"{name}: skipped (needs --fmo-file)")
             continue
         t0 = time.time()
-        cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed,
-                           workers=args.workers)
+        cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed)
         curve, cls = run_sweep(cfg)
         sym = detect_inversion_symmetry(cfg.network, site_limit=25)
         path = outdir / f"{name}.{args.format}"

@@ -32,7 +32,6 @@ def main() -> None:
     ap.add_argument("--points", type=int, default=60)
     ap.add_argument("--gamma-inj", type=float, default=5.0)
     ap.add_argument("--gamma-ext", type=float, default=5.0)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--output", default="results", help="output directory")
     args = ap.parse_args()
 
@@ -49,7 +48,6 @@ def main() -> None:
         gamma_max=args.gamma_max,
         points=args.points,
         gamma_ext=args.gamma_ext,
-        workers=args.workers,
     )
     steady_cfg = SweepConfig(gamma_inj=args.gamma_inj, label=f"{label}-steady", **common)
     pulse_cfg = SweepConfig(

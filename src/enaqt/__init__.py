@@ -9,12 +9,7 @@ the spread of the site occupations.
 """
 
 from ._version import __version__
-from .lindblad import (
-    ChannelSet,
-    build_liouvillian,
-    check_density_matrix,
-    dissipator,
-)
+from .lindblad import ChannelSet, build_liouvillian, check_density_matrix
 from .network import (
     NetworkSpec,
     RandomUniform,
@@ -83,7 +78,6 @@ __all__ = [
     "convert_units",
     "delta_n",
     "detect_inversion_symmetry",
-    "dissipator",
     "emit_results",
     "exciton_current",
     "generate_geometry",

@@ -37,7 +37,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(spacing=None)
     p.add_argument("--gamma-inj", type=float, default=None, help="injection rate (ps^-1)")
     p.add_argument("--gamma-ext", type=float, default=None, help="extraction rate (ps^-1)")
-    p.add_argument("--workers", type=int, default=1, help="thread pool size for grid points")
     p.add_argument("--seed", type=int, default=None, help="seed for random presets")
 
 
@@ -76,13 +75,11 @@ def _build_config(args, mode: str) -> SweepConfig:
             args.preset,
             fmo_file=args.fmo_file,
             seed=args.seed,
-            workers=args.workers,
             **overrides,
         )
     spec = load_network(args.network)
     return SweepConfig(
         network=spec,
-        workers=args.workers,
         label=Path(args.network).stem,
         seed=args.seed,
         **{k: v for k, v in overrides.items() if v is not None or k in ("t_end", "pulse_site")},
@@ -113,7 +110,7 @@ def _cmd_figure(args) -> int:
         if name == "fig3h" and args.fmo_file is None and args.preset == "all":
             print("fig3h: skipped (no --fmo-file supplied)")
             continue
-        cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed, workers=args.workers)
+        cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed)
         curve, classification = run_sweep(cfg)
         path = outdir / f"{name}.{args.format}"
         emit_results(curve, classification, args.format, path, config=cfg)
@@ -168,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=PRESET_NAMES + ("all",))
     p.add_argument("--fmo-file", default=None, help="network file for fig3h")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_figure)

@@ -15,17 +15,32 @@ with jump operators
 Vectorization convention
 ------------------------
 Density matrices are vectorized by column stacking, vec(rho) =
-rho.flatten(order="F"), under which vec(A X B) = (B^T kron A) vec(X).  The
-materialized generator is therefore
+rho.flatten(order="F"), so entry rho[i, j] sits at vec index i + j*d.
+
+`build_liouvillian` assembles the d^2 x d^2 generator as a CSR matrix
+straight from the closed forms of these jump operators:
+
+    commutator  every nonzero H[i, k] off the diagonal gives -i H[i, k] at
+                (i + j d, k + j d) and +i H[i, k] at (j + k d, j + i d)
+                for every j; the on-site energies give -i (H_ii - H_jj)
+                on the diagonal;
+    injection   rho_00 feeds rho_ss at rate gamma_inj, and the vacuum row
+                and column decay at gamma_inj / 2 per source site;
+    extraction  rho_ss feeds rho_00 at rate gamma_ext, and row and column s
+                decay at gamma_ext / 2;
+    dephasing   a diagonal: site-site coherences decay at gamma_deph,
+                site-vacuum coherences at gamma_deph / 2, populations not
+                at all.
+
+It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries, so
+memory is O(nnz), never d^4.  The kron-product form of the same generator,
 
     L = -i (I kron H - H^T kron I)
         + sum_k gamma_k [conj(V_k) kron V_k
-                         - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2].
+                         - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2],
 
-`build_liouvillian` is the only generator the solvers use.  A matrix-free
-evaluation of the same action from the closed forms of the jump operators
-lives in `reference.py`, where the tests use it as an independent check of
-the materialized generator.
+lives in `reference.py` together with a matrix-free evaluation of its
+action; the tests use both as independent checks of this assembly.
 """
 
 from __future__ import annotations
@@ -38,9 +53,6 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonPhysicalState
 from .network import NetworkSpec
-
-# dense superoperators up to 30 sites (31^2 = 961 rows); sparse beyond
-DENSE_SITE_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -67,76 +79,49 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def creation_op(dim: int, site: int) -> np.ndarray:
-    """a_site+ = |site><0| on the vacuum + single-excitation space."""
-    V = np.zeros((dim, dim), dtype=complex)
-    V[site, 0] = 1.0
-    return V
-
-
-def annihilation_op(dim: int, site: int) -> np.ndarray:
-    """a_site = |0><site|."""
-    V = np.zeros((dim, dim), dtype=complex)
-    V[0, site] = 1.0
-    return V
-
-
-def number_op(dim: int, site: int) -> np.ndarray:
-    """n_site = a_site+ a_site = |site><site|."""
-    V = np.zeros((dim, dim), dtype=complex)
-    V[site, site] = 1.0
-    return V
-
-
-def dissipator(V: np.ndarray, gamma: float) -> np.ndarray:
-    """Materialized superoperator gamma*(V . V+ - {V+V, .}/2), column stacking."""
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise DimensionMismatch(f"jump operator must be square, got shape {V.shape}")
-    d = V.shape[0]
-    VdV = V.conj().T @ V
-    eye = np.eye(d)
-    return gamma * (
-        np.kron(V.conj(), V)
-        - 0.5 * np.kron(eye, VdV)
-        - 0.5 * np.kron(VdV.T, eye)
-    )
-
-
-def _channel_ops(channels: ChannelSet, spec: NetworkSpec, dim: int):
-    """Yield (jump operator, rate) for every dissipative channel."""
-    for s in sorted(spec.inject_sites):
-        yield creation_op(dim, s), channels.gamma_inj
-    for s in sorted(spec.extract_sites):
-        yield annihilation_op(dim, s), channels.gamma_ext
-    for s in range(1, spec.n_sites + 1):
-        yield number_op(dim, s), channels.gamma_deph
-
-
-def build_liouvillian(
-    H: np.ndarray,
-    channels: ChannelSet,
-    spec: NetworkSpec,
-    sparse: bool | None = None,
-):
-    """Materialize the full generator as a d^2 x d^2 matrix.
-
-    Returns a dense ndarray for networks up to DENSE_SITE_LIMIT sites and a
-    CSR matrix above, unless `sparse` forces the storage.
-    """
+def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
+    """Assemble the full generator as a d^2 x d^2 CSR matrix."""
     d = spec.dim
     if H.shape != (d, d):
         raise DimensionMismatch(
             f"Hamiltonian shape {H.shape} does not match network dimension {d}"
         )
-    if sparse is None:
-        sparse = spec.n_sites > DENSE_SITE_LIMIT
-    eye = np.eye(d)
-    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    for V, gamma in _channel_ops(channels, spec, d):
-        L += dissipator(V, gamma)
-    if sparse:
-        return sp.csr_matrix(L)
-    return L
+    idx = np.arange(d)[:, None]
+    i, k = np.nonzero(H - np.diag(np.diag(H)))
+    h = H[i, k]
+    # -i H rho: drho[i, j] gets rho[k, j];  +i rho H: drho[j, k] gets rho[j, i]
+    rows = [i + idx * d, idx + k * d]
+    cols = [k + idx * d, idx + i * d]
+    vals = [np.broadcast_to(-1j * h, rows[0].shape), np.broadcast_to(1j * h, rows[1].shape)]
+
+    # diagonal: on-site energies and the decay of every rho[i, j]
+    e = np.diag(H)
+    half = np.zeros(d)
+    half[0] += 0.5 * channels.gamma_inj * len(spec.inject_sites)
+    half[sorted(spec.extract_sites)] += 0.5 * channels.gamma_ext
+    deph = 0.5 * channels.gamma_deph * (idx > 0)
+    deph = deph + deph.T
+    np.fill_diagonal(deph, 0.0)
+    diag = -1j * (e[:, None] - e[None, :]) - (half[:, None] + half[None, :]) - deph
+    rows.append(np.arange(d * d))
+    cols.append(np.arange(d * d))
+    vals.append(vec(diag))
+
+    # population transfer: vacuum -> sources, sinks -> vacuum
+    src = np.array(sorted(spec.inject_sites), dtype=int) * (d + 1)
+    snk = np.array(sorted(spec.extract_sites), dtype=int) * (d + 1)
+    rows += [src, np.zeros_like(snk)]
+    cols += [np.zeros_like(src), snk]
+    vals += [np.full(src.size, channels.gamma_inj), np.full(snk.size, channels.gamma_ext)]
+
+    coo = sp.coo_matrix(
+        (np.concatenate([np.ravel(v) for v in vals]),
+         (np.concatenate([np.ravel(r) for r in rows]),
+          np.concatenate([np.ravel(c) for c in cols]))),
+        shape=(d * d, d * d),
+        dtype=complex,
+    )
+    return coo.tocsr()
 
 
 # ---------------------------------------------------------------------------

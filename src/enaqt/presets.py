@@ -124,7 +124,6 @@ def build_preset(
     *,
     fmo_file=None,
     seed: int | None = None,
-    workers: int = 1,
     **overrides,
 ) -> SweepConfig:
     """SweepConfig for a named preset; keyword overrides win."""
@@ -133,7 +132,6 @@ def build_preset(
         network=spec,
         gamma_inj=DEFAULT_RATE,
         gamma_ext=DEFAULT_RATE,
-        workers=workers,
         label=name,
         seed=used_seed,
     )
@@ -148,10 +146,9 @@ def run_figure_preset(
     *,
     fmo_file=None,
     seed: int | None = None,
-    workers: int = 1,
     **overrides,
 ) -> tuple[SweepConfig, SweepCurve, SweepClassification]:
     """Run one figure preset end to end."""
-    cfg = build_preset(name, fmo_file=fmo_file, seed=seed, workers=workers, **overrides)
+    cfg = build_preset(name, fmo_file=fmo_file, seed=seed, **overrides)
     curve, classification = run_sweep(cfg)
     return cfg, curve, classification

@@ -3,12 +3,19 @@
 Two routes are provided: the closed-form occupations of a uniform chain
 driven end to end, and a brute-force steady state obtained from a full
 singular value decomposition of the materialized generator.  Neither path
-shares factorization code with the production solver (LU / eig), so
-agreement between all three is evidence rather than tautology.
+shares factorization code with the production solver (sparse LU / eig),
+so agreement between all three is evidence rather than tautology.
 
-`apply_liouvillian` evaluates the generator's action on a matrix from the
-closed forms of the jump operators, without materializing the
-superoperator; the tests check the materialized generator against it.
+Two further oracles check the generator itself.  `kron_liouvillian`
+materializes it as dense kron products of the jump operators,
+
+    L = -i (I kron H - H^T kron I)
+        + sum_k gamma_k [conj(V_k) kron V_k
+                         - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2],
+
+at d^4 memory, and `apply_liouvillian` evaluates its action on a matrix
+without materializing the superoperator.  The tests check the closed-form
+sparse assembly of `lindblad.build_liouvillian` against both.
 """
 
 from __future__ import annotations
@@ -85,6 +92,55 @@ def brute_force_steady_state(L) -> np.ndarray:
     v = vh[-1].conj()
     rho = hermitize(v.reshape((d, d), order="F"))
     return rho / np.trace(rho).real
+
+
+def creation_op(dim: int, site: int) -> np.ndarray:
+    """a_site+ = |site><0| on the vacuum + single-excitation space."""
+    V = np.zeros((dim, dim), dtype=complex)
+    V[site, 0] = 1.0
+    return V
+
+
+def annihilation_op(dim: int, site: int) -> np.ndarray:
+    """a_site = |0><site|."""
+    V = np.zeros((dim, dim), dtype=complex)
+    V[0, site] = 1.0
+    return V
+
+
+def number_op(dim: int, site: int) -> np.ndarray:
+    """n_site = a_site+ a_site = |site><site|."""
+    V = np.zeros((dim, dim), dtype=complex)
+    V[site, site] = 1.0
+    return V
+
+
+def dissipator(V: np.ndarray, gamma: float) -> np.ndarray:
+    """Materialized superoperator gamma*(V . V+ - {V+V, .}/2), column stacking."""
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise DimensionMismatch(f"jump operator must be square, got shape {V.shape}")
+    d = V.shape[0]
+    VdV = V.conj().T @ V
+    eye = np.eye(d)
+    return gamma * (
+        np.kron(V.conj(), V)
+        - 0.5 * np.kron(eye, VdV)
+        - 0.5 * np.kron(VdV.T, eye)
+    )
+
+
+def kron_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndarray:
+    """The full generator as a dense d^2 x d^2 sum of kron products."""
+    d = spec.dim
+    eye = np.eye(d)
+    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    for s in sorted(spec.inject_sites):
+        L += dissipator(creation_op(d, s), channels.gamma_inj)
+    for s in sorted(spec.extract_sites):
+        L += dissipator(annihilation_op(d, s), channels.gamma_ext)
+    for s in range(1, spec.n_sites + 1):
+        L += dissipator(number_op(d, s), channels.gamma_deph)
+    return L
 
 
 def apply_liouvillian(

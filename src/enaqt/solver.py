@@ -2,11 +2,13 @@
 
 The steady state solves L vec(rho) = 0 with the unit-trace constraint
 spliced into the linear system: the last row of L is replaced by the trace
-functional and the right-hand side is the matching unit vector.  A direct
-LU solve (plus iterative refinement) is the primary method; an
-eigendecomposition of L is kept as an independent fallback for
-rank-deficient systems, and every use of it is logged as a warning with
-the linear-solve residual.  Every solution is re-hermitized,
+functional and the right-hand side is the matching unit vector.  Every
+input takes the same path: the system is held in CSR, the row is swapped
+by slicing its index arrays, and one sparse LU factorization (SuperLU via
+scipy.sparse.linalg.splu) serves the solve and two refinement passes.  An
+eigendecomposition of the densified L is kept as an independent fallback
+for rank-deficient systems, and every use of it is logged as a warning
+with the linear-solve residual.  Every solution is re-hermitized,
 residual-checked against the untouched generator, and validated as a
 physical density matrix; positivity violations raise instead of being
 clipped.
@@ -24,7 +26,6 @@ call, i.e. d^4 memory.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,14 @@ class Trajectory:
     extracted: np.ndarray   # cumulative extracted population, nondecreasing to rounding
 
 
-def _trace_row(d: int) -> np.ndarray:
-    row = np.zeros(d * d, dtype=complex)
-    row[:: d + 1] = 1.0
-    return row
+def _with_trace_row(L: sp.csr_matrix, d: int) -> sp.csr_matrix:
+    """L with its last row replaced by the trace functional."""
+    cut = L.indptr[-2]
+    indptr = L.indptr.copy()
+    indptr[-1] = cut + d
+    indices = np.concatenate([L.indices[:cut], np.arange(d) * (d + 1)])
+    data = np.concatenate([L.data[:cut], np.ones(d, dtype=L.dtype)])
+    return sp.csr_matrix((data, indices, indptr), shape=L.shape)
 
 
 def _residual(L, rho: np.ndarray) -> float:
@@ -86,70 +91,48 @@ def _null_space_solve(L_dense: np.ndarray, d: int) -> np.ndarray:
 
 
 def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolution:
-    """Unique steady state of a materialized generator.
+    """Unique steady state of a materialized generator (dense or sparse).
 
     The generator must include at least one nonzero dissipative rate;
     otherwise the null space is degenerate and NonUniqueSteadyState is
     raised.
     """
-    d2 = L.shape[0]
-    if L.ndim != 2 or L.shape[1] != d2:
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"generator must be square, got {L.shape}")
+    L = sp.csr_matrix(L, dtype=complex)
+    d2 = L.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatch(f"generator size {d2} is not a perfect square")
 
+    A = _with_trace_row(L, d)
     b = np.zeros(d2, dtype=complex)
     b[-1] = 1.0
-
-    rho = None
-    method = "linear_solve"
-    if sp.issparse(L):
-        A = L.tolil(copy=True)
-        A[-1, :] = _trace_row(d)
-        A = A.tocsr()
-        with warnings.catch_warnings():
-            # as on the dense path: an exactly singular system warns and
-            # yields NaNs, which the residual check routes to the fallback
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            x = spla.spsolve(A, b)
-        rho = hermitize(x.reshape((d, d), order="F"))
-        L_dense = None
-    else:
-        A = np.array(L, dtype=complex)
-        A[-1, :] = _trace_row(d)
-        try:
-            with warnings.catch_warnings():
-                # an exactly singular system warns and yields NaNs; the
-                # residual check below routes those to the fallback path
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu = sla.lu_factor(A)
-                x = sla.lu_solve(lu, b)
-                # two refinement passes pin the residual near machine precision
-                for _ in range(2):
-                    x += sla.lu_solve(lu, b - A @ x)
-            rho = hermitize(x.reshape((d, d), order="F"))
-        except (np.linalg.LinAlgError, ValueError):
-            rho = None
-        L_dense = L
-
     res = float("nan")
-    if rho is not None:
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        # an exactly singular system: rank deficient, handled below
+        if "singular" not in str(exc):
+            raise
+    else:
+        x = lu.solve(b)
+        # two refinement passes pin the residual near machine precision
+        for _ in range(2):
+            x += lu.solve(b - A @ x)
+        rho = hermitize(x.reshape((d, d), order="F"))
         res = _residual(L, rho)
         if res <= residual_tol:
             check_density_matrix(rho)
-            return SteadyStateSolution(rho=rho, residual=res, method=method)
+            return SteadyStateSolution(rho=rho, residual=res, method="linear_solve")
 
-    # linear solve failed or left a residual: rank-deficient system
     logger.warning(
         "steady state: linear-solve residual %.3e exceeds %.1e; "
         "falling back to the null-space solve",
         res,
         residual_tol,
     )
-    if L_dense is None:
-        L_dense = L.toarray()
-    rho = _null_space_solve(L_dense, d)
+    rho = _null_space_solve(L.toarray(), d)
     res = _residual(L, rho)
     if res > residual_tol:
         raise SolveFailure(f"steady-state residual {res:.3e} exceeds {residual_tol:.1e}")
@@ -191,7 +174,7 @@ def propagate(
 
     d2 = d * d
     G = np.zeros((d2 + 1, d2 + 1), dtype=complex)
-    G[:d2, :d2] = build_liouvillian(H, channels, spec, sparse=False)
+    G[:d2, :d2] = build_liouvillian(H, channels, spec).toarray()
     G[d2, [s * (d + 1) for s in spec.extract_sites]] = channels.gamma_ext
 
     times = np.linspace(0.0, t_end, n_eval)

@@ -1,12 +1,10 @@
 """Dephasing sweeps: steady-state and pulse-mode batch driver.
 
-A sweep solves the network once per grid point and assembles the
-observables into a SweepCurve.  Points are independent, so they can be
-dispatched to a thread pool; the BLAS-bound solves release the GIL and the
-assembly is an ordered reduction, making results identical for any worker
-count.
+A sweep solves the network once per grid point, in grid order, and
+assembles the observables into a SweepCurve.  A failing point re-raises
+its error with the point's gamma_deph prefixed to the message.
 
-In steady mode the generator is assembled once per sweep as
+In steady mode the sparse generator is assembled once per sweep as
 L(gamma_deph) = L_base + gamma_deph * L_deph_unit, exploiting that the
 generator is affine in each rate.
 
@@ -22,7 +20,6 @@ rho, so it is evaluated once on the trapezoid-integrated state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +62,6 @@ class SweepConfig:
     mode: str = "steady"  # "steady" or "pulse"
     t_end: float | None = None      # pulse horizon (ps); required in pulse mode
     pulse_site: int | None = None   # default: lowest injection site
-    workers: int = 1
     label: str = ""
     seed: int | None = None         # echoed for reproducibility of random presets
 
@@ -133,52 +129,44 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
             np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec
         )
 
-        def point(k: int) -> _Row:
-            gamma = float(grid[k])
-            try:
-                sol = steady_state(L_base + gamma * L_deph)
-                channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
-                occ = occupations(sol.rho)
-                return _Row(
-                    j_p=exciton_current(sol.rho, channels, spec),
-                    j_q=heat_current(sol.rho, H, channels, spec),
-                    delta_n=delta_n(occ, spec.extract_sites),
-                    vacuum=occ.vacuum,
-                    occ=occ.values,
-                )
-            except Exception as exc:
-                _annotate(exc, gamma)
-                raise
+        def point(gamma: float) -> _Row:
+            sol = steady_state(L_base + gamma * L_deph)
+            channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
+            occ = occupations(sol.rho)
+            return _Row(
+                j_p=exciton_current(sol.rho, channels, spec),
+                j_q=heat_current(sol.rho, H, channels, spec),
+                delta_n=delta_n(occ, spec.extract_sites),
+                vacuum=occ.vacuum,
+                occ=occ.values,
+            )
 
     else:  # pulse
         site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho0[site, site] = 1.0
 
-        def point(k: int) -> _Row:
-            gamma = float(grid[k])
-            try:
-                channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
-                traj = propagate(H, channels, spec, rho0, cfg.t_end)
-                rho_int = np.trapezoid(traj.states, traj.times, axis=0)
-                avg = np.diag(rho_int).real / traj.times[-1]
-                occ = Occupations(values=avg[1:], vacuum=float(avg[0]))
-                return _Row(
-                    j_p=transfer_efficiency(traj),
-                    j_q=heat_current(rho_int, H, channels, spec),
-                    delta_n=delta_n(occ, spec.extract_sites),
-                    vacuum=occ.vacuum,
-                    occ=occ.values,
-                )
-            except Exception as exc:
-                _annotate(exc, gamma)
-                raise
+        def point(gamma: float) -> _Row:
+            channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
+            traj = propagate(H, channels, spec, rho0, cfg.t_end)
+            rho_int = np.trapezoid(traj.states, traj.times, axis=0)
+            avg = np.diag(rho_int).real / traj.times[-1]
+            occ = Occupations(values=avg[1:], vacuum=float(avg[0]))
+            return _Row(
+                j_p=transfer_efficiency(traj),
+                j_q=heat_current(rho_int, H, channels, spec),
+                delta_n=delta_n(occ, spec.extract_sites),
+                vacuum=occ.vacuum,
+                occ=occ.values,
+            )
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(point, range(len(grid))))
-    else:
-        rows = [point(k) for k in range(len(grid))]
+    rows = []
+    for gamma in grid:
+        try:
+            rows.append(point(float(gamma)))
+        except Exception as exc:
+            _annotate(exc, float(gamma))
+            raise
 
     curve = SweepCurve(
         gamma_grid=grid,

@@ -4,17 +4,16 @@ import scipy.linalg as sla
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
-from enaqt.lindblad import (
-    ChannelSet,
+from enaqt.lindblad import ChannelSet, build_liouvillian, check_density_matrix, vec
+from enaqt.network import RandomUniform, Uniform, assemble_hamiltonian, generate_geometry, to_internal_units
+from enaqt.presets import PRESET_NAMES, preset_network
+from enaqt.reference import (
     annihilation_op,
-    build_liouvillian,
-    check_density_matrix,
+    apply_liouvillian,
     dissipator,
+    kron_liouvillian,
     number_op,
-    vec,
 )
-from enaqt.network import Uniform, generate_geometry
-from enaqt.reference import apply_liouvillian
 
 
 def trace_functional(d):
@@ -58,7 +57,7 @@ class TestBuild:
     def test_closed_system_spectrum_is_imaginary(self, symmetric_chain):
         spec, H = symmetric_chain
         L = build_liouvillian(H, ChannelSet(0, 0, 0), spec)
-        ev = np.linalg.eigvals(L)
+        ev = np.linalg.eigvals(L.toarray())
         assert np.max(np.abs(ev.real)) < 1e-10
 
     @pytest.mark.parametrize("gd", [0.0, 5.0, 1000.0])
@@ -79,7 +78,7 @@ class TestBuild:
         from enaqt.network import assemble_hamiltonian
         H = assemble_hamiltonian(chain2)
         L = build_liouvillian(H, ChannelSet(1.0, 1.0, 0.0), chain2)
-        ns = sla.null_space(L)
+        ns = sla.null_space(L.toarray())
         assert ns.shape[1] == 1
         rho = ns[:, 0].reshape((3, 3), order="F")
         rho = 0.5 * (rho + rho.conj().T)
@@ -99,19 +98,54 @@ class TestBuild:
     def test_contractive_spectrum(self, asymmetric_chain):
         spec, H = asymmetric_chain
         for gd in (0.0, 5.0, 100.0):
-            ev = np.linalg.eigvals(build_liouvillian(H, ChannelSet(5, 5, gd), spec))
+            ev = np.linalg.eigvals(build_liouvillian(H, ChannelSet(5, 5, gd), spec).toarray())
             assert ev.real.max() <= 1e-10
 
     def test_dimension_mismatch(self, chain2):
         with pytest.raises(DimensionMismatch):
             build_liouvillian(np.zeros((5, 5)), ChannelSet(1, 1, 1), chain2)
 
-    def test_sparse_storage_round_trip(self, chain2):
-        from enaqt.network import assemble_hamiltonian
-        H = assemble_hamiltonian(chain2)
-        dense = build_liouvillian(H, ChannelSet(1, 2, 3), chain2)
-        sparse = build_liouvillian(H, ChannelSet(1, 2, 3), chain2, sparse=True)
-        assert np.max(np.abs(sparse.toarray() - dense)) == 0.0
+    @pytest.mark.parametrize("kind,params", [("chain", 64), ("grid", (5, 5)), ("full_graph", 16)])
+    def test_stored_entries_bounded_by_closed_forms(self, kind, params):
+        # O(nnz) memory: commutator, one diagonal and the transfer entries only
+        spec = generate_geometry(kind, params, Uniform(3.0), Uniform(1.0),
+                                 inject={1}, extract={2, 3})
+        H = assemble_hamiltonian(spec)
+        L = build_liouvillian(H, ChannelSet(5, 5, 2), spec)
+        d = spec.dim
+        bound = 2 * np.count_nonzero(H) * d + d * d + len(spec.inject_sites) + len(spec.extract_sites)
+        assert L.nnz <= bound
+
+
+# rate sets with every channel on, and with each channel (or all) switched off
+ORACLE_RATES = [
+    ChannelSet(5.0, 5.0, 3.7),
+    ChannelSet(5.0, 5.0, 1e5),
+    ChannelSet(0.0, 5.0, 2.0),
+    ChannelSet(5.0, 0.0, 2.0),
+    ChannelSet(5.0, 5.0, 0.0),
+    ChannelSet(0.0, 0.0, 0.0),
+]
+
+
+def assert_matches_kron_oracle(H, spec):
+    for channels in ORACLE_RATES:
+        L = build_liouvillian(H, channels, spec).toarray()
+        K = kron_liouvillian(H, channels, spec)
+        assert np.max(np.abs(L - K)) <= 1e-13 * np.max(np.abs(K)), channels
+
+
+class TestKronOracle:
+    @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "fig3h"])
+    def test_matches_on_every_preset(self, name):
+        # includes fig3g, a full graph with two sinks
+        spec = to_internal_units(preset_network(name)[0])
+        assert_matches_kron_oracle(assemble_hamiltonian(spec), spec)
+
+    def test_matches_with_two_sources_and_two_sinks(self):
+        spec = generate_geometry("ring", 6, RandomUniform(0.0, 50.0), RandomUniform(1.0, 10.0),
+                                 inject={1, 2}, extract={4, 5}, seed=3)
+        assert_matches_kron_oracle(assemble_hamiltonian(spec), spec)
 
 
 class TestApply:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import RATE, random_density_matrix
 from enaqt.errors import GridTooCoarse, NonPhysicalState
-from enaqt.lindblad import ChannelSet, annihilation_op, build_liouvillian, dissipator, vec
+from enaqt.lindblad import ChannelSet, build_liouvillian, vec
 from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
 from enaqt.observables import (
     ENAQT,
@@ -18,7 +18,7 @@ from enaqt.observables import (
     heat_current,
     occupations,
 )
-from enaqt.reference import ChainParams, analytic_chain_occupations
+from enaqt.reference import ChainParams, analytic_chain_occupations, annihilation_op, dissipator
 from enaqt.solver import steady_state
 
 

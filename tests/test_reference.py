@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt.errors import NonUniqueSteadyState
-from enaqt.lindblad import ChannelSet, annihilation_op, build_liouvillian, creation_op, dissipator
+from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
 from enaqt.reference import (
     ChainParams,
     analytic_chain_current,
     analytic_chain_occupations,
+    annihilation_op,
     brute_force_steady_state,
+    creation_op,
+    dissipator,
 )
 from enaqt.solver import steady_state
 

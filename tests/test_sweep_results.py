@@ -31,14 +31,6 @@ class TestSweep:
         cfg = replace(chain2_cfg, spacing="linear")
         assert np.allclose(cfg.gamma_grid(), np.linspace(0.1, 10.0, 5))
 
-    def test_worker_count_does_not_change_rows(self, chain2_cfg):
-        from dataclasses import replace
-        curve1, _ = run_sweep(replace(chain2_cfg, workers=1))
-        curve3, _ = run_sweep(replace(chain2_cfg, workers=3))
-        assert np.array_equal(curve1.j_p, curve3.j_p)
-        assert np.array_equal(curve1.j_q, curve3.j_q)
-        assert np.array_equal(curve1.occupations, curve3.occupations)
-
     def test_flux_balance_of_emitted_rows(self, chain2_cfg, chain2_result):
         curve, _ = chain2_result
         influx = chain2_cfg.gamma_inj * curve.vacuum  # single injection site
