@@ -1,22 +1,36 @@
 #!/usr/bin/env python3
-"""Cost of generator assembly and one steady solve on uniform chains.
+"""Cost of generator assembly, steady solves and preset sweeps.
 
 Usage, from the repository root:
 
     python3 scripts/size_series.py --output BENCH_4.json --label change
+    python3 scripts/size_series.py --series presets grid --output BENCH_5.json --label change
 
-Each chain size runs in its own fresh interpreter, so peak RSS
-(resource.getrusage) belongs to that size alone.  The chain has the
-preset parameters (on-site energy 1.23e4 cm^-1, coupling 60 cm^-1,
-injection and extraction 5 ps^-1, source at site 1 and sink at the far
-end) at gamma_deph = GAMMA_DEPH.  The child times `build_liouvillian` and
-`steady_state(L)` REPEATS times each and reports the min and median,
-the number of stored generator entries, the BLAS thread count and the
-relative error of the current against `analytic_chain_current`.
+Each case runs in its own fresh interpreter, so peak RSS
+(resource.getrusage) belongs to that case alone.  Three series exist:
+
+    chains   uniform chains of SIZES sites with the preset parameters
+             (on-site energy 1.23e4 cm^-1, coupling 60 cm^-1, injection
+             and extraction 5 ps^-1, source at site 1 and sink at the far
+             end) at gamma_deph = GAMMA_DEPH.  The child times
+             `build_liouvillian` and `steady_state(L)` REPEATS times each
+             and reports the min and median, the number of stored
+             generator entries and the relative error of the current
+             against `analytic_chain_current`.
+    presets  every shipped steady preset (fig3h needs external data) on
+             its own 60-point grid: `run_sweep(build_preset(name))`
+             REPEATS times, min and median.
+    grid     one steady solve on a GRID_SIDE x GRID_SIDE square lattice
+             with the chain parameters, source at a corner and sink at
+             the opposite one, GRID_REPEATS times.
+
+Preset and grid rows give both unknown counts: (n+1)^2 complex ones for a
+solve in the full space and n^2+1 real ones for a solve in the real
+charge-conserving sector.  Every row carries the BLAS thread count.
 
 Children import enaqt from --src (default: this repository's src), so the
 same script measures any checkout.  Each child caps its address space at
---mem-limit-mb above what its imports already use; a size that runs out
+--mem-limit-mb above what its imports already use; a case that runs out
 is recorded as not run.  With --output, the result is stored under --label
 in that JSON file, next to any other labels already there.
 """
@@ -35,8 +49,12 @@ import sys
 import time
 from pathlib import Path
 
+SERIES = ("chains", "presets", "grid")
 SIZES = (8, 16, 25, 40, 48, 64)
+PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3i")
+GRID_SIDE = 10
 REPEATS = 5
+GRID_REPEATS = 3
 GAMMA_DEPH = 10.0  # ps^-1, mid-grid of the default sweep
 RATE = 5.0
 BLAS_THREAD_SYMBOLS = (
@@ -81,7 +99,16 @@ def stats(samples: list[float]) -> dict:
     return {"min": min(samples), "median": statistics.median(samples)}
 
 
-def child(n: int, mem_limit_mb: int) -> dict:
+def timed(fn, repeats: int) -> tuple[dict, object]:
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        samples.append(time.perf_counter() - t0)
+    return stats(samples), out
+
+
+def child_chain(n: int, mem_limit_mb: int) -> dict:
     import numpy as np
 
     from enaqt.lindblad import ChannelSet, build_liouvillian
@@ -97,28 +124,82 @@ def child(n: int, mem_limit_mb: int) -> dict:
     out = {"sites": n, "unknowns": spec.dim**2, "blas_threads": blas_threads()}
     cap_address_space(mem_limit_mb)
     try:
-        assembly, solve = [], []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            L = build_liouvillian(H, channels, spec)
-            assembly.append(time.perf_counter() - t0)
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            rho = steady_state(L).rho
-            solve.append(time.perf_counter() - t0)
+        assembly_s, L = timed(lambda: build_liouvillian(H, channels, spec), REPEATS)
+        solve_s, sol = timed(lambda: steady_state(L), REPEATS)
     except MemoryError:
         out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
         return out
     ref = analytic_chain_current(ChainParams(n, spec.couplings[0][2], RATE, RATE, GAMMA_DEPH))
-    j_p = RATE * rho[n, n].real
+    j_p = RATE * sol.rho[n, n].real
     out.update(
         status="ok",
-        assembly_s=stats(assembly),
-        solve_s=stats(solve),
+        assembly_s=assembly_s,
+        solve_s=solve_s,
         stored_entries=int(L.nnz) if hasattr(L, "nnz") else int(np.count_nonzero(L)),
         generator_storage="sparse" if hasattr(L, "nnz") else "dense",
         rel_err_vs_analytic=abs(j_p - ref) / ref,
     )
+    return out
+
+
+def unknowns(n: int) -> dict:
+    return {"unknowns_full": (n + 1) ** 2, "unknowns_sector": n * n + 1}
+
+
+def child_preset(name: str, mem_limit_mb: int) -> dict:
+    from enaqt.presets import build_preset
+    from enaqt.sweep import run_sweep
+
+    cfg = build_preset(name)
+    n = cfg.network.n_sites
+    out = {"preset": name, "sites": n, **unknowns(n), "points": cfg.points,
+           "blas_threads": blas_threads()}
+    cap_address_space(mem_limit_mb)
+    try:
+        sweep_s, (curve, cls) = timed(lambda: run_sweep(cfg), REPEATS)
+    except MemoryError:
+        out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
+        return out
+    out.update(status="ok", sweep_s=sweep_s, max_j_p=float(curve.j_p.max()), kind=cls.kind)
+    return out
+
+
+def child_grid(side: int, mem_limit_mb: int) -> dict:
+    from enaqt.lindblad import ChannelSet, build_liouvillian
+    from enaqt.network import Uniform, Unit, assemble_hamiltonian, generate_geometry, to_internal_units
+    from enaqt.solver import steady_state
+
+    n = side * side
+    spec = to_internal_units(generate_geometry(
+        "grid", (side, side), Uniform(1.23e4), Uniform(60.0), inject={1}, extract={n},
+        unit=Unit.WAVENUMBER,
+    ))
+    H = assemble_hamiltonian(spec)
+    out = {"grid": f"{side}x{side}", "sites": n, **unknowns(n), "blas_threads": blas_threads()}
+    cap_address_space(mem_limit_mb)
+    try:
+        L = build_liouvillian(H, ChannelSet(RATE, RATE, GAMMA_DEPH), spec)
+        solve_s, sol = timed(lambda: steady_state(L), GRID_REPEATS)
+    except MemoryError:
+        out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
+        return out
+    out.update(status="ok", solve_s=solve_s, repeats=GRID_REPEATS, method=sol.method,
+               j_p=RATE * float(sol.rho[n, n].real))
+    return out
+
+
+CHILDREN = {"chains": child_chain, "presets": child_preset, "grid": child_grid}
+
+
+def cases(series: list[str]) -> list[tuple[str, str]]:
+    out = []
+    for name in series:
+        if name == "chains":
+            out += [("chains", str(n)) for n in SIZES]
+        elif name == "presets":
+            out += [("presets", p) for p in PRESETS]
+        else:
+            out.append(("grid", str(GRID_SIDE)))
     return out
 
 
@@ -130,11 +211,15 @@ def main(argv=None) -> None:
                     help="directory the children import enaqt from")
     ap.add_argument("--output", default=None, help="JSON file to store the series in")
     ap.add_argument("--label", default="series", help="key of this series in --output")
-    ap.add_argument("--child", type=int, default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--series", nargs="+", choices=SERIES, default=["chains"],
+                    help="which series to run (default: chains)")
+    ap.add_argument("--child", nargs=2, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.child is not None:
-        result = child(args.child, args.mem_limit_mb)
+        series, case = args.child
+        arg = case if series == "presets" else int(case)
+        result = CHILDREN[series](arg, args.mem_limit_mb)
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps(result))
         return
@@ -144,17 +229,18 @@ def main(argv=None) -> None:
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [args.src, env.get("PYTHONPATH")]))
-    series = []
-    for n in SIZES:
-        cmd = [sys.executable, __file__, "--child", str(n), "--mem-limit-mb", str(args.mem_limit_mb)]
+    rows = []
+    for series, case in cases(args.series):
+        cmd = [sys.executable, __file__, "--child", series, case,
+               "--mem-limit-mb", str(args.mem_limit_mb)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            row = {"sites": n, "status": f"not run: child exited {proc.returncode}",
+            row = {"case": case, "status": f"not run: child exited {proc.returncode}",
                    "stderr": proc.stderr.strip().splitlines()[-1:]}
         else:
             row = json.loads(proc.stdout.strip().splitlines()[-1])
         print(json.dumps(row), flush=True)
-        series.append(row)
+        rows.append(row)
 
     result = {
         "environment": {
@@ -166,7 +252,7 @@ def main(argv=None) -> None:
         "gamma_deph": GAMMA_DEPH,
         "repeats": REPEATS,
         "mem_limit_mb": args.mem_limit_mb,
-        "series": series,
+        "series": rows,
     }
     if args.output:
         path = Path(args.output)

@@ -32,8 +32,9 @@ straight from the closed forms of these jump operators:
                 site-vacuum coherences at gamma_deph / 2, populations not
                 at all.
 
-It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries, so
-memory is O(nnz), never d^4.  The kron-product form of the same generator,
+It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries and no
+explicit zeros, so memory is O(nnz), never d^4.  The kron-product form of
+the same generator,
 
     L = -i (I kron H - H^T kron I)
         + sum_k gamma_k [conj(V_k) kron V_k
@@ -73,10 +74,6 @@ class ChannelSet:
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return rho.flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
 
 
 def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
@@ -121,7 +118,10 @@ def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) ->
         shape=(d * d, d * d),
         dtype=complex,
     )
-    return coo.tocsr()
+    L = coo.tocsr()
+    # zero rates and degenerate on-site energies leave zeros on the diagonal
+    L.eliminate_zeros()
+    return L
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ row, and one data row per grid point sorted by dephasing rate:
 
 Floats are written with 17 significant digits, so re-parsing reproduces
 the binary values exactly.  JSON files mirror the same columns and add the
-configuration echo and the classification block; emitting and re-ingesting
-a JSON file is lossless.
+configuration echo and the classification block, and, for a steady sweep,
+a diagnostics block with each point's solve method and residual.
+Emitting and re-ingesting a JSON file is lossless; files without the
+diagnostics block read back with none recorded.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ def _emit_json(
             "occupations": curve.occupations.tolist(),
         },
     }
+    if curve.method is not None:
+        doc["diagnostics"] = {"method": list(curve.method), "residual": curve.residual.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -107,6 +111,7 @@ def read_results_json(path) -> tuple[SweepCurve, SweepClassification, dict]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     c = doc["curve"]
+    diag = doc.get("diagnostics", {})
     curve = SweepCurve(
         gamma_grid=c["gamma_deph"],
         j_p=c["j_p"],
@@ -114,6 +119,8 @@ def read_results_json(path) -> tuple[SweepCurve, SweepClassification, dict]:
         delta_n=c["delta_n"],
         vacuum=c["vacuum"],
         occupations=c["occupations"],
+        method=diag.get("method"),
+        residual=diag.get("residual"),
     )
     cls = SweepClassification(**doc["classification"])
     return curve, cls, doc.get("config", {})

@@ -1,17 +1,34 @@
 """Steady states and time propagation of the Lindblad equation.
 
-The steady state solves L vec(rho) = 0 with the unit-trace constraint
-spliced into the linear system: the last row of L is replaced by the trace
-functional and the right-hand side is the matching unit vector.  Every
-input takes the same path: the system is held in CSR, the row is swapped
-by slicing its index arrays, and one sparse LU factorization (SuperLU via
-scipy.sparse.linalg.splu) serves the solve and two refinement passes.  An
-eigendecomposition of the densified L is kept as an independent fallback
-for rank-deficient systems, and every use of it is logged as a warning
-with the linear-solve residual.  Every solution is re-hermitized,
-residual-checked against the untouched generator, and validated as a
-physical density matrix; positivity violations raise instead of being
-clipped.
+The steady state solves L vec(rho) = 0 under unit trace in the real,
+charge-conserving sector.  Every jump operator changes the excitation
+number by -1, 0 or +1 and H conserves it (the weak U(1) symmetry of
+Buca & Prosen, New J. Phys. 14, 073007 (2012)), so the vacuum-site
+coherences never couple to the populations or to the site-site
+coherences, and they vanish in the steady state.  The sector coordinates
+are the n + 1 populations and Re, Im of rho_ij for 1 <= i < j <= n: n^2 + 1
+real unknowns in place of (n + 1)^2 complex ones.  The path is the same for
+every input:
+
+  1. the generator is held in CSR, and its index arrays are checked for an
+     entry that couples the sector to a vacuum-site coherence; a generator
+     with one is not charge-conserving and goes to the fallback;
+  2. the real system A = Re(Tp L T) is formed, where T maps the sector
+     coordinates to vec(rho) and Tp is its left inverse, and the trace
+     functional replaces the last (population) row by slicing the CSR
+     arrays;
+  3. one real sparse LU factorization (SuperLU via
+     scipy.sparse.linalg.splu) serves the solve and two refinement passes,
+     and T maps the solution back to rho.
+
+Real SuperLU reports an exactly singular system either as "Factor is
+exactly singular" or as "failed to factorize matrix ... dpanel_bmod.c";
+both go to the fallback, and any other RuntimeError propagates.  The
+fallback, an eigendecomposition of the densified full generator, is kept
+for rank-deficient and non-charge-conserving inputs, and every use of it
+is logged as a warning that says why.  Every solution is residual-checked
+against the untouched full generator and validated as a physical density
+matrix; positivity violations raise instead of being clipped.
 
 Propagation is exact on the output grid.  The generator does not depend on
 time, so one propagator P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix
@@ -25,6 +42,7 @@ call, i.e. d^4 memory.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -59,14 +77,60 @@ class Trajectory:
     extracted: np.ndarray   # cumulative extracted population, nondecreasing to rounding
 
 
-def _with_trace_row(L: sp.csr_matrix, d: int) -> sp.csr_matrix:
-    """L with its last row replaced by the trace functional."""
-    cut = L.indptr[-2]
-    indptr = L.indptr.copy()
-    indptr[-1] = cut + d
-    indices = np.concatenate([L.indices[:cut], np.arange(d) * (d + 1)])
-    data = np.concatenate([L.data[:cut], np.ones(d, dtype=L.dtype)])
-    return sp.csr_matrix((data, indices, indptr), shape=L.shape)
+@dataclass(frozen=True)
+class _Sector:
+    """The real charge sector of the d^2 vec space and its change of basis.
+
+    The sector coordinates are the n^2 + 1 vec indices that are not
+    vacuum-site coherences, in vec order: a population rho_pp stands for
+    itself, and for i < j the index of rho_ij holds Re rho_ij and the
+    index of rho_ji holds Im rho_ij.  T (d^2 x (n^2+1)) maps them to
+    vec(rho) with two entries per coherence column; Tp = diag(1 or 1/2) T^H
+    is its left inverse.  The last coordinate is the population of site n.
+    """
+
+    vac: np.ndarray      # mask of the vacuum-site coherences over vec indices
+    pops: np.ndarray     # sector positions of the populations
+    T: sp.csr_matrix
+    Tp: sp.csr_matrix
+
+
+@functools.lru_cache(maxsize=8)
+def _sector(d: int) -> _Sector:
+    col, row = np.divmod(np.arange(d * d), d)  # vec index row + col*d
+    vac = (row == 0) != (col == 0)
+    k = np.flatnonzero(~vac)
+    row, col = row[k], col[k]
+    pos = np.arange(k.size)
+    coh = row != col
+    upper = row < col
+    partner = np.searchsorted(k, col + row * d)[coh]  # sector position of rho_ji
+    # T[k[pos], pos] is 1 for a population or Re, -i for Im;
+    # T[k[partner], pos] is 1 for Re, +i for Im
+    T = sp.csr_matrix(
+        (np.concatenate([np.where(upper | ~coh, 1.0, -1j), np.where(upper, 1.0, 1j)[coh]]),
+         (np.concatenate([k, k[partner]]), np.concatenate([pos, pos[coh]]))),
+        shape=(d * d, k.size),
+    )
+    Tp = (sp.diags(np.where(coh, 0.5, 1.0)) @ T.conj().T).tocsr()
+    return _Sector(vac=vac, pops=np.flatnonzero(~coh), T=T, Tp=Tp)
+
+
+def _couples_vacuum_coherences(L: sp.csr_matrix, vac: np.ndarray) -> bool:
+    """True if a stored entry links the sector to a vacuum-site coherence."""
+    row_vac = np.repeat(vac, np.diff(L.indptr))
+    return bool(np.any(row_vac != vac[L.indices]))
+
+
+def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
+    """Re(Tp L T) with its last (population) row replaced by the trace."""
+    A = (sec.Tp @ L @ sec.T).real
+    cut = A.indptr[-2]
+    indptr = A.indptr.copy()
+    indptr[-1] = cut + sec.pops.size
+    indices = np.concatenate([A.indices[:cut], sec.pops])
+    data = np.concatenate([A.data[:cut], np.ones(sec.pops.size)])
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
 
 
 def _residual(L, rho: np.ndarray) -> float:
@@ -90,12 +154,36 @@ def _null_space_solve(L_dense: np.ndarray, d: int) -> np.ndarray:
     return rho / tr
 
 
+def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray | None:
+    """Steady state from the real sector system, or None if it is singular."""
+    A = _sector_system(L, sec)
+    b = np.zeros(A.shape[0])
+    b[-1] = 1.0
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        # an exactly singular system: rank deficient, handled by the caller.
+        # Real SuperLU may say so as "failed to factorize matrix ... in
+        # dpanel_bmod.c" instead of "Factor is exactly singular".
+        if "singular" not in str(exc) and "failed to factorize" not in str(exc):
+            raise
+        return None
+    x = lu.solve(b)
+    # two refinement passes pin the residual near machine precision
+    for _ in range(2):
+        x += lu.solve(b - A @ x)
+    return (sec.T @ x).reshape((d, d), order="F")
+
+
 def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolution:
     """Unique steady state of a materialized generator (dense or sparse).
 
     The generator must include at least one nonzero dissipative rate;
     otherwise the null space is degenerate and NonUniqueSteadyState is
-    raised.
+    raised.  A charge-conserving generator is solved in the real sector,
+    so the returned vacuum-site coherences are exactly zero; that state is
+    the unique one whenever the vacuum-coherence block is nonsingular,
+    which any injection or dephasing rate guarantees.
     """
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"generator must be square, got {L.shape}")
@@ -105,33 +193,18 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
     if d * d != d2:
         raise DimensionMismatch(f"generator size {d2} is not a perfect square")
 
-    A = _with_trace_row(L, d)
-    b = np.zeros(d2, dtype=complex)
-    b[-1] = 1.0
-    res = float("nan")
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        # an exactly singular system: rank deficient, handled below
-        if "singular" not in str(exc):
-            raise
+    sec = _sector(d)
+    if _couples_vacuum_coherences(L, sec.vac):
+        reason = "generator couples the charge sector to vacuum-site coherences"
     else:
-        x = lu.solve(b)
-        # two refinement passes pin the residual near machine precision
-        for _ in range(2):
-            x += lu.solve(b - A @ x)
-        rho = hermitize(x.reshape((d, d), order="F"))
-        res = _residual(L, rho)
+        rho = _sector_solve(L, sec, d)
+        res = float("nan") if rho is None else _residual(L, rho)
         if res <= residual_tol:
             check_density_matrix(rho)
             return SteadyStateSolution(rho=rho, residual=res, method="linear_solve")
+        reason = f"linear-solve residual {res:.3e} exceeds {residual_tol:.1e}"
 
-    logger.warning(
-        "steady state: linear-solve residual %.3e exceeds %.1e; "
-        "falling back to the null-space solve",
-        res,
-        residual_tol,
-    )
+    logger.warning("steady state: %s; falling back to the null-space solve", reason)
     rho = _null_space_solve(L.toarray(), d)
     res = _residual(L, rho)
     if res > residual_tol:

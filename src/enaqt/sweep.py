@@ -1,8 +1,9 @@
 """Dephasing sweeps: steady-state and pulse-mode batch driver.
 
 A sweep solves the network once per grid point, in grid order, and
-assembles the observables into a SweepCurve.  A failing point re-raises
-its error with the point's gamma_deph prefixed to the message.
+assembles the observables into a SweepCurve; a steady sweep also records
+how each point was solved (method and residual).  A failing point
+re-raises its error with the point's gamma_deph prefixed to the message.
 
 In steady mode the sparse generator is assembled once per sweep as
 L(gamma_deph) = L_base + gamma_deph * L_deph_unit, exploiting that the
@@ -110,6 +111,8 @@ class _Row:
     delta_n: float
     vacuum: float
     occ: np.ndarray
+    method: str | None = None
+    residual: float | None = None
 
 
 def _annotate(exc: Exception, gamma: float) -> None:
@@ -139,6 +142,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
                 delta_n=delta_n(occ, spec.extract_sites),
                 vacuum=occ.vacuum,
                 occ=occ.values,
+                method=sol.method,
+                residual=sol.residual,
             )
 
     else:  # pulse
@@ -168,6 +173,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
             _annotate(exc, float(gamma))
             raise
 
+    steady = cfg.mode == "steady"
     curve = SweepCurve(
         gamma_grid=grid,
         j_p=np.array([r.j_p for r in rows]),
@@ -175,5 +181,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
         delta_n=np.array([r.delta_n for r in rows]),
         vacuum=np.array([r.vacuum for r in rows]),
         occupations=np.vstack([r.occ for r in rows]),
+        method=tuple(r.method for r in rows) if steady else None,
+        residual=np.array([r.residual for r in rows]) if steady else None,
     )
     return curve, classify_sweep(curve)

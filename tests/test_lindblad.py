@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
@@ -14,6 +15,7 @@ from enaqt.reference import (
     kron_liouvillian,
     number_op,
 )
+from enaqt.solver import _sector
 
 
 def trace_functional(d):
@@ -117,6 +119,16 @@ class TestBuild:
         assert L.nnz <= bound
 
 
+    @pytest.mark.parametrize("channels", [
+        ChannelSet(5.0, 5.0, 0.0), ChannelSet(0.0, 5.0, 2.0), ChannelSet(0.0, 0.0, 0.0),
+    ])
+    def test_stores_no_zeros(self, channels):
+        # zero rates and equal on-site energies must not leave stored zeros
+        spec = generate_geometry("chain", 40, Uniform(3.0), Uniform(1.0), inject={1}, extract={40})
+        L = build_liouvillian(assemble_hamiltonian(spec), channels, spec)
+        assert np.count_nonzero(L.data == 0) == 0
+
+
 # rate sets with every channel on, and with each channel (or all) switched off
 ORACLE_RATES = [
     ChannelSet(5.0, 5.0, 3.7),
@@ -128,11 +140,21 @@ ORACLE_RATES = [
 ]
 
 
+def assert_sector_is_closed(K, sec):
+    """No entry links the sector to a vacuum-site coherence, and Tp K T is real."""
+    assert not np.any(K[np.ix_(sec.vac, ~sec.vac)])
+    assert not np.any(K[np.ix_(~sec.vac, sec.vac)])
+    A = (sec.Tp @ sp.csr_matrix(K) @ sec.T).toarray()
+    assert np.max(np.abs(A.imag)) <= 1e-13 * np.max(np.abs(K))
+
+
 def assert_matches_kron_oracle(H, spec):
+    sec = _sector(spec.dim)
     for channels in ORACLE_RATES:
         L = build_liouvillian(H, channels, spec).toarray()
         K = kron_liouvillian(H, channels, spec)
         assert np.max(np.abs(L - K)) <= 1e-13 * np.max(np.abs(K)), channels
+        assert_sector_is_closed(K, sec)
 
 
 class TestKronOracle:
@@ -146,6 +168,22 @@ class TestKronOracle:
         spec = generate_geometry("ring", 6, RandomUniform(0.0, 50.0), RandomUniform(1.0, 10.0),
                                  inject={1, 2}, extract={4, 5}, seed=3)
         assert_matches_kron_oracle(assemble_hamiltonian(spec), spec)
+
+
+class TestChargeSector:
+    """The real sector the steady-state solver works in.
+
+    That the kron oracle keeps it closed on every preset and rate set is
+    checked by TestKronOracle (assert_sector_is_closed).
+    """
+
+    def test_sector_maps_invert_each_other(self):
+        sec = _sector(5)
+        assert sec.T.shape == (25, 17)  # n^2 + 1 real coordinates for n = 4
+        assert np.array_equal((sec.Tp @ sec.T).toarray(), np.eye(17))
+        # every coherence column of T has two entries, every population one
+        assert sorted(set(np.diff(sec.T.tocsc().indptr))) == [1, 2]
+        assert sec.pops.size == 5 and sec.pops[-1] == 16
 
 
 class TestApply:

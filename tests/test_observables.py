@@ -214,6 +214,20 @@ class TestCurveInvariants:
                 vacuum=np.ones(5), occupations=np.ones((5, 2)),
             )
 
+    @pytest.mark.parametrize("method,residual", [
+        (("linear_solve",) * 5, None),
+        (("linear_solve",) * 4, np.zeros(4)),
+        (("linear_solve",) * 5, np.zeros(6)),
+    ])
+    def test_diagnostics_need_one_entry_per_point(self, method, residual):
+        with pytest.raises(ValueError):
+            SweepCurve(
+                gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
+                j_p=np.ones(5), j_q=np.ones(5), delta_n=np.ones(5),
+                vacuum=np.ones(5), occupations=np.ones((5, 2)),
+                method=method, residual=residual,
+            )
+
 
 class TestAnalyticAsymptotics:
     def test_sink_occupation_decreases_with_dephasing(self):

@@ -7,8 +7,16 @@ import pytest
 from conftest import spectral_gap
 from enaqt.errors import DimensionMismatch, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
-from enaqt.network import NetworkSpec, Uniform, assemble_hamiltonian, generate_geometry
-from enaqt.reference import ChainParams, analytic_chain_occupations
+from enaqt.network import (
+    NetworkSpec,
+    RandomUniform,
+    Uniform,
+    assemble_hamiltonian,
+    generate_geometry,
+    to_internal_units,
+)
+from enaqt.presets import preset_network
+from enaqt.reference import ChainParams, analytic_chain_occupations, brute_force_steady_state
 from enaqt.solver import (
     _null_space_solve,
     propagate,
@@ -154,6 +162,85 @@ class TestSteadyState:
         _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         with pytest.raises(MemoryError):
             steady_state(L)
+
+
+    @pytest.mark.parametrize("message", [
+        "failed to factorize matrix at line 406 in file dpanel_bmod.c",
+        "Factor is exactly singular",
+    ])
+    def test_superlu_singular_messages_fall_back(self, monkeypatch, caplog, message):
+        # real SuperLU reports some singular systems from dpanel_bmod
+        import enaqt.solver as solver_mod
+
+        def singular(*_args, **_kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(solver_mod.spla, "splu", singular)
+        _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            sol = steady_state(L)
+        assert sol.method == "null_space"
+        assert len(caplog.records) == 1
+
+    def test_other_superlu_runtime_errors_propagate(self, monkeypatch):
+        import enaqt.solver as solver_mod
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("not enough memory to perform factorization")
+
+        monkeypatch.setattr(solver_mod.spla, "splu", broken)
+        _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
+        with pytest.raises(RuntimeError, match="not enough memory"):
+            steady_state(L)
+
+
+class TestChargeSector:
+    """The steady state is solved in the real, charge-conserving sector."""
+
+    @pytest.mark.parametrize("kind,params,inject,extract", [
+        ("chain", 5, {1}, {5}),
+        ("ring", 6, {1, 2}, {4, 5}),
+        ("full_graph", 5, {1}, {2, 4}),
+    ])
+    def test_vacuum_coherences_are_exactly_zero(self, kind, params, inject, extract):
+        spec = generate_geometry(kind, params, RandomUniform(0.0, 50.0), RandomUniform(1.0, 10.0),
+                                 inject=inject, extract=extract, seed=4)
+        H = assemble_hamiltonian(spec)
+        sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 3.0), spec))
+        assert sol.method == "linear_solve"
+        assert np.all(sol.rho[0, 1:] == 0) and np.all(sol.rho[1:, 0] == 0)
+        assert np.array_equal(sol.rho, sol.rho.conj().T)
+
+    @pytest.mark.parametrize("name", ["fig3d", "fig3f", "fig3g"])
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_disordered_presets_match_svd_oracle(self, name, seed):
+        # new disorder draws; the SVD null vector is itself only accurate to
+        # its perturbation bound eps * s_max / s_{n-1} (Wedin), which exceeds
+        # 1e-10 on the slowly relaxing points (up to 8e-6 at gamma 0.1)
+        spec = to_internal_units(preset_network(name, seed=seed)[0])
+        H = assemble_hamiltonian(spec)
+        for gamma in (0.1, 5.0, 1e3):
+            L = build_liouvillian(H, ChannelSet(RATE, RATE, gamma), spec)
+            sol = steady_state(L)
+            assert sol.method == "linear_solve"
+            s = np.linalg.svd(L.toarray(), compute_uv=False)
+            tol = max(1e-10, np.finfo(float).eps * s[0] / s[-2])
+            assert np.max(np.abs(sol.rho - brute_force_steady_state(L))) <= tol, gamma
+
+    def test_non_charge_conserving_generator_falls_back(self, caplog):
+        # a coherent pump |0><1| + h.c. changes the excitation number, so the
+        # vacuum-site coherences couple to the sector
+        spec, H, _ = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
+        H = H.astype(complex)
+        H[0, 1] = H[1, 0] = 0.7
+        L = build_liouvillian(H, ChannelSet(1.0, 2.0, 0.5), spec)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            sol = steady_state(L)
+        assert sol.method == "null_space"
+        [record] = caplog.records
+        assert "vacuum-site coherences" in record.getMessage()
+        assert np.max(np.abs(sol.rho - brute_force_steady_state(L))) < 1e-10
+        assert np.max(np.abs(sol.rho[0, 1:])) > 1e-3
 
 
 class TestPropagate:

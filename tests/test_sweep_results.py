@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ class TestSweep:
         influx = chain2_cfg.gamma_inj * curve.vacuum  # single injection site
         assert np.allclose(influx, curve.j_p, rtol=1e-9, atol=0)
 
+    def test_records_how_each_point_was_solved(self, chain2_result):
+        curve, _ = chain2_result
+        assert curve.method == ("linear_solve",) * 5
+        assert curve.residual.shape == (5,)
+        assert np.all(curve.residual <= 1e-9)
+
     def test_failing_point_names_its_gamma(self):
         spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
         cfg = SweepConfig(network=spec, gamma_min=0.5, gamma_max=2.0, points=5,
@@ -49,6 +57,7 @@ class TestSweep:
                           gamma_ext=1.0, mode="pulse", t_end=10.0)
         curve, _ = run_sweep(cfg)
         assert np.all((curve.j_p >= 0) & (curve.j_p <= 1 + 1e-9))
+        assert curve.method is None and curve.residual is None
         # occupations are trajectory time averages; with the vacuum they
         # still account for the whole pulse
         totals = curve.vacuum + curve.occupations.sum(axis=1)
@@ -108,6 +117,28 @@ class TestEmission:
         assert np.array_equal(back.occupations, curve.occupations)
         assert back_cls == cls
         assert config == config_to_dict(chain2_cfg)
+
+    def test_json_diagnostics_round_trip(self, tmp_path, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        doc = json.loads(path.read_text())
+        assert doc["diagnostics"]["method"] == list(curve.method)
+        back, _, _ = read_results_json(path)
+        assert back.method == curve.method
+        assert np.array_equal(back.residual, curve.residual)
+
+    def test_json_without_diagnostics_is_accepted(self, tmp_path, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        doc = json.loads(path.read_text())
+        del doc["diagnostics"]
+        path.write_text(json.dumps(doc))
+        back, back_cls, _ = read_results_json(path)
+        assert back.method is None and back.residual is None
+        assert np.array_equal(back.j_p, curve.j_p)
+        assert back_cls == cls
 
     def test_unknown_format(self, tmp_path, chain2_result):
         curve, cls = chain2_result
