@@ -20,9 +20,11 @@ Each case runs in its own fresh interpreter, so peak RSS
     presets  every shipped steady preset (fig3h needs external data) on
              its own 60-point grid: `run_sweep(build_preset(name))`
              REPEATS times, min and median.
-    grid     one steady solve on a GRID_SIDE x GRID_SIDE square lattice
-             with the chain parameters, source at a corner and sink at
-             the opposite one, GRID_REPEATS times.
+    grid     one steady solve `steady_state(L)` on a GRID_SIDE x GRID_SIDE
+             square lattice with the chain parameters, source at a corner
+             and sink at the opposite one, and a GRID_SWEEP_POINTS-point
+             `run_sweep` of the same lattice over the default dephasing
+             range, each GRID_REPEATS times.
 
 Preset and grid rows give both unknown counts: (n+1)^2 complex ones for a
 solve in the full space and n^2+1 real ones for a solve in the real
@@ -55,6 +57,7 @@ PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 GRID_SIDE = 10
 REPEATS = 5
 GRID_REPEATS = 3
+GRID_SWEEP_POINTS = 5
 GAMMA_DEPH = 10.0  # ps^-1, mid-grid of the default sweep
 RATE = 5.0
 BLAS_THREAD_SYMBOLS = (
@@ -168,23 +171,29 @@ def child_grid(side: int, mem_limit_mb: int) -> dict:
     from enaqt.lindblad import ChannelSet, build_liouvillian
     from enaqt.network import Uniform, Unit, assemble_hamiltonian, generate_geometry, to_internal_units
     from enaqt.solver import steady_state
+    from enaqt.sweep import SweepConfig, run_sweep
 
     n = side * side
-    spec = to_internal_units(generate_geometry(
+    network = generate_geometry(
         "grid", (side, side), Uniform(1.23e4), Uniform(60.0), inject={1}, extract={n},
         unit=Unit.WAVENUMBER,
-    ))
+    )
+    spec = to_internal_units(network)
     H = assemble_hamiltonian(spec)
+    cfg = SweepConfig(network=network, points=GRID_SWEEP_POINTS, gamma_inj=RATE, gamma_ext=RATE)
     out = {"grid": f"{side}x{side}", "sites": n, **unknowns(n), "blas_threads": blas_threads()}
     cap_address_space(mem_limit_mb)
     try:
         L = build_liouvillian(H, ChannelSet(RATE, RATE, GAMMA_DEPH), spec)
         solve_s, sol = timed(lambda: steady_state(L), GRID_REPEATS)
+        sweep_s, (curve, _) = timed(lambda: run_sweep(cfg), GRID_REPEATS)
     except MemoryError:
         out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
         return out
     out.update(status="ok", solve_s=solve_s, repeats=GRID_REPEATS, method=sol.method,
-               j_p=RATE * float(sol.rho[n, n].real))
+               j_p=RATE * float(sol.rho[n, n].real), sweep_points=GRID_SWEEP_POINTS,
+               sweep_s=sweep_s, sweep_methods=sorted(set(curve.method)),
+               sweep_max_j_p=float(curve.j_p.max()))
     return out
 
 

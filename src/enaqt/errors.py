@@ -38,11 +38,16 @@ class DimensionMismatch(ValueError):
 
 
 class NonUniqueSteadyState(RuntimeError):
-    """The generator has a null space of dimension > 1."""
+    """The steady state is not unique: the generator's null space, or the
+    sector system solved for it, has dimension > 1."""
 
 
 class SolveFailure(RuntimeError):
     pass
+
+
+class NotChargeConserving(SolveFailure):
+    """The generator couples the charge sector to vacuum-site coherences."""
 
 
 class NonPhysicalState(RuntimeError):

@@ -143,11 +143,12 @@ def check_density_matrix(
     herm_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     eig_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity; return rho unchanged.
+) -> float:
+    """Validate hermiticity, unit trace and positivity of rho.
 
-    Violations raise NonPhysicalState: they indicate solver bugs and must
-    surface rather than being clipped away.
+    Returns the smallest eigenvalue of rho, which the positivity check
+    computes anyway.  Violations raise NonPhysicalState: they indicate
+    solver bugs and must surface rather than being clipped away.
     """
     herm_err = np.max(np.abs(rho - rho.conj().T))
     if herm_err > herm_tol:
@@ -158,4 +159,4 @@ def check_density_matrix(
     lo = float(np.linalg.eigvalsh(hermitize(rho)).min())
     if lo < eig_floor:
         raise NonPhysicalState(f"negative eigenvalue {lo:.3e} below floor {eig_floor:.1e}")
-    return rho
+    return lo

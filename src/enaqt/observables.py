@@ -87,9 +87,12 @@ class SweepCurve:
     delta_n: np.ndarray
     vacuum: np.ndarray
     occupations: np.ndarray  # (points, n_sites)
-    # how each steady-state point was solved; None where not recorded (pulse mode)
-    method: tuple[str, ...] | None = None   # "linear_solve" or "null_space"
+    # how each steady-state point was solved; None where not recorded (pulse
+    # mode; rcond and min_eigenvalue also in files written before they were)
+    method: tuple[str, ...] | None = None   # "eigenbasis" or "sector_lu"
     residual: np.ndarray | None = None      # max |L vec(rho)| in internal units
+    rcond: np.ndarray | None = None         # reciprocal condition of N_gamma; NaN for "sector_lu"
+    min_eigenvalue: np.ndarray | None = None  # smallest eigenvalue of rho
 
     def __post_init__(self) -> None:
         for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum"):
@@ -97,11 +100,18 @@ class SweepCurve:
         object.__setattr__(self, "occupations", np.asarray(self.occupations, dtype=float))
         if (self.method is None) != (self.residual is None):
             raise ValueError("method and residual are recorded together or not at all")
+        if self.method is None and (self.rcond is not None or self.min_eigenvalue is not None):
+            raise ValueError("rcond and min_eigenvalue need the method recorded too")
         if self.method is not None:
             object.__setattr__(self, "method", tuple(self.method))
-            object.__setattr__(self, "residual", np.asarray(self.residual, dtype=float))
-            if len(self.method) != len(self.gamma_grid) or self.residual.shape != self.gamma_grid.shape:
-                raise ValueError("method and residual need one entry per grid point")
+            if len(self.method) != len(self.gamma_grid):
+                raise ValueError("method needs one entry per grid point")
+            for name in ("residual", "rcond", "min_eigenvalue"):
+                if getattr(self, name) is None:
+                    continue
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                if getattr(self, name).shape != self.gamma_grid.shape:
+                    raise ValueError(f"{name} needs one entry per grid point")
         if np.any(np.diff(self.gamma_grid) <= 0):
             raise ValueError("gamma_grid must be strictly increasing")
         if float(self.j_p.min(initial=0.0)) < -1e-12:

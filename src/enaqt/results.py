@@ -8,9 +8,12 @@ row, and one data row per grid point sorted by dephasing rate:
 Floats are written with 17 significant digits, so re-parsing reproduces
 the binary values exactly.  JSON files mirror the same columns and add the
 configuration echo and the classification block, and, for a steady sweep,
-a diagnostics block with each point's solve method and residual.
-Emitting and re-ingesting a JSON file is lossless; files without the
-diagnostics block read back with none recorded.
+a diagnostics block with each point's solve method, residual, reciprocal
+condition of the eigenbasis system (NaN on sector-LU points, written as
+JSON's NaN token) and smallest eigenvalue of rho.  Emitting and
+re-ingesting a JSON file is lossless; files without the diagnostics block
+read back with none recorded, and files whose block predates rcond and
+min_eigenvalue read back without those two.
 """
 
 from __future__ import annotations
@@ -100,7 +103,11 @@ def _emit_json(
         },
     }
     if curve.method is not None:
-        doc["diagnostics"] = {"method": list(curve.method), "residual": curve.residual.tolist()}
+        doc["diagnostics"] = {"method": list(curve.method)} | {
+            name: getattr(curve, name).tolist()
+            for name in ("residual", "rcond", "min_eigenvalue")
+            if getattr(curve, name) is not None
+        }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -121,6 +128,8 @@ def read_results_json(path) -> tuple[SweepCurve, SweepClassification, dict]:
         occupations=c["occupations"],
         method=diag.get("method"),
         residual=diag.get("residual"),
+        rcond=diag.get("rcond"),
+        min_eigenvalue=diag.get("min_eigenvalue"),
     )
     cls = SweepClassification(**doc["classification"])
     return curve, cls, doc.get("config", {})

@@ -1,18 +1,53 @@
 """Steady states and time propagation of the Lindblad equation.
 
-The steady state solves L vec(rho) = 0 under unit trace in the real,
-charge-conserving sector.  Every jump operator changes the excitation
-number by -1, 0 or +1 and H conserves it (the weak U(1) symmetry of
-Buca & Prosen, New J. Phys. 14, 073007 (2012)), so the vacuum-site
-coherences never couple to the populations or to the site-site
-coherences, and they vanish in the steady state.  The sector coordinates
-are the n + 1 populations and Re, Im of rho_ij for 1 <= i < j <= n: n^2 + 1
-real unknowns in place of (n + 1)^2 complex ones.  The path is the same for
-every input:
+Steady states live in the real, charge-conserving sector.  Every jump
+operator changes the excitation number by -1, 0 or +1 and H conserves it
+(the weak U(1) symmetry of Buca & Prosen, New J. Phys. 14, 073007 (2012)),
+so the vacuum-site coherences never couple to the populations or to the
+site-site coherences, and they vanish in the steady state.  Two solvers
+work there, and both end with the same guards: the residual against the
+untouched full generator (at most RESIDUAL_TOL) and `check_density_matrix`,
+whose smallest eigenvalue of rho is recorded with the solution.
+
+`EigenbasisSteadyState` serves the points of a dephasing sweep.  The site
+block X = rho_S of every generator this package builds has Haken-Strobl
+structure (Haken & Strobl, Z. Phys. 262, 135 (1973); with a trap, Cao &
+Silbey, J. Phys. Chem. A 113, 13825 (2009)):
+
+    (gamma - K) X - gamma diag(X) = gamma_inj rho_00 sum_s E_ss,
+    K(X) = -i (H_eff X - X H_eff^+),
+    H_eff = H_S - eps_mean I - (i gamma_ext / 2) sum_e E_ee,
+
+where removing the mean on-site energy eps_mean (which the commutator
+ignores) removes the ~2.3e3 ps^-1 rounding scale.  One eigendecomposition
+H_eff = V Lambda W (W = V^-1) per sweep makes K elementwise, with
+K -> -delta_ab and delta_ab = i (lambda_a - conj(lambda_b)), so the
+resolvent R_gamma = (gamma - K)^-1 costs O(n^3) to apply.  Per gamma, with
+rho_00 = 1, the populations p solve the real n x n system
+
+    N_gamma p = gamma_inj diag(R_gamma sum_s E_ss),
+    N_gamma = P diag(delta / (gamma + delta)) Q,
+
+P[i, ab] = V_ia conj(V_ib), Q[ab, j] = W_aj conj(W_bj); forming N_gamma is
+one BLAS-3 product of n^4 multiply-adds.  (The equivalent form
+I - gamma diag R_gamma diag cancels catastrophically at large gamma.)
+Then X = R_gamma(B + gamma diag p), one refinement pass on the n x n
+equation with its residual taken from H_eff itself, and rho_00 =
+1 / (1 + tr X) normalizes.  A point is gated to the sector LU below when
+cond(V) exceeds COND_V_MAX (H_eff is not normal and is defective at
+exceptional points), when the spectrum gamma + delta of the resolvent or
+N_gamma has a reciprocal condition below RCOND_MIN (a dark mode at
+gamma = 0, or no injection and extraction: the steady state need not be
+unique there), or when the residual fails; every fallback is logged.
+
+`steady_state(L)` solves any single generator by one real sparse LU.  The
+sector coordinates are the n + 1 populations and Re, Im of rho_ij for
+1 <= i < j <= n: n^2 + 1 real unknowns in place of (n + 1)^2 complex ones.
 
   1. the generator is held in CSR, and its index arrays are checked for an
      entry that couples the sector to a vacuum-site coherence; a generator
-     with one is not charge-conserving and goes to the fallback;
+     with one is not charge-conserving and raises NotChargeConserving,
+     naming the entry;
   2. the real system A = Re(Tp L T) is formed, where T maps the sector
      coordinates to vec(rho) and Tp is its left inverse, and the trace
      functional replaces the last (population) row by slicing the CSR
@@ -23,12 +58,10 @@ every input:
 
 Real SuperLU reports an exactly singular system either as "Factor is
 exactly singular" or as "failed to factorize matrix ... dpanel_bmod.c";
-both go to the fallback, and any other RuntimeError propagates.  The
-fallback, an eigendecomposition of the densified full generator, is kept
-for rank-deficient and non-charge-conserving inputs, and every use of it
-is logged as a warning that says why.  Every solution is residual-checked
-against the untouched full generator and validated as a physical density
-matrix; positivity violations raise instead of being clipped.
+both raise NonUniqueSteadyState, and any other RuntimeError propagates.  A
+residual above tolerance raises SolveFailure.  Positivity violations raise
+instead of being clipped.  The dense SVD null vector of
+`reference.brute_force_steady_state` is the test oracle for both solvers.
 
 Propagation is exact on the output grid.  The generator does not depend on
 time, so one propagator P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix
@@ -51,21 +84,31 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, NonUniqueSteadyState, SolveFailure
+from .errors import DimensionMismatch, NonUniqueSteadyState, NotChargeConserving, SolveFailure
 from .lindblad import ChannelSet, build_liouvillian, check_density_matrix, hermitize, vec
 from .network import NetworkSpec
 
 logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-9
-NULLSPACE_RTOL = 1e-12  # two singular values below this (relative) => non-unique
+# Rounding in the eigenbasis solve grows like eps * cond(V)^2 (2e-8 at the
+# bound) before the refinement pass; the presets sit below 10, and the
+# exceptional-point dimer at 9e7.
+COND_V_MAX = 1e4
+# Below this reciprocal condition of N_gamma, or of the resolvent spectrum
+# gamma + delta, the point goes to the sector LU.  The presets' N_gamma
+# sit above 3e-7 (fig3d at small gamma, over 21 disorder draws); a
+# non-unique steady state gives 0.
+RCOND_MIN = 1e-10
 
 
 @dataclass(frozen=True)
 class SteadyStateSolution:
     rho: np.ndarray
-    residual: float       # max |L vec(rho)| in internal units
-    method: str           # "linear_solve" or "null_space"
+    residual: float         # max |L vec(rho)| in internal units
+    method: str             # "eigenbasis" or "sector_lu"
+    min_eigenvalue: float   # smallest eigenvalue of rho
+    rcond: float = float("nan")  # reciprocal condition of N_gamma; NaN for "sector_lu"
 
 
 @dataclass(frozen=True)
@@ -75,6 +118,83 @@ class Trajectory:
     times: np.ndarray       # ps, increasing
     states: np.ndarray      # (len(times), d, d)
     extracted: np.ndarray   # cumulative extracted population, nondecreasing to rounding
+
+
+class EigenbasisSteadyState:
+    """Steady states of one network across dephasing rates, from H_eff's eigenbasis.
+
+    Built once per sweep from the Hamiltonian, the network and the
+    injection and extraction rates; `solve(gamma, L)` then costs one
+    n x n real LU plus O(n^4) to form N_gamma.  L must be the full
+    generator at that gamma: it is used only for the residual guard.
+    """
+
+    def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
+        n = spec.n_sites
+        H_S = H[1:, 1:]
+        self.H_eff = (H_S - np.mean(np.diag(H_S).real) * np.eye(n)).astype(complex)
+        sinks = [e - 1 for e in sorted(spec.extract_sites)]
+        self.H_eff[sinks, sinks] -= 0.5j * gamma_ext
+        sources = [s - 1 for s in sorted(spec.inject_sites)]
+        self.B = np.zeros((n, n))
+        self.B[sources, sources] = gamma_inj
+        lam, V = sla.eig(self.H_eff)
+        cond_V = float(np.linalg.cond(V))
+        self.gated = not cond_V <= COND_V_MAX
+        if self.gated:
+            logger.warning(
+                "steady-state sweep: H_eff eigenvectors have cond(V) = %.3e above %.0e; "
+                "every point falls back to the sector LU", cond_V, COND_V_MAX,
+            )
+            return
+        W = np.linalg.inv(V)
+        self.V, self.Vh, self.W, self.Wh = V, V.conj().T, W, W.conj().T
+        self.delta = 1j * (lam[:, None] - lam.conj()[None, :])
+        self.P = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, n * n)
+        self.Q = (W[:, None, :] * W.conj()[None, :, :]).reshape(n * n, n)
+
+    def solve(self, gamma: float, L) -> SteadyStateSolution | None:
+        """Steady state at dephasing rate gamma, or None after a logged gate."""
+        if self.gated:
+            return None
+        den = gamma + self.delta
+        mag = np.abs(den)
+        if mag.min() <= RCOND_MIN * mag.max():
+            return _fall_back(gamma, f"the resolvent is singular: min |gamma + delta| = {mag.min():.3e}")
+        c = 1.0 / den
+        N = ((self.P * (self.delta * c).ravel()) @ self.Q).real
+        lu, piv, info = sla.lapack.dgetrf(N)
+        rcond = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0] if info == 0 else 0.0
+        if not rcond >= RCOND_MIN:
+            return _fall_back(gamma, f"N_gamma has reciprocal condition {rcond:.3e}")
+
+        def site_block(M: np.ndarray) -> np.ndarray:
+            """X solving (gamma - K) X - gamma diag(X) = M."""
+            Y = c * (self.W @ M @ self.Wh)
+            p = sla.lapack.dgetrs(lu, piv, np.einsum("ib,bi->i", self.V @ Y, self.Vh).real)[0]
+            Y += gamma * c * ((self.W * p) @ self.Wh)
+            return self.V @ Y @ self.Vh
+
+        X = site_block(self.B)
+        KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
+        X += site_block(self.B - (gamma * (X - np.diag(np.diag(X))) - KX))
+        X = hermitize(X)
+        rho = np.zeros((X.shape[0] + 1,) * 2, dtype=complex)
+        rho[0, 0] = 1.0
+        rho[1:, 1:] = X
+        rho /= 1.0 + np.trace(X).real
+        res = _residual(L, rho)
+        if not res <= RESIDUAL_TOL:
+            return _fall_back(gamma, f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        lo = check_density_matrix(rho)
+        return SteadyStateSolution(rho=rho, residual=res, method="eigenbasis",
+                                   min_eigenvalue=lo, rcond=float(rcond))
+
+
+def _fall_back(gamma: float, reason: str) -> None:
+    """Log why the point at gamma goes to the sector LU; the caller gets None."""
+    logger.warning("steady state at gamma_deph=%g: %s; falling back to the sector LU", gamma, reason)
+    return None
 
 
 @dataclass(frozen=True)
@@ -116,10 +236,11 @@ def _sector(d: int) -> _Sector:
     return _Sector(vac=vac, pops=np.flatnonzero(~coh), T=T, Tp=Tp)
 
 
-def _couples_vacuum_coherences(L: sp.csr_matrix, vac: np.ndarray) -> bool:
-    """True if a stored entry links the sector to a vacuum-site coherence."""
-    row_vac = np.repeat(vac, np.diff(L.indptr))
-    return bool(np.any(row_vac != vac[L.indices]))
+def _vacuum_coupling(L: sp.csr_matrix, vac: np.ndarray) -> tuple[int, int] | None:
+    """(row, col) of the first stored entry linking the sector to a vacuum-site coherence."""
+    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+    bad = np.flatnonzero(vac[rows] != vac[L.indices])
+    return None if bad.size == 0 else (int(rows[bad[0]]), int(L.indices[bad[0]]))
 
 
 def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
@@ -137,37 +258,20 @@ def _residual(L, rho: np.ndarray) -> float:
     return float(np.max(np.abs(L @ vec(rho))))
 
 
-def _null_space_solve(L_dense: np.ndarray, d: int) -> np.ndarray:
-    """Fallback: eigenvector of the smallest-magnitude eigenvalue."""
-    svals = sla.svdvals(L_dense)
-    if svals[-2] < NULLSPACE_RTOL * svals[0]:
-        raise NonUniqueSteadyState(
-            "generator null space has dimension > 1 "
-            f"(two smallest singular values {svals[-1]:.2e}, {svals[-2]:.2e})"
-        )
-    w, vr = sla.eig(L_dense)
-    v = vr[:, int(np.argmin(np.abs(w)))]
-    rho = hermitize(v.reshape((d, d), order="F"))
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-12:
-        raise SolveFailure("null-space vector has vanishing trace")
-    return rho / tr
-
-
-def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray | None:
-    """Steady state from the real sector system, or None if it is singular."""
+def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray:
+    """Steady state from the real sector system."""
     A = _sector_system(L, sec)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
-        # an exactly singular system: rank deficient, handled by the caller.
-        # Real SuperLU may say so as "failed to factorize matrix ... in
-        # dpanel_bmod.c" instead of "Factor is exactly singular".
+        # Real SuperLU may report an exactly singular system as "failed to
+        # factorize matrix ... in dpanel_bmod.c" instead of "Factor is
+        # exactly singular".
         if "singular" not in str(exc) and "failed to factorize" not in str(exc):
             raise
-        return None
+        raise NonUniqueSteadyState(f"sector system is singular (SuperLU: {exc})") from exc
     x = lu.solve(b)
     # two refinement passes pin the residual near machine precision
     for _ in range(2):
@@ -179,11 +283,11 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
     """Unique steady state of a materialized generator (dense or sparse).
 
     The generator must include at least one nonzero dissipative rate;
-    otherwise the null space is degenerate and NonUniqueSteadyState is
-    raised.  A charge-conserving generator is solved in the real sector,
-    so the returned vacuum-site coherences are exactly zero; that state is
-    the unique one whenever the vacuum-coherence block is nonsingular,
-    which any injection or dephasing rate guarantees.
+    otherwise the sector system is singular and NonUniqueSteadyState is
+    raised.  The generator must be charge-conserving (NotChargeConserving
+    otherwise), and the returned vacuum-site coherences are exactly zero;
+    that state is the unique one whenever the vacuum-coherence block is
+    nonsingular, which any injection or dephasing rate guarantees.
     """
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"generator must be square, got {L.shape}")
@@ -194,23 +298,19 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
         raise DimensionMismatch(f"generator size {d2} is not a perfect square")
 
     sec = _sector(d)
-    if _couples_vacuum_coherences(L, sec.vac):
-        reason = "generator couples the charge sector to vacuum-site coherences"
-    else:
-        rho = _sector_solve(L, sec, d)
-        res = float("nan") if rho is None else _residual(L, rho)
-        if res <= residual_tol:
-            check_density_matrix(rho)
-            return SteadyStateSolution(rho=rho, residual=res, method="linear_solve")
-        reason = f"linear-solve residual {res:.3e} exceeds {residual_tol:.1e}"
-
-    logger.warning("steady state: %s; falling back to the null-space solve", reason)
-    rho = _null_space_solve(L.toarray(), d)
+    coupling = _vacuum_coupling(L, sec.vac)
+    if coupling is not None:
+        (i, j), (k, m) = (divmod(x, d)[::-1] for x in coupling)
+        raise NotChargeConserving(
+            f"generator couples rho[{i}, {j}] and rho[{k}, {m}] across the charge sector "
+            "and the vacuum-site coherences"
+        )
+    rho = _sector_solve(L, sec, d)
     res = _residual(L, rho)
-    if res > residual_tol:
+    if not res <= residual_tol:
         raise SolveFailure(f"steady-state residual {res:.3e} exceeds {residual_tol:.1e}")
-    check_density_matrix(rho)
-    return SteadyStateSolution(rho=rho, residual=res, method="null_space")
+    lo = check_density_matrix(rho)
+    return SteadyStateSolution(rho=rho, residual=res, method="sector_lu", min_eigenvalue=lo)
 
 
 def propagate(

@@ -2,12 +2,20 @@
 
 A sweep solves the network once per grid point, in grid order, and
 assembles the observables into a SweepCurve; a steady sweep also records
-how each point was solved (method and residual).  A failing point
-re-raises its error with the point's gamma_deph prefixed to the message.
+how each point was solved (method, residual, the reciprocal condition of
+the eigenbasis system and the smallest eigenvalue of rho).  A failing
+point re-raises its error with the point's gamma_deph prefixed to the
+message.
 
-In steady mode the sparse generator is assembled once per sweep as
-L(gamma_deph) = L_base + gamma_deph * L_deph_unit, exploiting that the
-generator is affine in each rate.
+In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
+(H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
+non-Hermitian H_eff, after which each point is a real n x n solve.  The
+sparse generator is assembled once per sweep as L(gamma_deph) = L_base +
+gamma_deph * L_deph_unit, exploiting that the generator is affine in each
+rate; every point checks its state against that full generator.  A point
+the eigenbasis solver gates (ill-conditioned eigenvectors, a singular
+population system, or a failed residual) is solved by the sector LU of
+`solver.steady_state` instead, which is logged and recorded as its method.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds with the exact propagator of
@@ -43,7 +51,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .solver import propagate, steady_state, transfer_efficiency
+from .solver import EigenbasisSteadyState, propagate, steady_state, transfer_efficiency
 
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
@@ -113,6 +121,8 @@ class _Row:
     occ: np.ndarray
     method: str | None = None
     residual: float | None = None
+    rcond: float | None = None
+    min_eigenvalue: float | None = None
 
 
 def _annotate(exc: Exception, gamma: float) -> None:
@@ -132,8 +142,13 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
             np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec
         )
 
+        eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+
         def point(gamma: float) -> _Row:
-            sol = steady_state(L_base + gamma * L_deph)
+            L = L_base + gamma * L_deph
+            sol = eigenbasis.solve(gamma, L)
+            if sol is None:
+                sol = steady_state(L)
             channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
             occ = occupations(sol.rho)
             return _Row(
@@ -144,6 +159,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
                 occ=occ.values,
                 method=sol.method,
                 residual=sol.residual,
+                rcond=sol.rcond,
+                min_eigenvalue=sol.min_eigenvalue,
             )
 
     else:  # pulse
@@ -183,5 +200,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
         occupations=np.vstack([r.occ for r in rows]),
         method=tuple(r.method for r in rows) if steady else None,
         residual=np.array([r.residual for r in rows]) if steady else None,
+        rcond=np.array([r.rcond for r in rows]) if steady else None,
+        min_eigenvalue=np.array([r.min_eigenvalue for r in rows]) if steady else None,
     )
     return curve, classify_sweep(curve)

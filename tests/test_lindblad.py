@@ -273,7 +273,8 @@ class TestChannelSet:
 class TestDensityMatrixChecks:
     def test_valid_state_passes(self):
         rho = random_density_matrix(np.random.default_rng(0), 5)
-        assert check_density_matrix(rho) is rho
+        # the positivity check's smallest eigenvalue is returned for the record
+        assert check_density_matrix(rho) == pytest.approx(np.linalg.eigvalsh(rho).min(), abs=1e-15)
 
     def test_non_hermitian_rejected(self):
         rho = np.diag([0.5, 0.5]).astype(complex)

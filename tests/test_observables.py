@@ -228,6 +228,19 @@ class TestCurveInvariants:
                 method=method, residual=residual,
             )
 
+    @pytest.mark.parametrize("extra", [
+        {"rcond": np.ones(5)},                               # without a method
+        {"method": ("eigenbasis",) * 5, "residual": np.zeros(5), "rcond": np.ones(4)},
+        {"method": ("eigenbasis",) * 5, "residual": np.zeros(5), "min_eigenvalue": np.ones(6)},
+    ])
+    def test_rcond_and_min_eigenvalue_need_one_entry_per_point(self, extra):
+        with pytest.raises(ValueError):
+            SweepCurve(
+                gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
+                j_p=np.ones(5), j_q=np.ones(5), delta_n=np.ones(5),
+                vacuum=np.ones(5), occupations=np.ones((5, 2)), **extra,
+            )
+
 
 class TestAnalyticAsymptotics:
     def test_sink_occupation_decreases_with_dephasing(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import spectral_gap
-from enaqt.errors import DimensionMismatch, NonUniqueSteadyState
+from enaqt.errors import DimensionMismatch, NonUniqueSteadyState, NotChargeConserving, SolveFailure
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
     NetworkSpec,
@@ -15,10 +15,10 @@ from enaqt.network import (
     generate_geometry,
     to_internal_units,
 )
-from enaqt.presets import preset_network
+from enaqt.presets import PRESET_NAMES, build_preset, preset_network
 from enaqt.reference import ChainParams, analytic_chain_occupations, brute_force_steady_state
 from enaqt.solver import (
-    _null_space_solve,
+    EigenbasisSteadyState,
     propagate,
     steady_state,
     transfer_efficiency,
@@ -53,7 +53,7 @@ class TestSteadyState:
         assert occ[1] == pytest.approx(5 / 13, abs=1e-10)
         assert occ[2] == pytest.approx(4 / 13, abs=1e-10)
         assert occ[0] == pytest.approx(4 / 13, abs=1e-10)
-        assert sol.method == "linear_solve"
+        assert sol.method == "sector_lu"
         assert sol.residual < 1e-9
 
     def test_coherent_symmetric_chain_is_nearly_uniform(self, symmetric_chain):
@@ -71,7 +71,7 @@ class TestSteadyState:
         spec, H = asymmetric_chain
         L = build_liouvillian(H, ChannelSet(RATE, RATE, 7.0), spec)
         sol = steady_state(L)
-        rho_ns = _null_space_solve(L.toarray(), spec.dim)
+        rho_ns = brute_force_steady_state(L)
         assert np.max(np.abs(sol.rho - rho_ns)) < 1e-8
 
     def test_flux_balance(self):
@@ -104,7 +104,6 @@ class TestSteadyState:
     def test_traceless_null_vector_is_a_solve_failure(self):
         # not a Lindblad generator: unique null vector reshapes to a
         # traceless matrix, so no steady state can be normalized from it
-        from enaqt.errors import SolveFailure
         d = 3
         v = np.zeros(d * d, dtype=complex)
         v[1] = 1.0  # vec of |2><1|
@@ -116,7 +115,7 @@ class TestSteadyState:
         # 65^2 = 4225 unknowns: the sparse path must stay exact at scale
         spec, _, L = chain_liouvillian(64, 2.0, 3.0, 4.0, 1.5)
         sol = steady_state(L)
-        assert sol.method == "linear_solve"
+        assert sol.method == "sector_lu"
         ana = analytic_chain_occupations(ChainParams(64, 2.0, 3.0, 4.0, 1.5))
         occ = np.diag(sol.rho).real[1:]
         assert np.max(np.abs(occ - ana.values) / ana.values) < 1e-10
@@ -125,22 +124,18 @@ class TestSteadyState:
         spec, H = asymmetric_chain
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 2.0), spec))
-        assert sol.method == "linear_solve"
+        assert sol.method == "sector_lu"
         assert caplog.records == []
 
     def test_fallback_logs_warning_with_residual(self, caplog):
-        # not a Lindblad generator: its unique null vector is the vacuum,
-        # but the trace-constrained system is singular (zero first row),
-        # so only the null-space solve finds it
-        L = np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)
+        # (named for the null-space fallback this error replaced) A residual
+        # above tolerance is a SolveFailure that quotes it.  Not a Lindblad
+        # generator: L = I has no steady state, and the trace-constrained
+        # solve satisfies every row but the one the trace replaced.
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            sol = steady_state(L)
-        assert sol.method == "null_space"
-        assert np.allclose(sol.rho, np.diag([1.0, 0.0]), atol=1e-12)
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING
-        assert "linear-solve residual" in record.getMessage()
-        assert "null-space" in record.getMessage()
+            with pytest.raises(SolveFailure, match=r"residual 1\.000e\+00 exceeds"):
+                steady_state(np.eye(4, dtype=complex))
+        assert caplog.records == []
 
     def test_singular_sparse_generator_is_non_unique(self, symmetric_chain, caplog):
         spec, H = symmetric_chain
@@ -150,7 +145,8 @@ class TestSteadyState:
             warnings.simplefilter("error")
             with pytest.raises(NonUniqueSteadyState):
                 steady_state(L)
-        assert len(caplog.records) == 1
+        # raised directly: nothing falls back, so nothing is logged
+        assert caplog.records == []
 
     def test_sparse_solve_errors_propagate(self, monkeypatch):
         import enaqt.solver as solver_mod
@@ -169,7 +165,9 @@ class TestSteadyState:
         "Factor is exactly singular",
     ])
     def test_superlu_singular_messages_fall_back(self, monkeypatch, caplog, message):
-        # real SuperLU reports some singular systems from dpanel_bmod
+        # (named for the null-space fallback this error replaced) Both ways
+        # real SuperLU reports a singular system, some from dpanel_bmod,
+        # raise NonUniqueSteadyState quoting SuperLU, and nothing is logged.
         import enaqt.solver as solver_mod
 
         def singular(*_args, **_kwargs):
@@ -178,9 +176,9 @@ class TestSteadyState:
         monkeypatch.setattr(solver_mod.spla, "splu", singular)
         _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            sol = steady_state(L)
-        assert sol.method == "null_space"
-        assert len(caplog.records) == 1
+            with pytest.raises(NonUniqueSteadyState, match=message):
+                steady_state(L)
+        assert caplog.records == []
 
     def test_other_superlu_runtime_errors_propagate(self, monkeypatch):
         import enaqt.solver as solver_mod
@@ -207,7 +205,7 @@ class TestChargeSector:
                                  inject=inject, extract=extract, seed=4)
         H = assemble_hamiltonian(spec)
         sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 3.0), spec))
-        assert sol.method == "linear_solve"
+        assert sol.method == "sector_lu"
         assert np.all(sol.rho[0, 1:] == 0) and np.all(sol.rho[1:, 0] == 0)
         assert np.array_equal(sol.rho, sol.rho.conj().T)
 
@@ -222,25 +220,75 @@ class TestChargeSector:
         for gamma in (0.1, 5.0, 1e3):
             L = build_liouvillian(H, ChannelSet(RATE, RATE, gamma), spec)
             sol = steady_state(L)
-            assert sol.method == "linear_solve"
+            assert sol.method == "sector_lu"
             s = np.linalg.svd(L.toarray(), compute_uv=False)
             tol = max(1e-10, np.finfo(float).eps * s[0] / s[-2])
             assert np.max(np.abs(sol.rho - brute_force_steady_state(L))) <= tol, gamma
 
     def test_non_charge_conserving_generator_falls_back(self, caplog):
-        # a coherent pump |0><1| + h.c. changes the excitation number, so the
-        # vacuum-site coherences couple to the sector
+        # (named for the null-space fallback this error replaced) A coherent
+        # pump |0><1| + h.c. changes the excitation number, so the
+        # vacuum-site coherences couple to the sector.  The typed error names
+        # the first coupling entry, the commutator term linking rho[0, 0] to
+        # rho[1, 0].
         spec, H, _ = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         H = H.astype(complex)
         H[0, 1] = H[1, 0] = 0.7
         L = build_liouvillian(H, ChannelSet(1.0, 2.0, 0.5), spec)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            sol = steady_state(L)
-        assert sol.method == "null_space"
+            with pytest.raises(NotChargeConserving, match=r"rho\[0, 0\] and rho\[1, 0\].*vacuum-site"):
+                steady_state(L)
+        assert caplog.records == []
+
+
+def preset_generators(name):
+    """Hamiltonian, internal-units spec and (L_base, L_deph_unit) of a preset, as in run_sweep."""
+    cfg = build_preset(name)
+    spec = to_internal_units(cfg.network)
+    H = assemble_hamiltonian(spec)
+    L_base = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0), spec)
+    L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
+    return cfg, spec, H, L_base, L_deph
+
+
+class TestEigenbasis:
+    """The sweep solver in the eigenbasis of H_eff against the sector LU."""
+
+    @pytest.mark.parametrize("name", [p for p in PRESET_NAMES if p != "fig3h"])
+    def test_matches_sector_lu_on_every_preset(self, name, caplog):
+        cfg, spec, H, L_base, L_deph = preset_generators(name)
+        solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+        sinks = sorted(spec.extract_sites)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            for gamma in (1e-2, 1.0, 1e3, 1e5):
+                L = L_base + gamma * L_deph
+                sol = solver.solve(gamma, L)
+                ref = steady_state(L)
+                assert sol.method == "eigenbasis" and 0 < sol.rcond <= 1
+                assert sol.residual <= 1e-9
+                assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
+                j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (sol.rho, ref.rho))
+                assert abs(j_p - j_ref) <= 1e-10 * j_ref, gamma
+                assert sol.min_eigenvalue == pytest.approx(ref.min_eigenvalue, abs=1e-12)
+        assert caplog.records == []
+
+    def test_non_unique_point_is_gated(self, caplog):
+        # no injection or extraction: every site state is stationary, so the
+        # population system is singular and the point goes to the sector LU
+        spec, H, L = chain_liouvillian(3, 1.0, 0.0, 0.0, 2.0)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            assert EigenbasisSteadyState(H, spec, 0.0, 0.0).solve(2.0, L) is None
         [record] = caplog.records
-        assert "vacuum-site coherences" in record.getMessage()
-        assert np.max(np.abs(sol.rho - brute_force_steady_state(L))) < 1e-10
-        assert np.max(np.abs(sol.rho[0, 1:])) > 1e-3
+        assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
+
+    def test_state_failing_the_full_generator_is_gated(self, caplog):
+        # the residual guard is independent of the eigenbasis: checked
+        # against the generator of another dephasing rate, the state fails
+        spec, H, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 2.0)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            assert EigenbasisSteadyState(H, spec, 1.0, 2.0).solve(1.0, L) is None
+        [record] = caplog.records
+        assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
 
 
 class TestPropagate:

@@ -1,10 +1,15 @@
 import json
+import logging
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from enaqt.errors import NonUniqueSteadyState
-from enaqt.network import Uniform, generate_geometry
+from enaqt.lindblad import ChannelSet, build_liouvillian
+from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry, to_internal_units
+from enaqt.reference import brute_force_steady_state
 from enaqt.results import emit_results, read_results_csv, read_results_json
 from enaqt.sweep import SweepConfig, config_to_dict, run_sweep
 
@@ -40,9 +45,39 @@ class TestSweep:
 
     def test_records_how_each_point_was_solved(self, chain2_result):
         curve, _ = chain2_result
-        assert curve.method == ("linear_solve",) * 5
+        assert curve.method == ("eigenbasis",) * 5
         assert curve.residual.shape == (5,)
         assert np.all(curve.residual <= 1e-9)
+        assert np.all((curve.rcond > 0) & (curve.rcond <= 1))
+        assert np.all(curve.min_eigenvalue >= -1e-10) and np.all(curve.min_eigenvalue < 0.5)
+
+    def test_exceptional_point_falls_back_to_sector_lu(self, caplog):
+        # H_eff of a dimer with its trap at gamma_ext = 4t is defective
+        spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+        cfg = SweepConfig(network=spec, gamma_min=0.1, gamma_max=10.0, points=5,
+                          gamma_inj=1.0, gamma_ext=4.0)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            curve, _ = run_sweep(cfg)
+        [record] = caplog.records
+        assert "cond(V)" in record.getMessage() and "sector LU" in record.getMessage()
+        assert curve.method == ("sector_lu",) * 5
+        assert np.all(np.isnan(curve.rcond))
+        spec = to_internal_units(spec)
+        H = assemble_hamiltonian(spec)
+        for k, gamma in enumerate(curve.gamma_grid):
+            rho = brute_force_steady_state(build_liouvillian(H, ChannelSet(1.0, 4.0, gamma), spec))
+            assert np.max(np.abs(curve.occupations[k] - np.diag(rho).real[1:])) < 1e-10
+
+    def test_dark_mode_at_zero_dephasing_is_non_unique(self):
+        # the 4-ring's eigenmode (0, 1, 0, -1)/sqrt(2) vanishes on the sink
+        # (site 3), so at gamma_deph = 0 it is a second stationary state
+        spec = generate_geometry("ring", 4, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
+        cfg = SweepConfig(network=spec, gamma_min=0.0, gamma_max=2.0, points=5, spacing="linear",
+                          gamma_inj=1.0, gamma_ext=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonUniqueSteadyState, match=r"gamma_deph=0\]"):
+                run_sweep(cfg)
 
     def test_failing_point_names_its_gamma(self):
         spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
@@ -127,6 +162,28 @@ class TestEmission:
         back, _, _ = read_results_json(path)
         assert back.method == curve.method
         assert np.array_equal(back.residual, curve.residual)
+        assert np.array_equal(back.rcond, curve.rcond)
+        assert np.array_equal(back.min_eigenvalue, curve.min_eigenvalue)
+
+    def test_json_nan_rcond_round_trips(self, tmp_path, chain2_result):
+        # sector-LU points record no rcond
+        curve, cls = chain2_result
+        curve = replace(curve, method=("sector_lu",) * 5, rcond=np.full(5, np.nan))
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        back, _, _ = read_results_json(path)
+        assert back.method == curve.method and np.all(np.isnan(back.rcond))
+
+    def test_json_from_before_rcond_is_accepted(self, tmp_path, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        doc = json.loads(path.read_text())
+        del doc["diagnostics"]["rcond"], doc["diagnostics"]["min_eigenvalue"]
+        path.write_text(json.dumps(doc))
+        back, _, _ = read_results_json(path)
+        assert back.method == curve.method and np.array_equal(back.residual, curve.residual)
+        assert back.rcond is None and back.min_eigenvalue is None
 
     def test_json_without_diagnostics_is_accepted(self, tmp_path, chain2_result):
         curve, cls = chain2_result
