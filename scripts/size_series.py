@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Cost of generator assembly, steady solves and preset sweeps.
+"""Cost of generator assembly, steady solves, preset sweeps and pulse propagation.
 
 Usage, from the repository root:
 
     python3 scripts/size_series.py --output BENCH_4.json --label change
     python3 scripts/size_series.py --series presets grid --output BENCH_5.json --label change
+    python3 scripts/size_series.py --series pulse --output BENCH_7.json --label change
 
 Each case runs in its own fresh interpreter, so peak RSS
-(resource.getrusage) belongs to that case alone.  Three series exist:
+(resource.getrusage) belongs to that case alone.  Four series exist:
 
     chains   uniform chains of SIZES sites with the preset parameters
              (on-site energy 1.23e4 cm^-1, coupling 60 cm^-1, injection
@@ -25,10 +26,17 @@ Each case runs in its own fresh interpreter, so peak RSS
              and sink at the opposite one, and a GRID_SWEEP_POINTS-point
              `run_sweep` of the same lattice over the default dephasing
              range, each GRID_REPEATS times.
+    pulse    one `propagate` of a PULSE_PRESETS pulse, as a pulse sweep
+             point runs it (a single excitation on the lowest injection
+             site, no injection channel, PULSE_T_END ps, 201 samples), at
+             each dephasing rate of PULSE_GAMMAS, each case in its own
+             child: REPEATS times, min and median, and the transfer
+             efficiency it reached.
 
-Preset and grid rows give both unknown counts: (n+1)^2 complex ones for a
-solve in the full space and n^2+1 real ones for a solve in the real
-charge-conserving sector.  Every row carries the BLAS thread count.
+Preset, grid and pulse rows give both unknown counts: (n+1)^2 complex
+ones for a solve in the full space and n^2+1 real ones for a solve in the
+real charge-conserving sector (a pulse propagator borders either with one
+more row).  Every row carries the BLAS thread count.
 
 Children import enaqt from --src (default: this repository's src), so the
 same script measures any checkout.  Each child caps its address space at
@@ -51,7 +59,7 @@ import sys
 import time
 from pathlib import Path
 
-SERIES = ("chains", "presets", "grid")
+SERIES = ("chains", "presets", "grid", "pulse")
 SIZES = (8, 16, 25, 40, 48, 64)
 PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3i")
 GRID_SIDE = 10
@@ -59,6 +67,9 @@ REPEATS = 5
 GRID_REPEATS = 3
 GRID_SWEEP_POINTS = 5
 GAMMA_DEPH = 10.0  # ps^-1, mid-grid of the default sweep
+PULSE_PRESETS = ("fig2", "fig3a")
+PULSE_GAMMAS = (1e-2, 1.0, 1e2)  # ps^-1
+PULSE_T_END = 20.0  # ps, the pulse benchmark's horizon
 RATE = 5.0
 BLAS_THREAD_SYMBOLS = (
     "openblas_get_num_threads",
@@ -197,7 +208,37 @@ def child_grid(side: int, mem_limit_mb: int) -> dict:
     return out
 
 
-CHILDREN = {"chains": child_chain, "presets": child_preset, "grid": child_grid}
+def child_pulse(case: str, mem_limit_mb: int) -> dict:
+    import numpy as np
+
+    from enaqt.lindblad import ChannelSet
+    from enaqt.network import assemble_hamiltonian, to_internal_units, validate_network
+    from enaqt.presets import build_preset
+    from enaqt.solver import propagate, transfer_efficiency
+
+    name, gamma = case.split(":")
+    gamma = float(gamma)
+    cfg = build_preset(name)
+    spec = to_internal_units(validate_network(cfg.network))
+    H = assemble_hamiltonian(spec)
+    site = min(spec.inject_sites)
+    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho0[site, site] = 1.0
+    channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
+    n = spec.n_sites
+    out = {"preset": name, "gamma_deph": gamma, "sites": n, **unknowns(n), "t_end": PULSE_T_END,
+           "blas_threads": blas_threads()}
+    cap_address_space(mem_limit_mb)
+    try:
+        propagate_s, traj = timed(lambda: propagate(H, channels, spec, rho0, PULSE_T_END), REPEATS)
+    except MemoryError:
+        out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
+        return out
+    out.update(status="ok", propagate_s=propagate_s, eta=transfer_efficiency(traj))
+    return out
+
+
+CHILDREN = {"chains": child_chain, "presets": child_preset, "grid": child_grid, "pulse": child_pulse}
 
 
 def cases(series: list[str]) -> list[tuple[str, str]]:
@@ -207,6 +248,8 @@ def cases(series: list[str]) -> list[tuple[str, str]]:
             out += [("chains", str(n)) for n in SIZES]
         elif name == "presets":
             out += [("presets", p) for p in PRESETS]
+        elif name == "pulse":
+            out += [("pulse", f"{p}:{g:g}") for p in PULSE_PRESETS for g in PULSE_GAMMAS]
         else:
             out.append(("grid", str(GRID_SIDE)))
     return out
@@ -227,7 +270,7 @@ def main(argv=None) -> None:
 
     if args.child is not None:
         series, case = args.child
-        arg = case if series == "presets" else int(case)
+        arg = case if series in ("presets", "pulse") else int(case)
         result = CHILDREN[series](arg, args.mem_limit_mb)
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps(result))

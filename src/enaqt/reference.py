@@ -16,6 +16,10 @@ materializes it as dense kron products of the jump operators,
 at d^4 memory, and `apply_liouvillian` evaluates its action on a matrix
 without materializing the superoperator.  The tests check the closed-form
 sparse assembly of `lindblad.build_liouvillian` against both.
+
+`dense_propagate` is the oracle for `solver.propagate`: the exponential of
+the whole dense complex kron generator, vacuum-site coherences included,
+bordered by the extracted-population row, at (d^2+1)^2 complex memory.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NonUniqueSteadyState
-from .lindblad import ChannelSet, hermitize
+from .lindblad import ChannelSet, hermitize, vec
 from .network import NetworkSpec
 from .observables import Occupations
+from .solver import Trajectory
 
 NULLSPACE_RTOL = 1e-12
 
@@ -188,3 +194,35 @@ def apply_liouvillian(
         np.fill_diagonal(damp, 0.0)
         drho -= g * damp
     return drho
+
+
+def dense_propagate(
+    H: np.ndarray,
+    channels: ChannelSet,
+    spec: NetworkSpec,
+    rho0: np.ndarray,
+    t_end: float,
+    n_eval: int = 201,
+) -> Trajectory:
+    """Trajectory on n_eval equally spaced times in [0, t_end] from the full space.
+
+    One propagator expm(G dt) of the dense (d^2+1)-square generator G,
+    `kron_liouvillian` bordered by one row holding gamma_ext at the vec
+    index of each sink population, is applied sample by sample.
+    """
+    d = spec.dim
+    d2 = d * d
+    G = np.zeros((d2 + 1, d2 + 1), dtype=complex)
+    G[:d2, :d2] = kron_liouvillian(H, channels, spec)
+    G[d2, [s * (d + 1) for s in spec.extract_sites]] = channels.gamma_ext
+
+    times = np.linspace(0.0, t_end, n_eval)
+    P = sla.expm(G * (times[1] - times[0]))
+    y = np.empty((n_eval, d2 + 1), dtype=complex)
+    y[0, :d2] = vec(rho0)
+    y[0, d2] = 0.0
+    for k in range(n_eval - 1):
+        y[k + 1] = P @ y[k]
+    # column stacking: row-major (d, d) blocks hold rho transposed
+    states = y[:, :d2].reshape((n_eval, d, d)).transpose(0, 2, 1)
+    return Trajectory(times=times, states=states, extracted=y[:, d2].real)

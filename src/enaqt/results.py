@@ -10,19 +10,26 @@ the binary values exactly.  JSON files mirror the same columns and add the
 configuration echo and the classification block, and, for a steady sweep,
 a diagnostics block with each point's solve method, residual, reciprocal
 condition of the eigenbasis system (NaN on sector-LU points, written as
-JSON's NaN token) and smallest eigenvalue of rho.  Emitting and
-re-ingesting a JSON file is lossless; files without the diagnostics block
-read back with none recorded, and files whose block predates rcond and
-min_eigenvalue read back without those two.
+JSON's NaN token) and smallest eigenvalue of rho.  An environment block
+records the numpy and scipy versions, the BLAS each was built against
+(name and version, from `show_config(mode="dicts")`) and the
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null when unset),
+read once per process.  Emitting and re-ingesting a JSON file is
+lossless; files without the diagnostics or environment block read back
+the same, with no diagnostics recorded, and files whose diagnostics
+block predates rcond and min_eigenvalue read back without those two.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
+import scipy
 
 from ._version import __version__
 from .observables import SweepClassification, SweepCurve
@@ -60,6 +67,22 @@ def emit_results(
         _emit_json(curve, classification, path, config)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+
+
+@functools.cache
+def _environment() -> dict:
+    """Library versions, their BLAS builds and the BLAS thread settings of this process."""
+
+    def build(mod) -> dict:
+        blas = mod.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        return {"version": mod.__version__,
+                "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+    return {
+        "numpy": build(np),
+        "scipy": build(scipy),
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
 
 
 def _emit_csv(curve: SweepCurve, path, config: dict | None) -> None:
@@ -101,6 +124,7 @@ def _emit_json(
             "vacuum": curve.vacuum.tolist(),
             "occupations": curve.occupations.tolist(),
         },
+        "environment": _environment(),
     }
     if curve.method is not None:
         doc["diagnostics"] = {"method": list(curve.method)} | {

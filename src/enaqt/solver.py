@@ -6,8 +6,10 @@ operator changes the excitation number by -1, 0 or +1 and H conserves it
 so the vacuum-site coherences never couple to the populations or to the
 site-site coherences, and they vanish in the steady state.  Two solvers
 work there, and both end with the same guards: the residual against the
-untouched full generator (at most RESIDUAL_TOL) and `check_density_matrix`,
-whose smallest eigenvalue of rho is recorded with the solution.
+untouched full generator (at most RESIDUAL_TOL; the sweep solver applies
+its affine parts L_base + gamma L_deph one by one instead of summing
+them) and `check_density_matrix`, whose smallest eigenvalue of rho is
+recorded with the solution.
 
 `EigenbasisSteadyState` serves the points of a dephasing sweep.  The site
 block X = rho_S of every generator this package builds has Haken-Strobl
@@ -63,14 +65,21 @@ residual above tolerance raises SolveFailure.  Positivity violations raise
 instead of being clipped.  The dense SVD null vector of
 `reference.brute_force_steady_state` is the test oracle for both solvers.
 
-Propagation is exact on the output grid.  The generator does not depend on
-time, so one propagator P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix
-Anal. Appl. 31, 970 (2009), as implemented by scipy.linalg.expm) carries
-the state from each sample to the next.  G is the dense generator bordered
-by one row that accumulates the extracted population (Van Loan, IEEE TAC
-23, 395 (1978)).  There is no step-size control and no stiffness limit on
-the dephasing rate; the cost is one dense (d^2+1)-square exponential per
-call, i.e. d^4 memory.
+Propagation is exact on the output grid and lives in the same real
+sector.  The generator does not depend on time, so one propagator
+P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009), as implemented by scipy.linalg.expm) carries the state from each
+sample to the next.  G is the real sector generator Re(Tp L T), n^2 + 1
+unknowns (rho_00 among them, so an injection channel needs nothing extra),
+bordered by one row that accumulates the extracted population (Van Loan,
+IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns, n^4 real memory.  The
+vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
+and which no observable reads, stay out of G; a start state that carries
+them evolves them in their own decoupled 2n-square block.  There is no
+step-size control and no stiffness limit on the dephasing rate.  Above
+about 40 sites, where the n^4 propagator stops fitting in memory,
+scipy.sparse.linalg.expm_multiply on the sparse sector generator is the
+route; at 25 sites and 201 samples it is slower than one dense expm.
 """
 
 from __future__ import annotations
@@ -124,9 +133,11 @@ class EigenbasisSteadyState:
     """Steady states of one network across dephasing rates, from H_eff's eigenbasis.
 
     Built once per sweep from the Hamiltonian, the network and the
-    injection and extraction rates; `solve(gamma, L)` then costs one
-    n x n real LU plus O(n^4) to form N_gamma.  L must be the full
-    generator at that gamma: it is used only for the residual guard.
+    injection and extraction rates; `solve(gamma, L_base, L_deph)` then
+    costs one n x n real LU plus O(n^4) to form N_gamma.  The full
+    generator at that gamma is L_base + gamma L_deph; the two parts are
+    used only for the residual guard, which applies each to the state
+    instead of forming their sum.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -153,7 +164,7 @@ class EigenbasisSteadyState:
         self.P = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, n * n)
         self.Q = (W[:, None, :] * W.conj()[None, :, :]).reshape(n * n, n)
 
-    def solve(self, gamma: float, L) -> SteadyStateSolution | None:
+    def solve(self, gamma: float, L_base, L_deph) -> SteadyStateSolution | None:
         """Steady state at dephasing rate gamma, or None after a logged gate."""
         if self.gated:
             return None
@@ -183,7 +194,8 @@ class EigenbasisSteadyState:
         rho[0, 0] = 1.0
         rho[1:, 1:] = X
         rho /= 1.0 + np.trace(X).real
-        res = _residual(L, rho)
+        v = vec(rho)
+        res = float(np.max(np.abs(L_base @ v + gamma * (L_deph @ v))))
         if not res <= RESIDUAL_TOL:
             return _fall_back(gamma, f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
         lo = check_density_matrix(rho)
@@ -236,16 +248,27 @@ def _sector(d: int) -> _Sector:
     return _Sector(vac=vac, pops=np.flatnonzero(~coh), T=T, Tp=Tp)
 
 
-def _vacuum_coupling(L: sp.csr_matrix, vac: np.ndarray) -> tuple[int, int] | None:
-    """(row, col) of the first stored entry linking the sector to a vacuum-site coherence."""
+def _check_charge_conserving(L: sp.csr_matrix, sec: _Sector) -> None:
+    """Raise NotChargeConserving on a stored entry linking the sector to a vacuum-site coherence."""
     rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-    bad = np.flatnonzero(vac[rows] != vac[L.indices])
-    return None if bad.size == 0 else (int(rows[bad[0]]), int(L.indices[bad[0]]))
+    bad = np.flatnonzero(sec.vac[rows] != sec.vac[L.indices])
+    if bad.size:
+        d = int(round(np.sqrt(L.shape[0])))
+        (i, j), (k, m) = (divmod(int(x), d)[::-1] for x in (rows[bad[0]], L.indices[bad[0]]))
+        raise NotChargeConserving(
+            f"generator couples rho[{i}, {j}] and rho[{k}, {m}] across the charge sector "
+            "and the vacuum-site coherences"
+        )
+
+
+def _sector_generator(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
+    """The real sector generator Re(Tp L T)."""
+    return (sec.Tp @ L @ sec.T).real
 
 
 def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
     """Re(Tp L T) with its last (population) row replaced by the trace."""
-    A = (sec.Tp @ L @ sec.T).real
+    A = _sector_generator(L, sec)
     cut = A.indptr[-2]
     indptr = A.indptr.copy()
     indptr[-1] = cut + sec.pops.size
@@ -298,13 +321,7 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
         raise DimensionMismatch(f"generator size {d2} is not a perfect square")
 
     sec = _sector(d)
-    coupling = _vacuum_coupling(L, sec.vac)
-    if coupling is not None:
-        (i, j), (k, m) = (divmod(x, d)[::-1] for x in coupling)
-        raise NotChargeConserving(
-            f"generator couples rho[{i}, {j}] and rho[{k}, {m}] across the charge sector "
-            "and the vacuum-site coherences"
-        )
+    _check_charge_conserving(L, sec)
     rho = _sector_solve(L, sec, d)
     res = _residual(L, rho)
     if not res <= residual_tol:
@@ -323,12 +340,16 @@ def propagate(
 ) -> Trajectory:
     """Evolve the master equation from rho0 over [0, t_end] ps.
 
-    The returned trajectory samples n_eval equally spaced times.  The
-    dense generator is bordered by one row holding gamma_ext at the vec
-    index of each sink population, so the extra component carries the
-    cumulative extracted population integral(sum_s gamma_ext rho_ss dt).
-    One propagator P = expm(G dt) is formed and applied sample by sample,
-    which is exact on the grid up to rounding.
+    The returned trajectory samples n_eval equally spaced times.  The real
+    sector generator Re(Tp L T) is bordered by one row holding gamma_ext at
+    the sector position of each sink population, so the extra component
+    carries the cumulative extracted population
+    integral(sum_s gamma_ext rho_ss dt).  One propagator P = expm(G dt) is
+    formed and applied sample by sample, which is exact on the grid up to
+    rounding; T maps each sample back to rho.  Vacuum-site coherences in
+    rho0 evolve by the exponential of their own 2n-square block, formed
+    only when rho0 has one.  A generator that couples them to the sector
+    raises NotChargeConserving.
     """
     d = spec.dim
     if rho0.shape != (d, d):
@@ -345,21 +366,36 @@ def propagate(
             extracted=np.zeros(1),
         )
 
-    d2 = d * d
-    G = np.zeros((d2 + 1, d2 + 1), dtype=complex)
-    G[:d2, :d2] = build_liouvillian(H, channels, spec).toarray()
-    G[d2, [s * (d + 1) for s in spec.extract_sites]] = channels.gamma_ext
+    L = build_liouvillian(H, channels, spec)
+    sec = _sector(d)
+    _check_charge_conserving(L, sec)
+    m = sec.T.shape[1]
+    G = np.zeros((m + 1, m + 1))
+    G[:m, :m] = _sector_generator(L, sec).toarray()
+    G[m, sec.pops[sorted(spec.extract_sites)]] = channels.gamma_ext
 
     times = np.linspace(0.0, t_end, n_eval)
-    P = sla.expm(G * (times[1] - times[0]))
-    y = np.empty((n_eval, d2 + 1), dtype=complex)
-    y[0, :d2] = vec(rho0)
-    y[0, d2] = 0.0
+    dt = times[1] - times[0]
+    r0 = vec(rho0)
+    x0 = np.append((sec.Tp @ r0).real, 0.0)
+    y = _samples(sla.expm(G * dt), x0, n_eval)
+    v = (sec.T @ y[:, :m].T).T
+    c0 = r0[sec.vac]
+    if np.any(c0):
+        vac = np.flatnonzero(sec.vac)
+        v[:, vac] = _samples(sla.expm(L[vac][:, vac].toarray() * dt), c0, n_eval)
+    # column stacking: row-major (d, d) blocks hold rho transposed
+    states = v.reshape((n_eval, d, d)).transpose(0, 2, 1)
+    return Trajectory(times=times, states=states, extracted=y[:, m])
+
+
+def _samples(P: np.ndarray, x0: np.ndarray, n_eval: int) -> np.ndarray:
+    """x0, P x0, ..., P^(n_eval-1) x0 as the rows of one array."""
+    y = np.empty((n_eval, x0.size), dtype=np.result_type(P, x0))
+    y[0] = x0
     for k in range(n_eval - 1):
         y[k + 1] = P @ y[k]
-    # column stacking: row-major (d, d) blocks hold rho transposed
-    states = y[:, :d2].reshape((n_eval, d, d)).transpose(0, 2, 1)
-    return Trajectory(times=times, states=states, extracted=y[:, d2].real)
+    return y
 
 
 def transfer_efficiency(traj: Trajectory) -> float:

@@ -10,21 +10,25 @@ message.
 In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
-sparse generator is assembled once per sweep as L(gamma_deph) = L_base +
-gamma_deph * L_deph_unit, exploiting that the generator is affine in each
-rate; every point checks its state against that full generator.  A point
-the eigenbasis solver gates (ill-conditioned eigenvectors, a singular
-population system, or a failed residual) is solved by the sector LU of
-`solver.steady_state` instead, which is logged and recorded as its method.
+generator is affine in each rate, L(gamma_deph) = L_base + gamma_deph *
+L_deph_unit, and both sparse parts are assembled once per sweep.  Every
+point checks its state against L_base v + gamma_deph (L_deph_unit v),
+two sparse products, without forming the sum.  A point the eigenbasis
+solver gates (ill-conditioned eigenvectors, a singular population system,
+or a failed residual) is solved by the sector LU of `solver.steady_state`
+on the summed generator instead, which is logged and recorded as its
+method.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds with the exact propagator of
-`solver.propagate`.  The emitted columns then read as follows: j_p is the
-transfer efficiency eta(t_end) (total extracted population), j_q the
-time-integrated heat current, and the occupations (and the delta_n derived
-from them) are trajectory time averages.  Both time integrals are the
-trapezoid rule on the 201-sample trajectory; the heat current is linear in
-rho, so it is evaluated once on the trapezoid-integrated state.
+`solver.propagate`, one real exponential of the (n^2 + 2)-square bordered
+charge-sector generator per point.  The emitted columns then read as
+follows: j_p is the transfer efficiency eta(t_end) (total extracted
+population), j_q the time-integrated heat current, and the occupations
+(and the delta_n derived from them) are trajectory time averages.  Both
+time integrals are the trapezoid rule on the 201-sample trajectory; the
+heat current is linear in rho, so it is evaluated once on the
+trapezoid-integrated state.
 """
 
 from __future__ import annotations
@@ -145,10 +149,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
         eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
 
         def point(gamma: float) -> _Row:
-            L = L_base + gamma * L_deph
-            sol = eigenbasis.solve(gamma, L)
+            sol = eigenbasis.solve(gamma, L_base, L_deph)
             if sol is None:
-                sol = steady_state(L)
+                sol = steady_state(L_base + gamma * L_deph)
             channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
             occ = occupations(sol.rho)
             return _Row(

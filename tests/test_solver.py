@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import spectral_gap
+from conftest import random_density_matrix, spectral_gap
 from enaqt.errors import DimensionMismatch, NonUniqueSteadyState, NotChargeConserving, SolveFailure
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
@@ -16,7 +16,12 @@ from enaqt.network import (
     to_internal_units,
 )
 from enaqt.presets import PRESET_NAMES, build_preset, preset_network
-from enaqt.reference import ChainParams, analytic_chain_occupations, brute_force_steady_state
+from enaqt.reference import (
+    ChainParams,
+    analytic_chain_occupations,
+    brute_force_steady_state,
+    dense_propagate,
+)
 from enaqt.solver import (
     EigenbasisSteadyState,
     propagate,
@@ -261,9 +266,8 @@ class TestEigenbasis:
         sinks = sorted(spec.extract_sites)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             for gamma in (1e-2, 1.0, 1e3, 1e5):
-                L = L_base + gamma * L_deph
-                sol = solver.solve(gamma, L)
-                ref = steady_state(L)
+                sol = solver.solve(gamma, L_base, L_deph)
+                ref = steady_state(L_base + gamma * L_deph)
                 assert sol.method == "eigenbasis" and 0 < sol.rcond <= 1
                 assert sol.residual <= 1e-9
                 assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
@@ -275,18 +279,20 @@ class TestEigenbasis:
     def test_non_unique_point_is_gated(self, caplog):
         # no injection or extraction: every site state is stationary, so the
         # population system is singular and the point goes to the sector LU
-        spec, H, L = chain_liouvillian(3, 1.0, 0.0, 0.0, 2.0)
+        spec, H, L_base = chain_liouvillian(3, 1.0, 0.0, 0.0, 0.0)
+        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert EigenbasisSteadyState(H, spec, 0.0, 0.0).solve(2.0, L) is None
+            assert EigenbasisSteadyState(H, spec, 0.0, 0.0).solve(2.0, L_base, L_deph) is None
         [record] = caplog.records
         assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
 
     def test_state_failing_the_full_generator_is_gated(self, caplog):
         # the residual guard is independent of the eigenbasis: checked
         # against the generator of another dephasing rate, the state fails
-        spec, H, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 2.0)
+        spec, H, L_base = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
+        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert EigenbasisSteadyState(H, spec, 1.0, 2.0).solve(1.0, L) is None
+            assert EigenbasisSteadyState(H, spec, 1.0, 2.0).solve(1.0, L_base, L_deph) is None
         [record] = caplog.records
         assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
 
@@ -363,6 +369,51 @@ class TestPropagate:
         rho0[0, 0] = 1.0
         with pytest.raises(ValueError):
             propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=1)
+
+
+def assert_matches_dense(H, channels, spec, rho0, t_end):
+    traj = propagate(H, channels, spec, rho0, t_end)
+    ref = dense_propagate(H, channels, spec, rho0, t_end)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-10
+    assert np.max(np.abs(traj.extracted - ref.extracted)) <= 1e-10
+    return traj
+
+
+class TestPropagateAgainstDenseOracle:
+    """The charge-sector propagator against the full-space exponential."""
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1.0, 1e2])
+    def test_fig2_pulse(self, gamma):
+        cfg = build_preset("fig2")
+        spec = to_internal_units(cfg.network)
+        H = assemble_hamiltonian(spec)
+        site = min(spec.inject_sites)
+        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho0[site, site] = 1.0
+        traj = assert_matches_dense(H, ChannelSet(0.0, cfg.gamma_ext, gamma), spec, rho0, 20.0)
+        assert np.all(traj.states[:, 0, 1:] == 0.0)
+
+    def test_injection_from_the_vacuum(self, asymmetric_chain):
+        spec, H = asymmetric_chain
+        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho0[0, 0] = 1.0
+        assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 8.0)
+
+    def test_vacuum_site_coherences_evolve(self, asymmetric_chain):
+        spec, H = asymmetric_chain
+        rho0 = random_density_matrix(np.random.default_rng(7), spec.dim)
+        traj = assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 2.0)
+        assert np.max(np.abs(traj.states[1:, 0, 1:])) > 1e-3
+
+    def test_vacuum_coupling_is_not_charge_conserving(self, asymmetric_chain):
+        spec, H = asymmetric_chain
+        H = H.copy()
+        H[0, 1] = H[1, 0] = 1.0
+        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho0[1, 1] = 1.0
+        with pytest.raises(NotChargeConserving):
+            propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 1.0)
 
 
 class TestTransferEfficiency:

@@ -197,6 +197,26 @@ class TestEmission:
         assert np.array_equal(back.j_p, curve.j_p)
         assert back_cls == cls
 
+    def test_json_environment_block_round_trips(self, tmp_path, chain2_result):
+        import scipy
+
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        doc = json.loads(path.read_text())
+        env = doc["environment"]
+        assert env["numpy"]["version"] == np.__version__
+        assert env["scipy"]["version"] == scipy.__version__
+        assert all(env[lib]["blas"].keys() == {"name", "version"} for lib in ("numpy", "scipy"))
+        assert "OPENBLAS_NUM_THREADS" in env and "OMP_NUM_THREADS" in env
+        with_block = read_results_json(path)
+        del doc["environment"]
+        path.write_text(json.dumps(doc))
+        without_block = read_results_json(path)
+        for back in (with_block, without_block):
+            assert np.array_equal(back[0].j_p, curve.j_p)
+            assert back[0].method == curve.method and back[1] == cls
+
     def test_unknown_format(self, tmp_path, chain2_result):
         curve, cls = chain2_result
         with pytest.raises(ValueError):
