@@ -5,7 +5,7 @@ Usage, from the repository root:
 
     python3 scripts/size_series.py --output BENCH_4.json --label change
     python3 scripts/size_series.py --series presets grid --output BENCH_5.json --label change
-    python3 scripts/size_series.py --series pulse --output BENCH_7.json --label change
+    python3 scripts/size_series.py --series pulse --output BENCH_9.json --label change
 
 Each case runs in its own fresh interpreter, so peak RSS
 (resource.getrusage) belongs to that case alone.  Four series exist:
@@ -31,7 +31,12 @@ Each case runs in its own fresh interpreter, so peak RSS
              site, no injection channel, PULSE_T_END ps, 201 samples), at
              each dephasing rate of PULSE_GAMMAS, each case in its own
              child: REPEATS times, min and median, and the transfer
-             efficiency it reached.
+             efficiency it reached.  Then two whole pulse sweeps,
+             `run_sweep` of each PULSE_SWEEPS preset in pulse mode over
+             PULSE_T_END ps (fig2 as the benchmark's pulse workload runs
+             it, 20 points over gamma in [1e-2, 1e2]; fig3a on 5 points of
+             its default grid): REPEATS times, min and median, the
+             largest transfer efficiency and the classification.
 
 Preset, grid and pulse rows give both unknown counts: (n+1)^2 complex
 ones for a solve in the full space and n^2+1 real ones for a solve in the
@@ -70,6 +75,7 @@ GAMMA_DEPH = 10.0  # ps^-1, mid-grid of the default sweep
 PULSE_PRESETS = ("fig2", "fig3a")
 PULSE_GAMMAS = (1e-2, 1.0, 1e2)  # ps^-1
 PULSE_T_END = 20.0  # ps, the pulse benchmark's horizon
+PULSE_SWEEPS = {"fig2": dict(points=20, gamma_min=1e-2, gamma_max=1e2), "fig3a": dict(points=5)}
 RATE = 5.0
 BLAS_THREAD_SYMBOLS = (
     "openblas_get_num_threads",
@@ -217,6 +223,8 @@ def child_pulse(case: str, mem_limit_mb: int) -> dict:
     from enaqt.solver import propagate, transfer_efficiency
 
     name, gamma = case.split(":")
+    if gamma == "sweep":
+        return pulse_sweep(name, mem_limit_mb)
     gamma = float(gamma)
     cfg = build_preset(name)
     spec = to_internal_units(validate_network(cfg.network))
@@ -238,6 +246,25 @@ def child_pulse(case: str, mem_limit_mb: int) -> dict:
     return out
 
 
+def pulse_sweep(name: str, mem_limit_mb: int) -> dict:
+    from enaqt.presets import build_preset
+    from enaqt.sweep import run_sweep
+
+    cfg = build_preset(name, mode="pulse", t_end=PULSE_T_END, **PULSE_SWEEPS[name])
+    n = cfg.network.n_sites
+    out = {"preset": name, "sweep": "pulse", "sites": n, **unknowns(n), "points": cfg.points,
+           "gamma_min": cfg.gamma_min, "gamma_max": cfg.gamma_max, "t_end": PULSE_T_END,
+           "blas_threads": blas_threads()}
+    cap_address_space(mem_limit_mb)
+    try:
+        sweep_s, (curve, cls) = timed(lambda: run_sweep(cfg), REPEATS)
+    except MemoryError:
+        out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
+        return out
+    out.update(status="ok", sweep_s=sweep_s, max_eta=float(curve.j_p.max()), kind=cls.kind)
+    return out
+
+
 CHILDREN = {"chains": child_chain, "presets": child_preset, "grid": child_grid, "pulse": child_pulse}
 
 
@@ -250,6 +277,7 @@ def cases(series: list[str]) -> list[tuple[str, str]]:
             out += [("presets", p) for p in PRESETS]
         elif name == "pulse":
             out += [("pulse", f"{p}:{g:g}") for p in PULSE_PRESETS for g in PULSE_GAMMAS]
+            out += [("pulse", f"{p}:sweep") for p in PULSE_SWEEPS]
         else:
             out.append(("grid", str(GRID_SIDE)))
     return out

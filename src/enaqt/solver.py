@@ -72,7 +72,14 @@ P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 sample to the next.  G is the real sector generator Re(Tp L T), n^2 + 1
 unknowns (rho_00 among them, so an injection channel needs nothing extra),
 bordered by one row that accumulates the extracted population (Van Loan,
-IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns, n^4 real memory.  The
+IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns, n^4 real memory.
+`SectorPropagator` holds G at zero dephasing, built once from the
+generator of `build_liouvillian` and checked for charge conservation once;
+dephasing is exactly diagonal in the sector (-gamma on the Re and Im
+coordinate of every site-site coherence, 0 on the populations and the
+border row, -gamma/2 on the vacuum-site coherences), so G at any rate is a
+shifted copy and a pulse sweep pays one `expm` per point.  `propagate`
+builds one for a single rate and maps every sample back to rho.  The
 vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
 and which no observable reads, stay out of G; a start state that carries
 them evolves them in their own decoupled 2n-square block.  There is no
@@ -109,6 +116,8 @@ COND_V_MAX = 1e4
 # sit above 3e-7 (fig3d at small gamma, over 21 disorder draws); a
 # non-unique steady state gives 0.
 RCOND_MIN = 1e-10
+# samples of a propagated trajectory, t = 0 and t_end included
+N_EVAL = 201
 
 
 @dataclass(frozen=True)
@@ -330,26 +339,76 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
     return SteadyStateSolution(rho=rho, residual=res, method="sector_lu", min_eigenvalue=lo)
 
 
+class SectorPropagator:
+    """Exact propagation in the real charge sector of one network across dephasing rates.
+
+    Built once per pulse sweep from the Hamiltonian, the network and the
+    injection and extraction rates.  The constructor assembles the
+    generator L_base at zero dephasing, checks that it conserves charge
+    and densifies the bordered sector generator G_base: Re(Tp L_base T)
+    plus one row holding gamma_ext at the sector position of each sink
+    population.  Dephasing is diagonal in the sector, -gamma on the Re and
+    Im coordinate of every site-site coherence and 0 on the populations
+    and the border, so G(gamma) is G_base shifted on those diagonal
+    entries and each rate costs one `expm`.
+    """
+
+    def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
+        self.d = spec.dim
+        self.L_base = build_liouvillian(H, ChannelSet(gamma_inj, gamma_ext, 0.0), spec)
+        self.sec = _sector(self.d)
+        _check_charge_conserving(self.L_base, self.sec)
+        m = self.sec.T.shape[1]
+        self.G_base = np.zeros((m + 1, m + 1))
+        self.G_base[:m, :m] = _sector_generator(self.L_base, self.sec).toarray()
+        self.G_base[m, self.sec.pops[sorted(spec.extract_sites)]] = gamma_ext
+        self.coherences = np.setdiff1d(np.arange(m), self.sec.pops)
+
+    def generator(self, gamma: float) -> np.ndarray:
+        """The bordered sector generator G at dephasing rate gamma."""
+        G = self.G_base.copy()
+        G[self.coherences, self.coherences] -= gamma
+        return G
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """Sector coordinates of rho, bordered by an extracted population of 0."""
+        return np.append((self.sec.Tp @ vec(rho)).real, 0.0)
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """The (d, d) matrix with sector coordinates x and no vacuum-site coherences."""
+        return (self.sec.T @ x).reshape((self.d, self.d), order="F")
+
+    def evolve(self, gamma: float, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Bordered sector coordinates at equally spaced times, one row per time, from x0."""
+        return _samples(sla.expm(self.generator(gamma) * (times[1] - times[0])), x0, times.size)
+
+    def vacuum_block(self, gamma: float) -> np.ndarray:
+        """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
+        vac = np.flatnonzero(self.sec.vac)
+        B = self.L_base[vac][:, vac].toarray()
+        B[np.diag_indices_from(B)] -= 0.5 * gamma
+        return B
+
+
 def propagate(
     H: np.ndarray,
     channels: ChannelSet,
     spec: NetworkSpec,
     rho0: np.ndarray,
     t_end: float,
-    n_eval: int = 201,
+    n_eval: int = N_EVAL,
 ) -> Trajectory:
     """Evolve the master equation from rho0 over [0, t_end] ps.
 
-    The returned trajectory samples n_eval equally spaced times.  The real
-    sector generator Re(Tp L T) is bordered by one row holding gamma_ext at
-    the sector position of each sink population, so the extra component
-    carries the cumulative extracted population
-    integral(sum_s gamma_ext rho_ss dt).  One propagator P = expm(G dt) is
-    formed and applied sample by sample, which is exact on the grid up to
-    rounding; T maps each sample back to rho.  Vacuum-site coherences in
-    rho0 evolve by the exponential of their own 2n-square block, formed
-    only when rho0 has one.  A generator that couples them to the sector
-    raises NotChargeConserving.
+    The returned trajectory samples n_eval equally spaced times.  One
+    `SectorPropagator` forms the bordered sector generator, whose extra
+    component carries the cumulative extracted population
+    integral(sum_s gamma_ext rho_ss dt), and one propagator
+    P = expm(G dt) is applied sample by sample, which is exact on the
+    grid up to rounding; T maps each sample back to rho.  Vacuum-site
+    coherences in rho0 evolve by the exponential of their own 2n-square
+    block, formed only when rho0 has one.  A generator that couples them
+    to the sector raises NotChargeConserving.
     """
     d = spec.dim
     if rho0.shape != (d, d):
@@ -366,27 +425,18 @@ def propagate(
             extracted=np.zeros(1),
         )
 
-    L = build_liouvillian(H, channels, spec)
-    sec = _sector(d)
-    _check_charge_conserving(L, sec)
-    m = sec.T.shape[1]
-    G = np.zeros((m + 1, m + 1))
-    G[:m, :m] = _sector_generator(L, sec).toarray()
-    G[m, sec.pops[sorted(spec.extract_sites)]] = channels.gamma_ext
-
+    prop = SectorPropagator(H, spec, channels.gamma_inj, channels.gamma_ext)
     times = np.linspace(0.0, t_end, n_eval)
-    dt = times[1] - times[0]
-    r0 = vec(rho0)
-    x0 = np.append((sec.Tp @ r0).real, 0.0)
-    y = _samples(sla.expm(G * dt), x0, n_eval)
-    v = (sec.T @ y[:, :m].T).T
-    c0 = r0[sec.vac]
+    y = prop.evolve(channels.gamma_deph, prop.coordinates(rho0), times)
+    sec = prop.sec
+    v = (sec.T @ y[:, :-1].T).T
+    c0 = vec(rho0)[sec.vac]
     if np.any(c0):
-        vac = np.flatnonzero(sec.vac)
-        v[:, vac] = _samples(sla.expm(L[vac][:, vac].toarray() * dt), c0, n_eval)
+        P = sla.expm(prop.vacuum_block(channels.gamma_deph) * (times[1] - times[0]))
+        v[:, np.flatnonzero(sec.vac)] = _samples(P, c0, n_eval)
     # column stacking: row-major (d, d) blocks hold rho transposed
     states = v.reshape((n_eval, d, d)).transpose(0, 2, 1)
-    return Trajectory(times=times, states=states, extracted=y[:, m])
+    return Trajectory(times=times, states=states, extracted=y[:, -1])
 
 
 def _samples(P: np.ndarray, x0: np.ndarray, n_eval: int) -> np.ndarray:
@@ -394,7 +444,7 @@ def _samples(P: np.ndarray, x0: np.ndarray, n_eval: int) -> np.ndarray:
     y = np.empty((n_eval, x0.size), dtype=np.result_type(P, x0))
     y[0] = x0
     for k in range(n_eval - 1):
-        y[k + 1] = P @ y[k]
+        np.dot(P, y[k], out=y[k + 1])
     return y
 
 

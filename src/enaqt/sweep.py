@@ -20,15 +20,21 @@ on the summed generator instead, which is logged and recorded as its
 method.
 
 In pulse mode there is no injection channel: each point propagates a
-single-site excitation for t_end picoseconds with the exact propagator of
-`solver.propagate`, one real exponential of the (n^2 + 2)-square bordered
-charge-sector generator per point.  The emitted columns then read as
-follows: j_p is the transfer efficiency eta(t_end) (total extracted
-population), j_q the time-integrated heat current, and the occupations
-(and the delta_n derived from them) are trajectory time averages.  Both
-time integrals are the trapezoid rule on the 201-sample trajectory; the
-heat current is linear in rho, so it is evaluated once on the
-trapezoid-integrated state.
+single-site excitation for t_end picoseconds exactly.  One
+`solver.SectorPropagator` is built per sweep: it assembles the generator
+at zero dephasing once, checks charge conservation once and densifies the
+(n^2 + 2)-square bordered charge-sector generator once; the start state is
+validated once.  Dephasing only shifts the diagonal of the coherence
+coordinates, so each point costs one real exponential and 200
+matrix-vector steps in sector coordinates; no sample is mapped back to a
+density matrix.  The emitted columns then read as follows: j_p is the
+transfer efficiency eta(t_end) (total extracted population, the border
+coordinate of the last sample), j_q the time-integrated heat current, and
+the occupations (and the delta_n derived from them) are trajectory time
+averages.  Both time integrals are the trapezoid rule on the 201-sample
+trajectory, taken in sector coordinates; only the integral is mapped back
+to a density matrix, and the heat current, linear in rho, is evaluated
+once on it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import ChannelSet, build_liouvillian
+from .lindblad import ChannelSet, build_liouvillian, check_density_matrix
 from .network import (
     NetworkSpec,
     assemble_hamiltonian,
@@ -55,7 +61,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .solver import EigenbasisSteadyState, propagate, steady_state, transfer_efficiency
+from .solver import N_EVAL, EigenbasisSteadyState, SectorPropagator, steady_state
 
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
@@ -91,6 +97,9 @@ class SweepConfig:
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
         if self.mode == "pulse" and not (self.t_end and self.t_end > 0):
             raise ValueError("pulse mode requires a positive t_end")
+        n = self.network.n_sites
+        if self.pulse_site is not None and not 1 <= self.pulse_site <= n:
+            raise ValueError(f"pulse_site must be a site in 1..{n}, got {self.pulse_site}")
 
     def gamma_grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -170,15 +179,19 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
         site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho0[site, site] = 1.0
+        check_density_matrix(rho0)
+        propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
+        x0 = propagator.coordinates(rho0)
+        times = np.linspace(0.0, cfg.t_end, N_EVAL)
 
         def point(gamma: float) -> _Row:
             channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
-            traj = propagate(H, channels, spec, rho0, cfg.t_end)
-            rho_int = np.trapezoid(traj.states, traj.times, axis=0)
-            avg = np.diag(rho_int).real / traj.times[-1]
+            y = propagator.evolve(gamma, x0, times)
+            rho_int = propagator.state(np.trapezoid(y[:, :-1], times, axis=0))
+            avg = np.diag(rho_int).real / times[-1]
             occ = Occupations(values=avg[1:], vacuum=float(avg[0]))
             return _Row(
-                j_p=transfer_efficiency(traj),
+                j_p=float(y[-1, -1]),
                 j_q=heat_current(rho_int, H, channels, spec),
                 delta_n=delta_n(occ, spec.extract_sites),
                 vacuum=occ.vacuum,

@@ -87,6 +87,15 @@ def test_pulse_runs(network_file, tmp_path):
     assert np.all(curve.j_p <= 1.0 + 1e-9)
 
 
+def test_pulse_rejects_site_outside_the_network(network_file, tmp_path, capsys):
+    rc = main([
+        "pulse", "--network", str(network_file), "--t-end", "5", "--pulse-site", "0",
+        "--output", str(tmp_path / "pulse.csv"),
+    ])
+    assert rc == 1
+    assert "pulse_site" in capsys.readouterr().err
+
+
 def test_figure_fig3h_needs_external_file(tmp_path, capsys):
     rc = main(["figure", "--preset", "fig3h", "--output", str(tmp_path)])
     assert rc == 1

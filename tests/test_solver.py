@@ -24,6 +24,8 @@ from enaqt.reference import (
 )
 from enaqt.solver import (
     EigenbasisSteadyState,
+    SectorPropagator,
+    _sector,
     propagate,
     steady_state,
     transfer_efficiency,
@@ -414,6 +416,26 @@ class TestPropagateAgainstDenseOracle:
         rho0[1, 1] = 1.0
         with pytest.raises(NotChargeConserving):
             propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 1.0)
+
+
+class TestSectorPropagator:
+    """Dephasing as a diagonal shift of the generator built at zero dephasing."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a"])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e3])
+    def test_shifted_generator_matches_assembly_at_gamma(self, name, gamma):
+        cfg, spec, H, _, _ = preset_generators(name)
+        prop = SectorPropagator(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+        L = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma), spec)
+        sec = _sector(spec.dim)
+        m = sec.T.shape[1]
+        ref = np.zeros((m + 1, m + 1))
+        ref[:m, :m] = (sec.Tp @ L @ sec.T).real.toarray()
+        ref[m, sec.pops[sorted(spec.extract_sites)]] = cfg.gamma_ext
+        assert np.max(np.abs(prop.generator(gamma) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        vac = np.flatnonzero(sec.vac)
+        block = L[vac][:, vac].toarray()
+        assert np.max(np.abs(prop.vacuum_block(gamma) - block)) <= 1e-13 * np.max(np.abs(block))
 
 
 class TestTransferEfficiency:

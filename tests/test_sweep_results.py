@@ -6,11 +6,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import enaqt.solver
+import enaqt.sweep
 from enaqt.errors import NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
-from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry, to_internal_units
+from enaqt.network import (
+    Uniform,
+    assemble_hamiltonian,
+    generate_geometry,
+    to_internal_units,
+    validate_network,
+)
+from enaqt.observables import (
+    Occupations,
+    SweepCurve,
+    classify_sweep,
+    delta_n,
+    heat_current,
+)
+from enaqt.presets import build_preset
 from enaqt.reference import brute_force_steady_state
 from enaqt.results import emit_results, read_results_csv, read_results_json
+from enaqt.solver import propagate, transfer_efficiency
 from enaqt.sweep import SweepConfig, config_to_dict, run_sweep
 
 
@@ -99,7 +116,69 @@ class TestSweep:
         assert np.allclose(totals, 1.0, atol=1e-8)
 
 
+def pulse_sweep_by_propagate(cfg):
+    """A pulse sweep the long way: one full `propagate` per point, integrated as states."""
+    spec = to_internal_units(validate_network(cfg.network))
+    H = assemble_hamiltonian(spec)
+    site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
+    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho0[site, site] = 1.0
+    cols = {"j_p": [], "j_q": [], "delta_n": [], "vacuum": [], "occupations": []}
+    for gamma in cfg.gamma_grid():
+        channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
+        traj = propagate(H, channels, spec, rho0, cfg.t_end)
+        rho_int = np.trapezoid(traj.states, traj.times, axis=0)
+        avg = np.diag(rho_int).real / traj.times[-1]
+        occ = Occupations(values=avg[1:], vacuum=float(avg[0]))
+        cols["j_p"].append(transfer_efficiency(traj))
+        cols["j_q"].append(heat_current(rho_int, H, channels, spec))
+        cols["delta_n"].append(delta_n(occ, spec.extract_sites))
+        cols["vacuum"].append(occ.vacuum)
+        cols["occupations"].append(occ.values)
+    curve = SweepCurve(gamma_grid=cfg.gamma_grid(), **{k: np.array(v) for k, v in cols.items()})
+    return curve, classify_sweep(curve)
+
+
+class TestPulseSweep:
+    """The sweep's one sector propagator against a full `propagate` per point."""
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("fig2", dict(points=20, gamma_min=1e-2, gamma_max=1e2)),
+        ("fig3g", dict(points=8)),  # two sinks
+        ("fig2", dict(points=6, pulse_site=4)),
+    ])
+    def test_matches_propagate_per_point(self, name, overrides):
+        cfg = build_preset(name, mode="pulse", t_end=20.0, **overrides)
+        curve, cls = run_sweep(cfg)
+        ref, ref_cls = pulse_sweep_by_propagate(cfg)
+        for field in ("j_p", "j_q", "delta_n", "vacuum", "occupations"):
+            got, want = getattr(curve, field), getattr(ref, field)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), field
+        assert cls == ref_cls
+
+    def test_builds_the_generator_and_checks_the_start_state_once(self, monkeypatch):
+        calls = {"build_liouvillian": 0, "check_density_matrix": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (enaqt.sweep, enaqt.solver):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
+        run_sweep(cfg)
+        assert calls == {"build_liouvillian": 1, "check_density_matrix": 1}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("site", [-1, 0, 8])
+    def test_pulse_site_outside_the_network(self, site):
+        with pytest.raises(ValueError, match=r"pulse_site .*1\.\.7"):
+            build_preset("fig2", mode="pulse", t_end=20.0, pulse_site=site)
+
     def test_too_few_points(self, chain2_cfg):
         with pytest.raises(ValueError):
             SweepConfig(network=chain2_cfg.network, points=4)
