@@ -6,6 +6,7 @@ Usage, from the repository root:
     python3 scripts/size_series.py --output BENCH_4.json --label change
     python3 scripts/size_series.py --series presets grid --output BENCH_5.json --label change
     python3 scripts/size_series.py --series pulse --output BENCH_9.json --label change
+    python3 scripts/size_series.py --series presets --output BENCH_10.json --label change
 
 Each case runs in its own fresh interpreter, so peak RSS
 (resource.getrusage) belongs to that case alone.  Four series exist:
@@ -20,7 +21,9 @@ Each case runs in its own fresh interpreter, so peak RSS
              against `analytic_chain_current`.
     presets  every shipped steady preset (fig3h needs external data) on
              its own 60-point grid: `run_sweep(build_preset(name))`
-             REPEATS times, min and median.
+             REPEATS times, min and median.  Then a whole steady sweep of
+             each SWEEP_CHAINS-site uniform chain with the chain
+             parameters over the default 60-point grid, the same way.
     grid     one steady solve `steady_state(L)` on a GRID_SIDE x GRID_SIDE
              square lattice with the chain parameters, source at a corner
              and sink at the opposite one, and a GRID_SWEEP_POINTS-point
@@ -67,6 +70,7 @@ from pathlib import Path
 SERIES = ("chains", "presets", "grid", "pulse")
 SIZES = (8, 16, 25, 40, 48, 64)
 PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3i")
+SWEEP_CHAINS = (40, 64)
 GRID_SIDE = 10
 REPEATS = 5
 GRID_REPEATS = 3
@@ -128,17 +132,24 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
     return stats(samples), out
 
 
+def chain_network(n: int):
+    """Uniform n-site chain with the chain parameters, source at site 1 and sink at n."""
+    from enaqt.network import Uniform, Unit, generate_geometry
+
+    return generate_geometry(
+        "chain", n, Uniform(1.23e4), Uniform(60.0), inject={1}, extract={n}, unit=Unit.WAVENUMBER,
+    )
+
+
 def child_chain(n: int, mem_limit_mb: int) -> dict:
     import numpy as np
 
     from enaqt.lindblad import ChannelSet, build_liouvillian
-    from enaqt.network import Uniform, Unit, assemble_hamiltonian, generate_geometry, to_internal_units
+    from enaqt.network import assemble_hamiltonian, to_internal_units
     from enaqt.reference import ChainParams, analytic_chain_current
     from enaqt.solver import steady_state
 
-    spec = to_internal_units(generate_geometry(
-        "chain", n, Uniform(1.23e4), Uniform(60.0), inject={1}, extract={n}, unit=Unit.WAVENUMBER,
-    ))
+    spec = to_internal_units(chain_network(n))
     H = assemble_hamiltonian(spec)
     channels = ChannelSet(RATE, RATE, GAMMA_DEPH)
     out = {"sites": n, "unknowns": spec.dim**2, "blas_threads": blas_threads()}
@@ -168,9 +179,12 @@ def unknowns(n: int) -> dict:
 
 def child_preset(name: str, mem_limit_mb: int) -> dict:
     from enaqt.presets import build_preset
-    from enaqt.sweep import run_sweep
+    from enaqt.sweep import SweepConfig, run_sweep
 
-    cfg = build_preset(name)
+    if name.startswith("chain"):
+        cfg = SweepConfig(network=chain_network(int(name[5:])), gamma_inj=RATE, gamma_ext=RATE)
+    else:
+        cfg = build_preset(name)
     n = cfg.network.n_sites
     out = {"preset": name, "sites": n, **unknowns(n), "points": cfg.points,
            "blas_threads": blas_threads()}
@@ -180,7 +194,8 @@ def child_preset(name: str, mem_limit_mb: int) -> dict:
     except MemoryError:
         out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
         return out
-    out.update(status="ok", sweep_s=sweep_s, max_j_p=float(curve.j_p.max()), kind=cls.kind)
+    out.update(status="ok", sweep_s=sweep_s, max_j_p=float(curve.j_p.max()), kind=cls.kind,
+               methods=sorted(set(curve.method)))
     return out
 
 
@@ -275,6 +290,7 @@ def cases(series: list[str]) -> list[tuple[str, str]]:
             out += [("chains", str(n)) for n in SIZES]
         elif name == "presets":
             out += [("presets", p) for p in PRESETS]
+            out += [("presets", f"chain{n}") for n in SWEEP_CHAINS]
         elif name == "pulse":
             out += [("pulse", f"{p}:{g:g}") for p in PULSE_PRESETS for g in PULSE_GAMMAS]
             out += [("pulse", f"{p}:sweep") for p in PULSE_SWEEPS]

@@ -134,7 +134,8 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + rho.conj().T)
+    """Hermitian part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
 def check_density_matrix(

@@ -95,9 +95,9 @@ class SweepCurve:
     min_eigenvalue: np.ndarray | None = None  # smallest eigenvalue of rho
 
     def __post_init__(self) -> None:
-        for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "occupations", np.asarray(self.occupations, dtype=float))
+        # a curve owns its arrays: a view would keep the array it views alive
+        for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum", "occupations"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         if (self.method is None) != (self.residual is None):
             raise ValueError("method and residual are recorded together or not at all")
         if self.method is None and (self.rcond is not None or self.min_eigenvalue is not None):
@@ -109,7 +109,7 @@ class SweepCurve:
             for name in ("residual", "rcond", "min_eigenvalue"):
                 if getattr(self, name) is None:
                     continue
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
                 if getattr(self, name).shape != self.gamma_grid.shape:
                     raise ValueError(f"{name} needs one entry per grid point")
         if np.any(np.diff(self.gamma_grid) <= 0):

@@ -42,6 +42,16 @@ N_gamma has a reciprocal condition below RCOND_MIN (a dark mode at
 gamma = 0, or no injection and extraction: the steady state need not be
 unique there), or when the residual fails; every fallback is logged.
 
+The rates of a sweep are solved in blocks of at most
+max(1, BLOCK_ENTRIES // n^2), so no complex (block, n, n) stack exceeds
+256 kB: a whole 60-point grid is one block up to 16 sites, and a 40-site
+chain takes 10 rates per block.  Per rate a block forms N_gamma and
+factors it (dgetrf, dgecon and the gate); both site-block passes and the
+refinement are stacked matrix products with one dgetrs per rate, the
+residual guard applies L_base and L_deph to all the block's states at
+once, and each state is then validated on its own and handed out as its
+own copy, in the order of the rates.
+
 `steady_state(L)` solves any single generator by one real sparse LU.  The
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
 1 <= i < j <= n: n^2 + 1 real unknowns in place of (n + 1)^2 complex ones.
@@ -93,6 +103,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +127,8 @@ COND_V_MAX = 1e4
 # sit above 3e-7 (fig3d at small gamma, over 21 disorder draws); a
 # non-unique steady state gives 0.
 RCOND_MIN = 1e-10
+# entries of one complex (block, n, n) stack of the sweep solver: 256 kB
+BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
 N_EVAL = 201
 
@@ -142,10 +155,13 @@ class EigenbasisSteadyState:
     """Steady states of one network across dephasing rates, from H_eff's eigenbasis.
 
     Built once per sweep from the Hamiltonian, the network and the
-    injection and extraction rates; `solve(gamma, L_base, L_deph)` then
-    costs one n x n real LU plus O(n^4) to form N_gamma.  The full
-    generator at that gamma is L_base + gamma L_deph; the two parts are
-    used only for the residual guard, which applies each to the state
+    injection and extraction rates.  `solve(gammas, L_base, L_deph)` then
+    works through the rates in blocks of at most max(1, BLOCK_ENTRIES //
+    n^2), so no complex (block, n, n) stack exceeds 256 kB however many
+    rates there are.  Per rate it costs one n x n real LU plus O(n^4) to
+    form N_gamma; the rest of a block is stacked matrix products.  The
+    full generator at gamma is L_base + gamma L_deph; the two parts are
+    used only for the residual guard, which applies each to the states
     instead of forming their sum.
     """
 
@@ -173,43 +189,77 @@ class EigenbasisSteadyState:
         self.P = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, n * n)
         self.Q = (W[:, None, :] * W.conj()[None, :, :]).reshape(n * n, n)
 
-    def solve(self, gamma: float, L_base, L_deph) -> SteadyStateSolution | None:
-        """Steady state at dephasing rate gamma, or None after a logged gate."""
+    def solve(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateSolution | None]:
+        """Steady state at each rate of gammas, in order, or None after a logged gate.
+
+        The rates are solved one block at a time, when the first state of
+        the block is asked for; each state owns its rho.
+        """
+        gammas = np.asarray(gammas, dtype=float)
         if self.gated:
-            return None
-        den = gamma + self.delta
-        mag = np.abs(den)
-        if mag.min() <= RCOND_MIN * mag.max():
-            return _fall_back(gamma, f"the resolvent is singular: min |gamma + delta| = {mag.min():.3e}")
-        c = 1.0 / den
-        N = ((self.P * (self.delta * c).ravel()) @ self.Q).real
-        lu, piv, info = sla.lapack.dgetrf(N)
-        rcond = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0] if info == 0 else 0.0
-        if not rcond >= RCOND_MIN:
-            return _fall_back(gamma, f"N_gamma has reciprocal condition {rcond:.3e}")
+            yield from [None] * gammas.size
+            return
+        size = max(1, BLOCK_ENTRIES // self.B.size)
+        for start in range(0, gammas.size, size):
+            yield from self._solve_block(gammas[start:start + size], L_base, L_deph)
+
+    def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateSolution | None]:
+        """The states at the rates of one block, in order; None after a logged gate."""
+        n = self.B.shape[0]
+        reasons: list[str | None] = [None] * gammas.size
+        den = gammas[:, None, None] + self.delta
+        mag = np.abs(den).reshape(gammas.size, -1)
+        lo, hi = mag.min(axis=1), mag.max(axis=1)
+        singular = lo <= RCOND_MIN * hi
+        for k in np.flatnonzero(singular):
+            reasons[k] = f"the resolvent is singular: min |gamma + delta| = {lo[k]:.3e}"
+        live = np.flatnonzero(~singular)
+        c = 1.0 / den[live]
+        rcond = np.zeros(gammas.size)
+        factors, kept = [], []
+        for j, k in enumerate(live):
+            N = ((self.P * (self.delta * c[j]).ravel()) @ self.Q).real
+            lu, piv, info = sla.lapack.dgetrf(N)
+            rcond[k] = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0] if info == 0 else 0.0
+            if not rcond[k] >= RCOND_MIN:
+                reasons[k] = f"N_gamma has reciprocal condition {rcond[k]:.3e}"
+                continue
+            factors.append((lu, piv))
+            kept.append(j)
+        live, c = live[kept], c[kept]
+        g = gammas[live, None, None]
 
         def site_block(M: np.ndarray) -> np.ndarray:
-            """X solving (gamma - K) X - gamma diag(X) = M."""
+            """X solving (gamma - K) X - gamma diag(X) = M, one rate per layer."""
             Y = c * (self.W @ M @ self.Wh)
-            p = sla.lapack.dgetrs(lu, piv, np.einsum("ib,bi->i", self.V @ Y, self.Vh).real)[0]
-            Y += gamma * c * ((self.W * p) @ self.Wh)
+            q = np.einsum("kib,bi->ki", self.V @ Y, self.Vh).real
+            p = np.array([sla.lapack.dgetrs(lu, piv, q_k)[0] for (lu, piv), q_k in zip(factors, q)])
+            Y += g * c * ((self.W * p.reshape(-1, 1, n)) @ self.Wh)
             return self.V @ Y @ self.Vh
 
         X = site_block(self.B)
         KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
-        X += site_block(self.B - (gamma * (X - np.diag(np.diag(X))) - KX))
+        X += site_block(self.B - (g * (X * ~np.eye(n, dtype=bool)) - KX))
         X = hermitize(X)
-        rho = np.zeros((X.shape[0] + 1,) * 2, dtype=complex)
-        rho[0, 0] = 1.0
-        rho[1:, 1:] = X
-        rho /= 1.0 + np.trace(X).real
-        v = vec(rho)
-        res = float(np.max(np.abs(L_base @ v + gamma * (L_deph @ v))))
-        if not res <= RESIDUAL_TOL:
-            return _fall_back(gamma, f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
-        lo = check_density_matrix(rho)
-        return SteadyStateSolution(rho=rho, residual=res, method="eigenbasis",
-                                   min_eigenvalue=lo, rcond=float(rcond))
+        rho = np.zeros((live.size, n + 1, n + 1), dtype=complex)
+        rho[:, 0, 0] = 1.0
+        rho[:, 1:, 1:] = X
+        rho /= 1.0 + np.einsum("kii->k", X).real[:, None, None]
+        # column k is vec(rho_k)
+        Vm = np.ascontiguousarray(rho.transpose(0, 2, 1).reshape(live.size, (n + 1) ** 2).T)
+        res = np.abs(L_base @ Vm + (L_deph @ Vm) * gammas[live]).max(axis=0)
+        for j in np.flatnonzero(~(res <= RESIDUAL_TOL)):
+            reasons[live[j]] = f"residual {res[j]:.3e} exceeds {RESIDUAL_TOL:.1e}"
+        slot = np.full(gammas.size, -1)
+        slot[live] = np.arange(live.size)
+        for k, gamma in enumerate(gammas):
+            if reasons[k] is not None:
+                yield _fall_back(float(gamma), reasons[k])
+                continue
+            rho_k = rho[slot[k]].copy()
+            lo_k = check_density_matrix(rho_k)
+            yield SteadyStateSolution(rho=rho_k, residual=float(res[slot[k]]), method="eigenbasis",
+                                      min_eigenvalue=lo_k, rcond=float(rcond[k]))
 
 
 def _fall_back(gamma: float, reason: str) -> None:

@@ -1,6 +1,6 @@
 """Dephasing sweeps: steady-state and pulse-mode batch driver.
 
-A sweep solves the network once per grid point, in grid order, and
+A sweep solves the network at every grid point, in grid order, and
 assembles the observables into a SweepCurve; a steady sweep also records
 how each point was solved (method, residual, the reciprocal condition of
 the eigenbasis system and the smallest eigenvalue of rho).  A failing
@@ -10,14 +10,18 @@ message.
 In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
-generator is affine in each rate, L(gamma_deph) = L_base + gamma_deph *
-L_deph_unit, and both sparse parts are assembled once per sweep.  Every
-point checks its state against L_base v + gamma_deph (L_deph_unit v),
-two sparse products, without forming the sum.  A point the eigenbasis
-solver gates (ill-conditioned eigenvectors, a singular population system,
-or a failed residual) is solved by the sector LU of `solver.steady_state`
-on the summed generator instead, which is logged and recorded as its
-method.
+grid goes to the solver whole, and it solves the points in blocks of rates
+whose stacks it bounds by n alone; the sweep takes the states one by one,
+in grid order.  The generator is affine in each rate, L(gamma_deph) =
+L_base + gamma_deph * L_deph_unit, and both sparse parts are assembled
+once per sweep.  Every state is checked against L_base v + gamma_deph
+(L_deph_unit v), sparse products over a block's states, without forming
+the sum.  A point the eigenbasis solver gates (ill-conditioned
+eigenvectors, a singular population system, or a failed residual) is
+solved by the sector LU of `solver.steady_state` on the summed generator
+instead, which is logged and recorded as its method.  The observables are
+evaluated point by point, and an error raised while solving or
+evaluating a point carries that point's gamma_deph.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
@@ -39,6 +43,8 @@ once on it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +91,21 @@ class SweepConfig:
     seed: int | None = None         # echoed for reproducibility of random presets
 
     def __post_init__(self) -> None:
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 5:
             raise ValueError(f"need at least 5 grid points, got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+        for name in ("gamma_min", "gamma_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.gamma_min < 0:
+            raise ValueError(f"gamma_min must be nonnegative, got {self.gamma_min}")
+        for name in ("gamma_inj", "gamma_ext"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
         if self.spacing == "log" and self.gamma_min <= 0:
             raise ValueError("log spacing requires gamma_min > 0")
         if not self.gamma_min < self.gamma_max:
@@ -156,9 +173,12 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
         )
 
         eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+        # one state per grid point, in grid order; a block of rates is
+        # solved when the first of its points asks for its state
+        states = eigenbasis.solve(grid, L_base, L_deph)
 
         def point(gamma: float) -> _Row:
-            sol = eigenbasis.solve(gamma, L_base, L_deph)
+            sol = next(states)
             if sol is None:
                 sol = steady_state(L_base + gamma * L_deph)
             channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)

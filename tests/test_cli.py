@@ -136,3 +136,15 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "enaqt 0.1.0" in proc.stdout
+
+
+def test_sweep_rejects_an_infinite_gamma_max(tmp_path):
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "enaqt.cli", "sweep", "--preset", "fig1", "--gamma-max", "inf",
+         "--output", str(out), "--format", "json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "gamma_max" in proc.stderr
+    assert not out.exists()

@@ -266,25 +266,28 @@ class TestEigenbasis:
         cfg, spec, H, L_base, L_deph = preset_generators(name)
         solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
         sinks = sorted(spec.extract_sites)
+        gammas = np.array([1e-2, 1.0, 1e3, 1e5])  # one block on every preset
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            for gamma in (1e-2, 1.0, 1e3, 1e5):
-                sol = solver.solve(gamma, L_base, L_deph)
-                ref = steady_state(L_base + gamma * L_deph)
-                assert sol.method == "eigenbasis" and 0 < sol.rcond <= 1
-                assert sol.residual <= 1e-9
-                assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
-                j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (sol.rho, ref.rho))
-                assert abs(j_p - j_ref) <= 1e-10 * j_ref, gamma
-                assert sol.min_eigenvalue == pytest.approx(ref.min_eigenvalue, abs=1e-12)
-        assert caplog.records == []
+            solutions = list(solver.solve(gammas, L_base, L_deph))
+        assert caplog.records == [] and len(solutions) == gammas.size
+        for gamma, sol in zip(gammas, solutions):
+            ref = steady_state(L_base + gamma * L_deph)
+            assert sol.method == "eigenbasis" and 0 < sol.rcond <= 1
+            assert sol.residual <= 1e-9
+            assert sol.rho.base is None
+            assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
+            j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (sol.rho, ref.rho))
+            assert abs(j_p - j_ref) <= 1e-10 * j_ref, gamma
+            assert sol.min_eigenvalue == pytest.approx(ref.min_eigenvalue, abs=1e-12)
 
     def test_non_unique_point_is_gated(self, caplog):
         # no injection or extraction: every site state is stationary, so the
         # population system is singular and the point goes to the sector LU
         spec, H, L_base = chain_liouvillian(3, 1.0, 0.0, 0.0, 0.0)
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        solver = EigenbasisSteadyState(H, spec, 0.0, 0.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert EigenbasisSteadyState(H, spec, 0.0, 0.0).solve(2.0, L_base, L_deph) is None
+            assert list(solver.solve(np.array([2.0]), L_base, L_deph)) == [None]
         [record] = caplog.records
         assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
 
@@ -293,10 +296,50 @@ class TestEigenbasis:
         # against the generator of another dephasing rate, the state fails
         spec, H, L_base = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert EigenbasisSteadyState(H, spec, 1.0, 2.0).solve(1.0, L_base, L_deph) is None
+            assert list(solver.solve(np.array([1.0]), L_base, L_deph)) == [None]
         [record] = caplog.records
         assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
+
+    def test_gated_rate_inside_a_block_keeps_grid_order(self, caplog):
+        # checked against L(0) - L_deph + gamma 2 L_deph, the generator of
+        # dephasing 2 gamma - 1, only the states at gamma = 1 pass: in one
+        # block, the rate 3 between them is gated alone
+        spec, H, L_zero = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.0)
+        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        gammas = np.array([1.0, 1.0, 3.0, 1.0])
+        solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            solutions = list(solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph))
+        assert [sol is None for sol in solutions] == [False, False, True, False]
+        [record] = caplog.records
+        assert "gamma_deph=3" in record.getMessage() and "residual" in record.getMessage()
+        ref = steady_state(L_zero + L_deph)
+        for k in (0, 1, 3):
+            assert solutions[k].method == "eigenbasis"
+            assert np.max(np.abs(solutions[k].rho - ref.rho)) <= 1e-10
+
+    def test_blocks_bound_the_stacks_and_match_one_rate_at_a_time(self, monkeypatch):
+        # a 40-site chain holds 10 rates per block: 25 rates make three
+        # blocks, and each state equals the one solved alone
+        spec, H, L_base = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
+        _, _, L_deph = chain_liouvillian(40, 0.0, 0.0, 0.0, 1.0)
+        solver = EigenbasisSteadyState(H, spec, RATE, RATE)
+        blocks = []
+        solve_block = EigenbasisSteadyState._solve_block
+
+        def recorded(self, gammas, *args):
+            blocks.append(gammas.size)
+            return solve_block(self, gammas, *args)
+
+        monkeypatch.setattr(EigenbasisSteadyState, "_solve_block", recorded)
+        gammas = np.logspace(-2, 3, 25)
+        solutions = list(solver.solve(gammas, L_base, L_deph))
+        assert blocks == [10, 10, 5]
+        for k in (0, 12, 24):
+            [alone] = solver.solve(gammas[k:k + 1], L_base, L_deph)
+            assert np.max(np.abs(solutions[k].rho - alone.rho)) <= 1e-14
 
 
 class TestPropagate:

@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 import enaqt.solver
 import enaqt.sweep
-from enaqt.errors import NonUniqueSteadyState
+from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
     Uniform,
@@ -103,6 +104,45 @@ class TestSweep:
         with pytest.raises(NonUniqueSteadyState, match=r"gamma_deph=0\.5"):
             run_sweep(cfg)
 
+    def test_error_inside_a_block_names_its_point(self, monkeypatch, chain2_cfg):
+        # the five points form one block; the third state fails validation
+        calls = []
+        check = enaqt.solver.check_density_matrix
+
+        def third_fails(rho):
+            calls.append(rho)
+            if len(calls) == 3:
+                raise NonPhysicalState("negative eigenvalue")
+            return check(rho)
+
+        monkeypatch.setattr(enaqt.solver, "check_density_matrix", third_fails)
+        with pytest.raises(NonPhysicalState, match=r"^\[gamma_deph=1\] negative eigenvalue"):
+            run_sweep(chain2_cfg)
+        assert len(calls) == 3
+
+    def test_curve_arrays_own_their_memory(self, chain2_cfg):
+        for spacing in ("log", "linear"):
+            curve, _ = run_sweep(replace(chain2_cfg, spacing=spacing))
+            for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum", "occupations",
+                         "residual", "rcond", "min_eigenvalue"):
+                assert getattr(curve, name).base is None, (spacing, name)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # a 40-site chain solves 10 rates per block, so the stacks a sweep
+        # holds are bounded by n and not by the number of points
+        spec = generate_geometry("chain", 40, Uniform(0.0), Uniform(1.0), inject={1}, extract={40})
+
+        def traced_peak(points):
+            cfg = SweepConfig(network=spec, points=points, gamma_inj=1.0, gamma_ext=1.0)
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(240) <= 1.5 * traced_peak(60)
+
     def test_pulse_mode(self):
         spec = generate_geometry("chain", 3, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
         cfg = SweepConfig(network=spec, gamma_min=0.1, gamma_max=10.0, points=5,
@@ -194,6 +234,28 @@ class TestConfigValidation:
     def test_bad_spacing(self, chain2_cfg):
         with pytest.raises(ValueError):
             SweepConfig(network=chain2_cfg.network, spacing="cubic")
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma_min", np.nan), ("gamma_min", -np.inf),
+        ("gamma_max", np.inf), ("gamma_max", np.nan),
+        ("gamma_inj", np.nan), ("gamma_inj", np.inf), ("gamma_inj", -1.0),
+        ("gamma_ext", np.nan), ("gamma_ext", np.inf), ("gamma_ext", -1.0),
+    ])
+    def test_rates_must_be_finite_and_nonnegative(self, chain2_cfg, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(chain2_cfg, **{field: value})
+
+    def test_linear_grid_needs_nonnegative_min(self, chain2_cfg):
+        with pytest.raises(ValueError, match="gamma_min"):
+            replace(chain2_cfg, spacing="linear", gamma_min=-1.0)
+
+    @pytest.mark.parametrize("points", [60.0, 5.5, "60", None])
+    def test_points_must_be_an_integer(self, chain2_cfg, points):
+        with pytest.raises(ValueError, match="points"):
+            replace(chain2_cfg, points=points)
+
+    def test_integer_like_points_are_accepted(self, chain2_cfg):
+        assert replace(chain2_cfg, points=np.int64(7)).gamma_grid().size == 7
 
 
 class TestEmission:
