@@ -51,7 +51,15 @@ class NotChargeConserving(SolveFailure):
 
 
 class NonPhysicalState(RuntimeError):
-    """A density matrix violates hermiticity, trace or positivity bounds."""
+    """A density matrix violates hermiticity, trace or positivity bounds.
+
+    Raised on a stack of states, it names the first bad one by its
+    position in the stack as `index`; on a single state `index` is None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class GridTooCoarse(ValueError):

@@ -144,20 +144,36 @@ def check_density_matrix(
     herm_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     eig_floor: float = EIGENVALUE_FLOOR,
-) -> float:
+) -> float | np.ndarray:
     """Validate hermiticity, unit trace and positivity of rho.
 
-    Returns the smallest eigenvalue of rho, which the positivity check
-    computes anyway.  Violations raise NonPhysicalState: they indicate
-    solver bugs and must surface rather than being clipped away.
+    rho is one (d, d) matrix or a (k, d, d) stack of them.  Returns the
+    smallest eigenvalue of rho, which the positivity check computes
+    anyway, or one per state of a stack (from one stacked eigvalsh).
+    Violations, non-finite entries included, raise NonPhysicalState; on a
+    stack the error names the first bad state by its `index`.  They
+    indicate solver bugs and must surface rather than being clipped away.
     """
-    herm_err = np.max(np.abs(rho - rho.conj().T))
-    if herm_err > herm_tol:
-        raise NonPhysicalState(f"hermiticity violated by {herm_err:.3e}")
-    trace_err = abs(np.trace(rho) - 1.0)
-    if trace_err > trace_tol:
-        raise NonPhysicalState(f"trace deviates from 1 by {trace_err:.3e}")
-    lo = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if lo < eig_floor:
-        raise NonPhysicalState(f"negative eigenvalue {lo:.3e} below floor {eig_floor:.1e}")
-    return lo
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf on a non-finite state
+        herm_err = np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(-2, -1))
+        trace_err = np.abs(np.einsum("kii->k", stack) - 1.0)
+    # a NaN fails every comparison, so each check is written to pass only
+    # on a value within its bound
+    ok = finite & (herm_err <= herm_tol) & (trace_err <= trace_tol)
+    lo = np.full(ok.shape, np.nan)
+    lo[ok] = np.linalg.eigvalsh(hermitize(stack[ok])).min(axis=-1)
+    bad = np.flatnonzero(~(lo >= eig_floor))
+    if bad.size:
+        k = int(bad[0])
+        if not finite[k]:
+            msg = "non-finite entry"
+        elif not herm_err[k] <= herm_tol:
+            msg = f"hermiticity violated by {herm_err[k]:.3e}"
+        elif not trace_err[k] <= trace_tol:
+            msg = f"trace deviates from 1 by {trace_err[k]:.3e}"
+        else:
+            msg = f"negative eigenvalue {lo[k]:.3e} below floor {eig_floor:.1e}"
+        raise NonPhysicalState(msg, index=k if rho.ndim == 3 else None)
+    return lo if rho.ndim == 3 else float(lo[0])

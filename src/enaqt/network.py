@@ -111,14 +111,6 @@ class NetworkSpec:
         """Hilbert-space dimension including the vacuum."""
         return self.n_sites + 1
 
-    def coupling_map(self) -> dict[tuple[int, int], float]:
-        """Symmetric lookup {(i, j): t_ij} covering both index orders."""
-        out: dict[tuple[int, int], float] = {}
-        for i, j, t in self.couplings:
-            out[(i, j)] = t
-            out[(j, i)] = t
-        return out
-
 
 def validate_network(spec: NetworkSpec) -> NetworkSpec:
     """Check all NetworkSpec invariants, returning the spec unchanged."""

@@ -25,56 +25,81 @@ IMAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Occupations:
-    """Site populations n_i = rho_ii (i = 1..n) and the vacuum population."""
+    """Site populations n_i = rho_ii (i = 1..n) and the vacuum population.
+
+    Of a stack of k states, values is (k, n) and vacuum has k entries.
+    """
 
     values: np.ndarray
-    vacuum: float
+    vacuum: float | np.ndarray
 
 
 def occupations(rho: np.ndarray) -> Occupations:
-    diag = np.diag(rho)
-    worst_imag = float(np.max(np.abs(diag.imag)))
-    if worst_imag > IMAG_TOL:
-        raise NonPhysicalState(f"diagonal has imaginary part {worst_imag:.3e}")
+    """Populations of a (d, d) state, or of each state of a (k, d, d) stack.
+
+    A diagonal with an imaginary part above IMAG_TOL or a population below
+    OCCUPATION_FLOOR, or a non-finite one, raises NonPhysicalState; on a
+    stack the error names the first bad state by its `index`.
+    """
+    diag = np.diagonal(rho, axis1=-2, axis2=-1)
     real = diag.real
-    if float(real.min()) < OCCUPATION_FLOOR:
-        raise NonPhysicalState(f"negative occupation {real.min():.3e}")
-    return Occupations(values=real[1:].copy(), vacuum=float(real[0]))
+    worst_imag = np.atleast_1d(np.abs(diag.imag).max(axis=-1))
+    lowest = np.atleast_1d(real.min(axis=-1))
+    # written to fail on NaN, which no comparison passes
+    bad = np.flatnonzero(~((worst_imag <= IMAG_TOL) & (lowest >= OCCUPATION_FLOOR)))
+    if bad.size:
+        k = int(bad[0])
+        index = k if rho.ndim == 3 else None
+        if not worst_imag[k] <= IMAG_TOL:
+            raise NonPhysicalState(f"diagonal has imaginary part {worst_imag[k]:.3e}", index)
+        what = "negative" if lowest[k] < OCCUPATION_FLOOR else "non-finite"
+        raise NonPhysicalState(f"{what} occupation {lowest[k]:.3e}", index)
+    vacuum = real[..., 0].copy()
+    return Occupations(values=real[..., 1:].copy(), vacuum=float(vacuum) if rho.ndim == 2 else vacuum)
 
 
-def exciton_current(rho: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> float:
-    """Steady extraction rate J_p = gamma_ext * sum of sink occupations (ps^-1)."""
-    return channels.gamma_ext * float(
-        sum(rho[s, s].real for s in spec.extract_sites)
-    )
+def exciton_current(rho: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> float | np.ndarray:
+    """Steady extraction rate J_p = gamma_ext * sum of sink occupations (ps^-1).
+
+    One value for a (d, d) state, one per state of a (k, d, d) stack.
+    """
+    sinks = sorted(spec.extract_sites)
+    return _scalar(channels.gamma_ext * rho[..., sinks, sinks].real.sum(axis=-1))
 
 
 def heat_current(
     rho: np.ndarray, H: np.ndarray, channels: ChannelSet, spec: NetworkSpec
-) -> float:
+) -> float | np.ndarray:
     """Energy flow out through the extraction channels, -Tr(H L_ext[rho]).
 
     With the vacuum row of H zero this is gamma_ext * sum_e Re (H rho)_ee
     over the sinks e; per sink that reads
         gamma_ext * (eps_e rho_ee + (1/2) sum_j H_ej (rho_ej + rho_je)).
-    Linear in rho, so it also takes time-integrated states.
+    Linear in rho, so it also takes time-integrated states.  One value for
+    a (d, d) state, one per state of a (k, d, d) stack.
     """
     sinks = sorted(spec.extract_sites)
-    return channels.gamma_ext * float(np.einsum("ej,je->", H[sinks], rho[:, sinks]).real)
+    return _scalar(channels.gamma_ext * np.einsum("ej,...je->...", H[sinks], rho[..., :, sinks]).real)
 
 
-def delta_n(occ: Occupations, extract_sites: Iterable[int]) -> float:
+def delta_n(occ: Occupations, extract_sites: Iterable[int]) -> float | np.ndarray:
     """Occupation-spread metric 1 - sqrt(sum_i (n_i - n_ext)^2).
 
     n_ext is the mean occupation over the extraction sites (with several
     sinks no single reference occupation exists; the mean is the symmetric
     aggregate).  The sum runs over all sites, so a single sink contributes
     a vanishing term.  Values can be negative for widely spread
-    occupations; only the location of the maximum carries meaning.
+    occupations; only the location of the maximum carries meaning.  Of
+    the occupations of a stack it gives one value per state.
     """
-    sinks = sorted(extract_sites)
-    n_ext = float(np.mean([occ.values[s - 1] for s in sinks]))
-    return float(1.0 - np.sqrt(np.sum((occ.values - n_ext) ** 2)))
+    sinks = [s - 1 for s in sorted(extract_sites)]
+    n_ext = occ.values[..., sinks].mean(axis=-1, keepdims=True)
+    return _scalar(1.0 - np.sqrt(np.sum((occ.values - n_ext) ** 2, axis=-1)))
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A Python float for the 0-d result of a single state; a stack's array as it is."""
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -114,8 +139,8 @@ class SweepCurve:
                     raise ValueError(f"{name} needs one entry per grid point")
         if np.any(np.diff(self.gamma_grid) <= 0):
             raise ValueError("gamma_grid must be strictly increasing")
-        if float(self.j_p.min(initial=0.0)) < -1e-12:
-            raise ValueError(f"negative exciton current {self.j_p.min():.3e}")
+        if not float(self.j_p.min(initial=0.0)) >= -1e-12:  # NaN fails too
+            raise ValueError(f"negative or non-finite exciton current {self.j_p.min():.3e}")
 
     @property
     def n_points(self) -> int:

@@ -28,29 +28,39 @@ resolvent R_gamma = (gamma - K)^-1 costs O(n^3) to apply.  Per gamma, with
 rho_00 = 1, the populations p solve the real n x n system
 
     N_gamma p = gamma_inj diag(R_gamma sum_s E_ss),
-    N_gamma = P diag(delta / (gamma + delta)) Q,
+    N_gamma = Re(P diag(delta / (gamma + delta)) Q),
 
-P[i, ab] = V_ia conj(V_ib), Q[ab, j] = W_aj conj(W_bj); forming N_gamma is
-one BLAS-3 product of n^4 multiply-adds.  (The equivalent form
-I - gamma diag R_gamma diag cancels catastrophically at large gamma.)
-Then X = R_gamma(B + gamma diag p), one refinement pass on the n x n
-equation with its residual taken from H_eff itself, and rho_00 =
-1 / (1 + tr X) normalizes.  A point is gated to the sector LU below when
-cond(V) exceeds COND_V_MAX (H_eff is not normal and is defective at
-exceptional points), when the spectrum gamma + delta of the resolvent or
-N_gamma has a reciprocal condition below RCOND_MIN (a dark mode at
-gamma = 0, or no injection and extraction: the steady state need not be
-unique there), or when the residual fails; every fallback is logged.
+P[i, ab] = V_ia conj(V_ib), Q[ab, j] = W_aj conj(W_bj).  The (a, b) and
+(b, a) terms are complex conjugates (so are delta_ab and delta_ba), so
+only the m = n (n + 1) / 2 pairs a <= b are kept, weighted 2 off the
+diagonal: with P_u held C-contiguous and Q_int the (2m x n) real array of
+interleaved rows Re Q_u and -Im Q_u, both built once per sweep, N_gamma is
+the float view of P_u * delta_u / (gamma + delta_u) times Q_int, one real
+GEMM of n^3 (n + 1) multiply-adds and no copy, a quarter of the flops of
+the full complex product.  (The equivalent form I - gamma diag R_gamma
+diag cancels catastrophically at large gamma.)  Then X = R_gamma(B +
+gamma diag p), refined on the n x n equation with its residual taken from
+H_eff itself until a correction is below REFINE_TOL of 1 + tr X (one
+pass almost always; an ill-conditioned N_gamma needs more), and rho_00 = 1 / (1 +
+tr X) normalizes.  A point is gated to the sector LU below when cond(V)
+exceeds COND_V_MAX (H_eff is not normal and is defective at exceptional
+points), when the spectrum gamma + delta of the resolvent or N_gamma has
+a reciprocal condition below RCOND_MIN (a dark mode at gamma = 0, or no
+injection and extraction: the steady state need not be unique there),
+when refinement stalls, or when the residual fails; every gate is logged.
 
 The rates of a sweep are solved in blocks of at most
 max(1, BLOCK_ENTRIES // n^2), so no complex (block, n, n) stack exceeds
 256 kB: a whole 60-point grid is one block up to 16 sites, and a 40-site
 chain takes 10 rates per block.  Per rate a block forms N_gamma and
 factors it (dgetrf, dgecon and the gate); both site-block passes and the
-refinement are stacked matrix products with one dgetrs per rate, the
+refinement are stacked matrix products with one dgetrs per rate, and the
 residual guard applies L_base and L_deph to all the block's states at
-once, and each state is then validated on its own and handed out as its
-own copy, in the order of the rates.
+once.  The block is then validated by one `check_density_matrix` call on
+the stack of its states (one stacked eigvalsh) and handed out whole as a
+`SteadyStateBlock`: rho as a (k, d, d) array, the residual, rcond and
+smallest eigenvalue per rate, and a mask of the gated rows, which hold a
+zero rho and NaN diagnostics for the caller to fill from the sector LU.
 
 `steady_state(L)` solves any single generator by one real sparse LU.  The
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
@@ -93,10 +103,16 @@ builds one for a single rate and maps every sample back to rho.  The
 vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
 and which no observable reads, stay out of G; a start state that carries
 them evolves them in their own decoupled 2n-square block.  There is no
-step-size control and no stiffness limit on the dephasing rate.  Above
-about 40 sites, where the n^4 propagator stops fitting in memory,
-scipy.sparse.linalg.expm_multiply on the sparse sector generator is the
-route; at 25 sites and 201 samples it is slower than one dense expm.
+step-size control and no stiffness limit on the dephasing rate.  The
+dense propagator costs n^4 memory, so large networks trade memory for
+time against scipy.sparse.linalg.expm_multiply on the sparse sector
+generator, whose cost scales with ||G||_1 t_end instead.  Measured per
+pulse point (201 samples, t_end 20 ps, 2-core OpenBLAS host): a 40-site
+chain took 0.25-0.54 s that way against 0.9-1.3 s dense; a 64-site chain
+0.36-0.88 s in 80 MB at gamma <= 100 but 6.2 s at gamma = 1e3; fig3g
+(16 strongly coupled sites) 24-43 s against 19-27 ms dense; fig2
+125-209 ms against 4.5-7.1 ms dense.  No size wins on every preset, so
+the dense path is the only one.
 """
 
 from __future__ import annotations
@@ -111,7 +127,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, NonUniqueSteadyState, NotChargeConserving, SolveFailure
+from .errors import (
+    DimensionMismatch,
+    NonPhysicalState,
+    NonUniqueSteadyState,
+    NotChargeConserving,
+    SolveFailure,
+)
 from .lindblad import ChannelSet, build_liouvillian, check_density_matrix, hermitize, vec
 from .network import NetworkSpec
 
@@ -127,6 +149,14 @@ COND_V_MAX = 1e4
 # sit above 3e-7 (fig3d at small gamma, over 21 disorder draws); a
 # non-unique steady state gives 0.
 RCOND_MIN = 1e-10
+# Refinement of the eigenbasis solve goes on while a rate's largest
+# correction to X exceeds REFINE_TOL of 1 + tr X, for at most MAX_REFINE
+# passes; a rate still above is gated.  One pass suffices on the presets
+# but for fig3d at small gamma; a random 3-site network with a site
+# detuned by 466 ps^-1 and coupled at 0.11 ps^-1 needs more at gamma =
+# 1e-3, where one pass left J_p off by 4.5e-10 with a residual of 5e-17.
+REFINE_TOL = 1e-8
+MAX_REFINE = 4
 # entries of one complex (block, n, n) stack of the sweep solver: 256 kB
 BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
@@ -137,9 +167,23 @@ N_EVAL = 201
 class SteadyStateSolution:
     rho: np.ndarray
     residual: float         # max |L vec(rho)| in internal units
-    method: str             # "eigenbasis" or "sector_lu"
+    method: str             # "sector_lu"
     min_eigenvalue: float   # smallest eigenvalue of rho
-    rcond: float = float("nan")  # reciprocal condition of N_gamma; NaN for "sector_lu"
+
+
+@dataclass(frozen=True)
+class SteadyStateBlock:
+    """Steady states at the k rates of one block, one row per rate.
+
+    A gated row (see EigenbasisSteadyState) holds a zero rho and NaN
+    diagnostics; its point is for the sector LU to solve.
+    """
+
+    rho: np.ndarray             # (k, d, d)
+    residual: np.ndarray        # max |L vec(rho)| in internal units
+    rcond: np.ndarray           # reciprocal condition of N_gamma
+    min_eigenvalue: np.ndarray  # smallest eigenvalue of rho
+    gated: np.ndarray           # bool
 
 
 @dataclass(frozen=True)
@@ -158,11 +202,11 @@ class EigenbasisSteadyState:
     injection and extraction rates.  `solve(gammas, L_base, L_deph)` then
     works through the rates in blocks of at most max(1, BLOCK_ENTRIES //
     n^2), so no complex (block, n, n) stack exceeds 256 kB however many
-    rates there are.  Per rate it costs one n x n real LU plus O(n^4) to
-    form N_gamma; the rest of a block is stacked matrix products.  The
-    full generator at gamma is L_base + gamma L_deph; the two parts are
-    used only for the residual guard, which applies each to the states
-    instead of forming their sum.
+    rates there are.  Per rate it costs one n x n real LU plus one real
+    product of n^3 (n + 1) multiply-adds to form N_gamma; the rest of a
+    block is stacked matrix products.  The full generator at gamma is
+    L_base + gamma L_deph; the two parts are used only for the residual
+    guard, which applies each to the states instead of forming their sum.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -186,27 +230,44 @@ class EigenbasisSteadyState:
         W = np.linalg.inv(V)
         self.V, self.Vh, self.W, self.Wh = V, V.conj().T, W, W.conj().T
         self.delta = 1j * (lam[:, None] - lam.conj()[None, :])
-        self.P = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, n * n)
-        self.Q = (W[:, None, :] * W.conj()[None, :, :]).reshape(n * n, n)
+        # the (a, b) and (b, a) terms of N_gamma are complex conjugates: keep
+        # a <= b, weighted 2 off the diagonal, with Q's rows split into
+        # interleaved Re Q_u and -Im Q_u so that Re(P_u c Q_u) is one real
+        # product with the float view of P_u c, which needs P_u C-contiguous
+        a, b = np.triu_indices(n)
+        self.upper = (a, b)
+        self.P_u = np.ascontiguousarray(V[:, a] * V.conj()[:, b] * np.where(a == b, 1.0, 2.0))
+        Q_u = W[a] * W.conj()[b]
+        self.Q_int = np.empty((2 * a.size, n))
+        self.Q_int[0::2] = Q_u.real
+        self.Q_int[1::2] = -Q_u.imag
 
-    def solve(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateSolution | None]:
-        """Steady state at each rate of gammas, in order, or None after a logged gate.
+    def solve(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateBlock]:
+        """The steady states at the rates of gammas, one block of rates at a time, in order.
 
-        The rates are solved one block at a time, when the first state of
-        the block is asked for; each state owns its rho.
+        A block is solved when it is asked for.  Each gated row has been
+        logged.  A state that fails `check_density_matrix` raises
+        NonPhysicalState whose `index` is its row in the block.
         """
         gammas = np.asarray(gammas, dtype=float)
-        if self.gated:
-            yield from [None] * gammas.size
-            return
-        size = max(1, BLOCK_ENTRIES // self.B.size)
-        for start in range(0, gammas.size, size):
-            yield from self._solve_block(gammas[start:start + size], L_base, L_deph)
-
-    def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateSolution | None]:
-        """The states at the rates of one block, in order; None after a logged gate."""
         n = self.B.shape[0]
-        reasons: list[str | None] = [None] * gammas.size
+        size = max(1, BLOCK_ENTRIES // n**2)
+        for start in range(0, gammas.size, size):
+            block = gammas[start:start + size]
+            if self.gated:
+                yield _gated_block(block.size, n + 1)
+            else:
+                yield self._solve_block(block, L_base, L_deph)
+
+    def _population_matrix(self, s_u: np.ndarray) -> np.ndarray:
+        """N_gamma from s = delta / (gamma + delta) at the pairs a <= b: one real GEMM."""
+        return (self.P_u * s_u).view(float) @ self.Q_int
+
+    def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> SteadyStateBlock:
+        """The states at the rates of one block; the gated rows are logged."""
+        n = self.B.shape[0]
+        out = _gated_block(gammas.size, n + 1)
+        reasons: dict[int, str] = {}
         den = gammas[:, None, None] + self.delta
         mag = np.abs(den).reshape(gammas.size, -1)
         lo, hi = mag.min(axis=1), mag.max(axis=1)
@@ -215,10 +276,11 @@ class EigenbasisSteadyState:
             reasons[k] = f"the resolvent is singular: min |gamma + delta| = {lo[k]:.3e}"
         live = np.flatnonzero(~singular)
         c = 1.0 / den[live]
+        s_u = (self.delta * c)[:, self.upper[0], self.upper[1]]
         rcond = np.zeros(gammas.size)
         factors, kept = [], []
         for j, k in enumerate(live):
-            N = ((self.P * (self.delta * c[j]).ravel()) @ self.Q).real
+            N = self._population_matrix(s_u[j])
             lu, piv, info = sla.lapack.dgetrf(N)
             rcond[k] = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0] if info == 0 else 0.0
             if not rcond[k] >= RCOND_MIN:
@@ -238,8 +300,15 @@ class EigenbasisSteadyState:
             return self.V @ Y @ self.Vh
 
         X = site_block(self.B)
-        KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
-        X += site_block(self.B - (g * (X * ~np.eye(n, dtype=bool)) - KX))
+        off = ~np.eye(n, dtype=bool)
+        for _ in range(MAX_REFINE):
+            KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
+            dX = site_block(self.B - (g * (X * off) - KX))
+            X += dX
+            # relative to 1 + tr X, the trace of rho before it is normalized
+            step = np.abs(dX).max(axis=(1, 2)) / (1.0 + np.einsum("kii->k", X).real)
+            if np.all(step <= REFINE_TOL):
+                break
         X = hermitize(X)
         rho = np.zeros((live.size, n + 1, n + 1), dtype=complex)
         rho[:, 0, 0] = 1.0
@@ -248,24 +317,33 @@ class EigenbasisSteadyState:
         # column k is vec(rho_k)
         Vm = np.ascontiguousarray(rho.transpose(0, 2, 1).reshape(live.size, (n + 1) ** 2).T)
         res = np.abs(L_base @ Vm + (L_deph @ Vm) * gammas[live]).max(axis=0)
-        for j in np.flatnonzero(~(res <= RESIDUAL_TOL)):
-            reasons[live[j]] = f"residual {res[j]:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        slot = np.full(gammas.size, -1)
-        slot[live] = np.arange(live.size)
-        for k, gamma in enumerate(gammas):
-            if reasons[k] is not None:
-                yield _fall_back(float(gamma), reasons[k])
-                continue
-            rho_k = rho[slot[k]].copy()
-            lo_k = check_density_matrix(rho_k)
-            yield SteadyStateSolution(rho=rho_k, residual=float(res[slot[k]]), method="eigenbasis",
-                                      min_eigenvalue=lo_k, rcond=float(rcond[k]))
+        passed = (res <= RESIDUAL_TOL) & (step <= REFINE_TOL)
+        for j in np.flatnonzero(~passed):
+            if not res[j] <= RESIDUAL_TOL:
+                reasons[live[j]] = f"residual {res[j]:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            else:
+                reasons[live[j]] = f"refinement stalled at a correction of {step[j]:.3e}"
+        for k in sorted(reasons):
+            logger.warning("steady state at gamma_deph=%g: %s; falling back to the sector LU",
+                           gammas[k], reasons[k])
+        rows = live[passed]
+        out.rho[rows] = rho[passed]
+        try:
+            out.min_eigenvalue[rows] = check_density_matrix(out.rho[rows])
+        except NonPhysicalState as exc:
+            exc.index = int(rows[exc.index])  # its row in the block, not in the stack checked
+            raise
+        out.residual[rows] = res[passed]
+        out.rcond[rows] = rcond[rows]
+        out.gated[rows] = False
+        return out
 
 
-def _fall_back(gamma: float, reason: str) -> None:
-    """Log why the point at gamma goes to the sector LU; the caller gets None."""
-    logger.warning("steady state at gamma_deph=%g: %s; falling back to the sector LU", gamma, reason)
-    return None
+def _gated_block(k: int, d: int) -> SteadyStateBlock:
+    """A block of k gated rows: zero states and NaN diagnostics."""
+    nan = np.full(k, np.nan)
+    return SteadyStateBlock(rho=np.zeros((k, d, d), dtype=complex), residual=nan, rcond=nan.copy(),
+                            min_eigenvalue=nan.copy(), gated=np.ones(k, dtype=bool))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,21 @@ message.
 In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
-grid goes to the solver whole, and it solves the points in blocks of rates
-whose stacks it bounds by n alone; the sweep takes the states one by one,
-in grid order.  The generator is affine in each rate, L(gamma_deph) =
-L_base + gamma_deph * L_deph_unit, and both sparse parts are assembled
-once per sweep.  Every state is checked against L_base v + gamma_deph
-(L_deph_unit v), sparse products over a block's states, without forming
-the sum.  A point the eigenbasis solver gates (ill-conditioned
-eigenvectors, a singular population system, or a failed residual) is
-solved by the sector LU of `solver.steady_state` on the summed generator
-instead, which is logged and recorded as its method.  The observables are
-evaluated point by point, and an error raised while solving or
-evaluating a point carries that point's gamma_deph.
+grid goes to the solver whole, and it hands back blocks of rates whose
+stacks it bounds by n alone, each already validated as one stack.  The
+generator is affine in each rate, L(gamma_deph) = L_base + gamma_deph *
+L_deph_unit, and both sparse parts are assembled once per sweep.  Every
+state is checked against L_base v + gamma_deph (L_deph_unit v), sparse
+products over a block's states, without forming the sum.  A row the
+eigenbasis solver gates (ill-conditioned eigenvectors, a singular
+population system, stalled refinement or a failed residual) is filled
+from the sector LU of `solver.steady_state` on the summed generator,
+which is logged and recorded as its method.  Each observable is then
+evaluated once on the block's (k, d, d) stack, and the curve's columns
+are the blocks' arrays concatenated.  An error raised while solving or
+evaluating carries the gamma_deph of its point: a bad state in a stack
+is named by its index, a failing sector-LU solve by its row, and any
+other error in a block by the block's first point.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
@@ -37,8 +40,9 @@ coordinate of the last sample), j_q the time-integrated heat current, and
 the occupations (and the delta_n derived from them) are trajectory time
 averages.  Both time integrals are the trapezoid rule on the 201-sample
 trajectory, taken in sector coordinates; only the integral is mapped back
-to a density matrix, and the heat current, linear in rho, is evaluated
-once on it.
+to a density matrix.  The sweep collects eta and these integrals point by
+point and evaluates the heat current, linear in rho, and delta_n once on
+the stack of integrals.
 """
 
 from __future__ import annotations
@@ -142,19 +146,6 @@ def config_to_dict(cfg: SweepConfig) -> dict:
     }
 
 
-@dataclass
-class _Row:
-    j_p: float
-    j_q: float
-    delta_n: float
-    vacuum: float
-    occ: np.ndarray
-    method: str | None = None
-    residual: float | None = None
-    rcond: float | None = None
-    min_eigenvalue: float | None = None
-
-
 def _annotate(exc: Exception, gamma: float) -> None:
     head = f"[gamma_deph={gamma:g}] "
     exc.args = (head + str(exc.args[0]) if exc.args else head,) + exc.args[1:]
@@ -165,78 +156,67 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
     spec = to_internal_units(validate_network(cfg.network))
     H = assemble_hamiltonian(spec)
     grid = cfg.gamma_grid()
+    columns = _steady_columns if cfg.mode == "steady" else _pulse_columns
+    curve = SweepCurve(gamma_grid=grid, **columns(cfg, spec, H, grid))
+    return curve, classify_sweep(curve)
 
-    if cfg.mode == "steady":
-        L_base = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0), spec)
-        L_deph = build_liouvillian(
-            np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec
-        )
 
-        eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
-        # one state per grid point, in grid order; a block of rates is
-        # solved when the first of its points asks for its state
-        states = eigenbasis.solve(grid, L_base, L_deph)
+def _columns(rho: np.ndarray, occ: Occupations, H: np.ndarray, channels: ChannelSet,
+             spec: NetworkSpec) -> dict:
+    """The j_q, delta_n and occupation columns of a stack of states and their occupations."""
+    return dict(j_q=heat_current(rho, H, channels, spec), delta_n=delta_n(occ, spec.extract_sites),
+                vacuum=occ.vacuum, occupations=occ.values)
 
-        def point(gamma: float) -> _Row:
-            sol = next(states)
-            if sol is None:
-                sol = steady_state(L_base + gamma * L_deph)
-            channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
-            occ = occupations(sol.rho)
-            return _Row(
-                j_p=exciton_current(sol.rho, channels, spec),
-                j_q=heat_current(sol.rho, H, channels, spec),
-                delta_n=delta_n(occ, spec.extract_sites),
-                vacuum=occ.vacuum,
-                occ=occ.values,
-                method=sol.method,
-                residual=sol.residual,
-                rcond=sol.rcond,
-                min_eigenvalue=sol.min_eigenvalue,
-            )
 
-    else:  # pulse
-        site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
-        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
-        rho0[site, site] = 1.0
-        check_density_matrix(rho0)
-        propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
-        x0 = propagator.coordinates(rho0)
-        times = np.linspace(0.0, cfg.t_end, N_EVAL)
+def _steady_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.ndarray) -> dict:
+    L_base = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0), spec)
+    L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
+    # the currents read only gamma_ext
+    channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0)
+    eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+    parts, method = [], []
+    start = point = 0  # first grid index of the block; the point an error is charged to
+    try:
+        for block in eigenbasis.solve(grid, L_base, L_deph):
+            for k in np.flatnonzero(block.gated):
+                point = start + k
+                sol = steady_state(L_base + grid[point] * L_deph)
+                block.rho[k], block.residual[k] = sol.rho, sol.residual
+                block.min_eigenvalue[k] = sol.min_eigenvalue
+            point = start
+            occ = occupations(block.rho)
+            parts.append(dict(j_p=exciton_current(block.rho, channels, spec),
+                              **_columns(block.rho, occ, H, channels, spec),
+                              residual=block.residual, rcond=block.rcond,
+                              min_eigenvalue=block.min_eigenvalue))
+            method += ["sector_lu" if gated else "eigenbasis" for gated in block.gated]
+            start = point = start + block.gated.size
+    except Exception as exc:
+        index = getattr(exc, "index", None)
+        _annotate(exc, float(grid[point if index is None else start + index]))
+        raise
+    return dict({name: np.concatenate([p[name] for p in parts]) for name in parts[0]},
+                method=tuple(method))
 
-        def point(gamma: float) -> _Row:
-            channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
-            y = propagator.evolve(gamma, x0, times)
-            rho_int = propagator.state(np.trapezoid(y[:, :-1], times, axis=0))
-            avg = np.diag(rho_int).real / times[-1]
-            occ = Occupations(values=avg[1:], vacuum=float(avg[0]))
-            return _Row(
-                j_p=float(y[-1, -1]),
-                j_q=heat_current(rho_int, H, channels, spec),
-                delta_n=delta_n(occ, spec.extract_sites),
-                vacuum=occ.vacuum,
-                occ=occ.values,
-            )
 
-    rows = []
-    for gamma in grid:
+def _pulse_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.ndarray) -> dict:
+    site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
+    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho0[site, site] = 1.0
+    check_density_matrix(rho0)
+    propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
+    x0 = propagator.coordinates(rho0)
+    times = np.linspace(0.0, cfg.t_end, N_EVAL)
+    eta = np.empty(grid.size)
+    rho_int = np.empty((grid.size, spec.dim, spec.dim), dtype=complex)
+    for k, gamma in enumerate(grid):
         try:
-            rows.append(point(float(gamma)))
+            y = propagator.evolve(gamma, x0, times)
         except Exception as exc:
             _annotate(exc, float(gamma))
             raise
-
-    steady = cfg.mode == "steady"
-    curve = SweepCurve(
-        gamma_grid=grid,
-        j_p=np.array([r.j_p for r in rows]),
-        j_q=np.array([r.j_q for r in rows]),
-        delta_n=np.array([r.delta_n for r in rows]),
-        vacuum=np.array([r.vacuum for r in rows]),
-        occupations=np.vstack([r.occ for r in rows]),
-        method=tuple(r.method for r in rows) if steady else None,
-        residual=np.array([r.residual for r in rows]) if steady else None,
-        rcond=np.array([r.rcond for r in rows]) if steady else None,
-        min_eigenvalue=np.array([r.min_eigenvalue for r in rows]) if steady else None,
-    )
-    return curve, classify_sweep(curve)
+        eta[k] = y[-1, -1]
+        rho_int[k] = propagator.state(np.trapezoid(y[:, :-1], times, axis=0))
+    avg = np.diagonal(rho_int, axis1=1, axis2=2).real / times[-1]
+    occ = Occupations(values=avg[:, 1:], vacuum=avg[:, 0])
+    return dict(j_p=eta, **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))

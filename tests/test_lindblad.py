@@ -289,3 +289,39 @@ class TestDensityMatrixChecks:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NonPhysicalState):
             check_density_matrix(np.diag([1.2, -0.2]).astype(complex))
+
+    @pytest.mark.parametrize("rho", [
+        np.diag([np.nan, 0.5, 0.5]).astype(complex),
+        np.full((3, 3), np.nan, dtype=complex),
+        np.diag([np.inf, 0.5, 0.5]).astype(complex),
+    ], ids=["nan-diagonal", "all-nan", "inf-diagonal"])
+    def test_non_finite_state_rejected(self, rho):
+        with pytest.raises(NonPhysicalState, match="non-finite") as err:
+            check_density_matrix(rho)
+        assert err.value.index is None
+        stack = np.stack([np.eye(3, dtype=complex) / 3] * 4)
+        stack[2] = rho
+        with pytest.raises(NonPhysicalState, match="non-finite") as err:
+            check_density_matrix(stack)
+        assert err.value.index == 2
+
+    def test_stack_returns_each_smallest_eigenvalue(self):
+        rng = np.random.default_rng(1)
+        stack = np.stack([random_density_matrix(rng, 6) for _ in range(5)])
+        lo = check_density_matrix(stack)
+        assert lo.shape == (5,)
+        for k, rho in enumerate(stack):
+            assert lo[k] == pytest.approx(check_density_matrix(rho), abs=1e-15)
+
+    @pytest.mark.parametrize("defect,match", [
+        (np.array([[0, 0.1], [0, 0]]), "hermiticity"),
+        (np.diag([0.1, 0.0]), "trace"),
+        (np.diag([0.6, -0.6]), "negative eigenvalue"),
+    ])
+    def test_stack_names_its_first_bad_state(self, defect, match):
+        stack = np.stack([np.diag([0.5, 0.5]).astype(complex)] * 5)
+        stack[3] += defect
+        stack[4] += defect
+        with pytest.raises(NonPhysicalState, match=match) as err:
+            check_density_matrix(stack)
+        assert err.value.index == 3

@@ -44,6 +44,25 @@ class TestOccupations:
         with pytest.raises(NonPhysicalState):
             occupations(rho)
 
+    def test_nan_population_rejected(self):
+        rho = np.diag([np.nan, 1.0, 0.0]).astype(complex)
+        with pytest.raises(NonPhysicalState, match="non-finite") as err:
+            occupations(rho)
+        assert err.value.index is None
+        stack = np.stack([np.diag([0.2, 0.3, 0.5]).astype(complex)] * 3)
+        stack[1] = rho
+        with pytest.raises(NonPhysicalState, match="non-finite") as err:
+            occupations(stack)
+        assert err.value.index == 1
+
+    def test_stack_names_its_first_bad_state(self):
+        stack = np.stack([np.diag([0.5, 0.5]).astype(complex)] * 4)
+        stack[2, 1, 1] += 1e-6j
+        stack[3] = np.diag([1.2, -0.2])
+        with pytest.raises(NonPhysicalState, match="imaginary") as err:
+            occupations(stack)
+        assert err.value.index == 2
+
     def test_strong_dephasing_builds_linear_gradient(self, symmetric_chain):
         spec, H = symmetric_chain
         sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 100.0), spec))
@@ -53,6 +72,37 @@ class TestOccupations:
         # interior steps are uniform: the density profile is a straight slope
         interior = drops[:-1]
         assert np.max(np.abs(interior - interior.mean())) < 0.05 * abs(interior.mean())
+
+
+class TestStacks:
+    """Each observable of a (k, d, d) stack equals its values state by state."""
+
+    def test_stack_matches_each_state(self):
+        rng = np.random.default_rng(3)
+        spec = generate_geometry("ring", 5, Uniform(0.0), Uniform(1.0), inject={1}, extract={3, 4})
+        H = assemble_hamiltonian(spec)
+        channels = ChannelSet(1.0, 2.5, 0.0)
+        stack = np.stack([random_density_matrix(rng, spec.dim) for _ in range(4)])
+        occ = occupations(stack)
+        assert occ.values.shape == (4, 5) and occ.vacuum.shape == (4,)
+        j_p = exciton_current(stack, channels, spec)
+        j_q = heat_current(stack, H, channels, spec)
+        dn = delta_n(occ, spec.extract_sites)
+        for k, rho in enumerate(stack):
+            one = occupations(rho)
+            assert np.array_equal(occ.values[k], one.values) and occ.vacuum[k] == one.vacuum
+            assert j_p[k] == pytest.approx(exciton_current(rho, channels, spec), rel=1e-14)
+            assert j_q[k] == pytest.approx(heat_current(rho, H, channels, spec), rel=1e-12, abs=1e-15)
+            assert dn[k] == pytest.approx(delta_n(one, spec.extract_sites), rel=1e-14)
+
+    def test_single_state_gives_floats(self):
+        spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        H = assemble_hamiltonian(spec)
+        occ = occupations(rho)
+        values = (occ.vacuum, exciton_current(rho, ChannelSet(1, 1, 0), spec),
+                  heat_current(rho, H, ChannelSet(1, 1, 0), spec), delta_n(occ, {2}))
+        assert all(type(v) is float for v in values)
 
 
 class TestExcitonCurrent:
@@ -211,6 +261,15 @@ class TestCurveInvariants:
             SweepCurve(
                 gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
                 j_p=[-1e-6, 1, 1, 1, 1], j_q=np.ones(5), delta_n=np.ones(5),
+                vacuum=np.ones(5), occupations=np.ones((5, 2)),
+            )
+
+    def test_nan_current_rejected(self):
+        # a NaN would otherwise be the argmax that classify_sweep reads
+        with pytest.raises(ValueError, match="non-finite"):
+            SweepCurve(
+                gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
+                j_p=[np.nan, 1, 2, 1, 0.5], j_q=np.ones(5), delta_n=np.ones(5),
                 vacuum=np.ones(5), occupations=np.ones((5, 2)),
             )
 

@@ -4,8 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+import enaqt.solver
 from conftest import random_density_matrix, spectral_gap
-from enaqt.errors import DimensionMismatch, NonUniqueSteadyState, NotChargeConserving, SolveFailure
+from enaqt.errors import (
+    DimensionMismatch,
+    NonPhysicalState,
+    NonUniqueSteadyState,
+    NotChargeConserving,
+    SolveFailure,
+)
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
     NetworkSpec,
@@ -258,6 +265,14 @@ def preset_generators(name):
     return cfg, spec, H, L_base, L_deph
 
 
+def full_population_matrix(solver, gamma):
+    """N_gamma = Re(P diag(delta / (gamma + delta)) Q) over all n^2 pairs (a, b), in complex arithmetic."""
+    n = solver.V.shape[0]
+    P = (solver.V[:, :, None] * solver.V.conj()[:, None, :]).reshape(n, n * n)
+    Q = (solver.W[:, None, :] * solver.W.conj()[None, :, :]).reshape(n * n, n)
+    return ((P * (solver.delta / (gamma + solver.delta)).ravel()) @ Q).real
+
+
 class TestEigenbasis:
     """The sweep solver in the eigenbasis of H_eff against the sector LU."""
 
@@ -268,17 +283,32 @@ class TestEigenbasis:
         sinks = sorted(spec.extract_sites)
         gammas = np.array([1e-2, 1.0, 1e3, 1e5])  # one block on every preset
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            solutions = list(solver.solve(gammas, L_base, L_deph))
-        assert caplog.records == [] and len(solutions) == gammas.size
-        for gamma, sol in zip(gammas, solutions):
+            [block] = solver.solve(gammas, L_base, L_deph)
+        assert caplog.records == [] and not block.gated.any()
+        assert block.rho.shape == (gammas.size, spec.dim, spec.dim) and block.rho.base is None
+        assert np.all((0 < block.rcond) & (block.rcond <= 1)) and np.all(block.residual <= 1e-9)
+        for k, gamma in enumerate(gammas):
             ref = steady_state(L_base + gamma * L_deph)
-            assert sol.method == "eigenbasis" and 0 < sol.rcond <= 1
-            assert sol.residual <= 1e-9
-            assert sol.rho.base is None
-            assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
-            j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (sol.rho, ref.rho))
+            rho = block.rho[k]
+            assert np.max(np.abs(rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
+            j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (rho, ref.rho))
             assert abs(j_p - j_ref) <= 1e-10 * j_ref, gamma
-            assert sol.min_eigenvalue == pytest.approx(ref.min_eigenvalue, abs=1e-12)
+            assert block.min_eigenvalue[k] == pytest.approx(ref.min_eigenvalue, abs=1e-12)
+
+    @pytest.mark.parametrize("name", [p for p in PRESET_NAMES if p != "fig3h"] + ["chain40"])
+    def test_half_term_population_matrix_matches_full_product(self, name):
+        # N_gamma from the a <= b terms against the product over all n^2 terms
+        if name == "chain40":
+            spec, H, _ = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
+            solver = EigenbasisSteadyState(H, spec, RATE, RATE)
+        else:
+            cfg, spec, H, _, _ = preset_generators(name)
+            solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
+        assert solver.P_u.flags.c_contiguous
+        for gamma in (1e-2, 1.0, 1e3, 1e5):
+            full = full_population_matrix(solver, gamma)
+            half = solver._population_matrix((solver.delta / (gamma + solver.delta))[solver.upper])
+            assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full)), gamma
 
     def test_non_unique_point_is_gated(self, caplog):
         # no injection or extraction: every site state is stationary, so the
@@ -287,7 +317,9 @@ class TestEigenbasis:
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, 0.0, 0.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert list(solver.solve(np.array([2.0]), L_base, L_deph)) == [None]
+            [block] = solver.solve(np.array([2.0]), L_base, L_deph)
+        assert block.gated.tolist() == [True] and not block.rho.any()
+        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
         [record] = caplog.records
         assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
 
@@ -298,7 +330,9 @@ class TestEigenbasis:
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            assert list(solver.solve(np.array([1.0]), L_base, L_deph)) == [None]
+            [block] = solver.solve(np.array([1.0]), L_base, L_deph)
+        assert block.gated.tolist() == [True] and not block.rho.any()
+        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
         [record] = caplog.records
         assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
 
@@ -311,35 +345,71 @@ class TestEigenbasis:
         gammas = np.array([1.0, 1.0, 3.0, 1.0])
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            solutions = list(solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph))
-        assert [sol is None for sol in solutions] == [False, False, True, False]
+            [block] = solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph)
+        assert block.gated.tolist() == [False, False, True, False]
+        assert not block.rho[2].any() and np.isnan(block.residual[2])
         [record] = caplog.records
         assert "gamma_deph=3" in record.getMessage() and "residual" in record.getMessage()
         ref = steady_state(L_zero + L_deph)
         for k in (0, 1, 3):
-            assert solutions[k].method == "eigenbasis"
-            assert np.max(np.abs(solutions[k].rho - ref.rho)) <= 1e-10
+            assert np.max(np.abs(block.rho[k] - ref.rho)) <= 1e-10
 
-    def test_blocks_bound_the_stacks_and_match_one_rate_at_a_time(self, monkeypatch):
+    def test_blocks_bound_the_stacks_and_match_one_rate_at_a_time(self):
         # a 40-site chain holds 10 rates per block: 25 rates make three
         # blocks, and each state equals the one solved alone
         spec, H, L_base = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
         _, _, L_deph = chain_liouvillian(40, 0.0, 0.0, 0.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, RATE, RATE)
-        blocks = []
-        solve_block = EigenbasisSteadyState._solve_block
-
-        def recorded(self, gammas, *args):
-            blocks.append(gammas.size)
-            return solve_block(self, gammas, *args)
-
-        monkeypatch.setattr(EigenbasisSteadyState, "_solve_block", recorded)
         gammas = np.logspace(-2, 3, 25)
-        solutions = list(solver.solve(gammas, L_base, L_deph))
-        assert blocks == [10, 10, 5]
+        blocks = list(solver.solve(gammas, L_base, L_deph))
+        assert [b.gated.size for b in blocks] == [10, 10, 5]
+        rho = np.concatenate([b.rho for b in blocks])
         for k in (0, 12, 24):
             [alone] = solver.solve(gammas[k:k + 1], L_base, L_deph)
-            assert np.max(np.abs(solutions[k].rho - alone.rho)) <= 1e-14
+            assert np.max(np.abs(rho[k] - alone.rho[0])) <= 1e-14
+
+    def test_refines_until_the_correction_is_small(self, monkeypatch, caplog):
+        # site 3, detuned by 466 and coupled at 0.11, relaxes so slowly at
+        # gamma = 1e-3 that the first correction is 2e-5 of X: one pass left
+        # J_p off by 4.5e-10, the third converges; capped at one pass, the
+        # rate is gated instead
+        spec = NetworkSpec(3, (0.0, 0.0, 466.0), ((1, 2, -0.109375), (1, 3, -0.109375)), {1}, {2})
+        H = assemble_hamiltonian(spec)
+        L_base = build_liouvillian(H, ChannelSet(1.0, 0.5, 0.0), spec)
+        L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
+        ref = steady_state(L_base + 1e-3 * L_deph).rho
+        solver = EigenbasisSteadyState(H, spec, 1.0, 0.5)
+        [block] = solver.solve(np.array([1e-3]), L_base, L_deph)
+        assert not block.gated[0]
+        assert abs(block.rho[0, 2, 2] - ref[2, 2]) <= 1e-13 * ref[2, 2].real
+        monkeypatch.setattr(enaqt.solver, "MAX_REFINE", 1)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            [block] = solver.solve(np.array([1e-3]), L_base, L_deph)
+        assert block.gated[0]
+        [record] = caplog.records
+        assert "refinement stalled" in record.getMessage()
+
+    def test_state_failing_validation_names_its_row(self, monkeypatch):
+        # the block is validated as one stack; the error names the row of
+        # the first bad state in the block, past the gated rows before it
+        spec, H, L_zero = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.0)
+        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
+        check = enaqt.solver.check_density_matrix
+        stacks = []
+
+        def second_made_negative(rho):
+            stacks.append(rho.shape)
+            rho = rho.copy()
+            rho[1] += np.diag([0.0, 0.5, -0.5, 0.0])
+            return check(rho)
+
+        monkeypatch.setattr(enaqt.solver, "check_density_matrix", second_made_negative)
+        # rows 0 and 2 pass the residual guard, row 1 is gated
+        gammas = np.array([1.0, 3.0, 1.0, 1.0])
+        with pytest.raises(NonPhysicalState, match="negative eigenvalue") as err:
+            list(solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph))
+        assert err.value.index == 2 and stacks == [(3, 4, 4)]
 
 
 class TestPropagate:

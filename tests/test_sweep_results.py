@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import enaqt.solver
 import enaqt.sweep
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
+    NetworkSpec,
     Uniform,
     assemble_hamiltonian,
     generate_geometry,
@@ -28,7 +31,7 @@ from enaqt.observables import (
 from enaqt.presets import build_preset
 from enaqt.reference import brute_force_steady_state
 from enaqt.results import emit_results, read_results_csv, read_results_json
-from enaqt.solver import propagate, transfer_efficiency
+from enaqt.solver import propagate, steady_state, transfer_efficiency
 from enaqt.sweep import SweepConfig, config_to_dict, run_sweep
 
 
@@ -86,6 +89,17 @@ class TestSweep:
             rho = brute_force_steady_state(build_liouvillian(H, ChannelSet(1.0, 4.0, gamma), spec))
             assert np.max(np.abs(curve.occupations[k] - np.diag(rho).real[1:])) < 1e-10
 
+    def test_sweep_without_injection_stays_in_the_eigenbasis(self):
+        # with no injection the steady state is the vacuum: X = 0 at every rate
+        spec = generate_geometry("chain", 3, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
+        cfg = SweepConfig(network=spec, gamma_min=0.1, gamma_max=10.0, points=5,
+                          gamma_inj=0.0, gamma_ext=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve, _ = run_sweep(cfg)
+        assert curve.method == ("eigenbasis",) * 5
+        assert np.all(curve.vacuum == 1.0) and not curve.occupations.any()
+
     def test_dark_mode_at_zero_dephasing_is_non_unique(self):
         # the 4-ring's eigenmode (0, 1, 0, -1)/sqrt(2) vanishes on the sink
         # (site 3), so at gamma_deph = 0 it is a second stationary state
@@ -105,20 +119,50 @@ class TestSweep:
             run_sweep(cfg)
 
     def test_error_inside_a_block_names_its_point(self, monkeypatch, chain2_cfg):
-        # the five points form one block; the third state fails validation
-        calls = []
+        # the five points form one block, validated as one stack; its third
+        # state is made non-positive, so the error names the third point
+        stacks = []
         check = enaqt.solver.check_density_matrix
 
-        def third_fails(rho):
-            calls.append(rho)
-            if len(calls) == 3:
-                raise NonPhysicalState("negative eigenvalue")
+        def third_made_negative(rho):
+            stacks.append(rho.shape)
+            rho = rho.copy()
+            rho[2] += np.diag([0.0, 0.5, -0.5])
             return check(rho)
 
-        monkeypatch.setattr(enaqt.solver, "check_density_matrix", third_fails)
+        monkeypatch.setattr(enaqt.solver, "check_density_matrix", third_made_negative)
         with pytest.raises(NonPhysicalState, match=r"^\[gamma_deph=1\] negative eigenvalue"):
             run_sweep(chain2_cfg)
-        assert len(calls) == 3
+        assert stacks == [(5, 3, 3)]
+
+    def test_failing_fallback_inside_a_block_names_its_point(self, monkeypatch, chain2_cfg, caplog):
+        # rcond falls from 0.81 to 0.11 along the grid: with the gate at 0.25
+        # the last two points of the one block go to the sector LU, and the
+        # first of them fails
+        monkeypatch.setattr(enaqt.solver, "RCOND_MIN", 0.25)
+        solved = []
+
+        def fails(L):
+            solved.append(L)
+            raise NonUniqueSteadyState("singular")
+
+        monkeypatch.setattr(enaqt.sweep, "steady_state", fails)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            with pytest.raises(NonUniqueSteadyState, match=r"^\[gamma_deph=3\.16228\] singular"):
+                run_sweep(chain2_cfg)
+        assert len(solved) == 1 and len(caplog.records) == 2
+
+    def test_methods_are_the_two_shared_literals(self, chain2_result):
+        # a curve kept per sweep holds one reference per point to one of two
+        # strings, never a fresh string (or a numpy string) per point
+        spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+        fallback = SweepConfig(network=spec, gamma_min=0.1, gamma_max=10.0, points=5,
+                               gamma_inj=1.0, gamma_ext=4.0)
+        curves = [chain2_result[0], run_sweep(fallback)[0]]
+        assert [set(c.method) for c in curves] == [{"eigenbasis"}, {"sector_lu"}]
+        methods = [m for c in curves for m in c.method]
+        assert all(type(m) is str for m in methods)
+        assert len({id(m) for m in methods}) == 2
 
     def test_curve_arrays_own_their_memory(self, chain2_cfg):
         for spacing in ("log", "linear"):
@@ -154,6 +198,57 @@ class TestSweep:
         # still account for the whole pulse
         totals = curve.vacuum + curve.occupations.sum(axis=1)
         assert np.allclose(totals, 1.0, atol=1e-8)
+
+
+@st.composite
+def random_networks(draw):
+    """A connected network of 2-10 sites and its injection and extraction rates (ps^-1).
+
+    On-site energies spread over 0-1000, couplings of either sign with
+    magnitudes 0.1-100 (one shared value in some draws), one or more
+    sources and sinks, and rates 0.1-100.
+    """
+    n = draw(st.integers(2, 10))
+    spread = draw(st.floats(0.0, 1000.0))
+    energies = [spread * draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    # a random spanning tree keeps the network connected; extra edges close loops
+    edges = {(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    magnitude = st.floats(0.1, 100.0)
+    shared = draw(st.none() | magnitude)
+    couplings = [(i, j, draw(st.sampled_from([-1.0, 1.0])) * (shared or draw(magnitude)))
+                 for i, j in sorted(edges)]
+    order = draw(st.permutations(range(1, n + 1)))
+    n_src = draw(st.integers(1, n - 1))
+    n_snk = draw(st.integers(1, n - n_src))
+    spec = NetworkSpec(n, energies, couplings, order[:n_src], order[n_src:n_src + n_snk])
+    rate = st.floats(0.1, 100.0)
+    return spec, draw(rate), draw(rate)
+
+
+class TestRandomNetworks:
+    @settings(max_examples=60, deadline=None)
+    @given(random_networks())
+    # site 3, detuned and weakly coupled, relaxes so slowly at gamma = 1e-3
+    # that one refinement pass left J_p off by 4.5e-10
+    @example((NetworkSpec(3, (0.0, 0.0, 466.0), ((1, 2, -0.109375), (1, 3, -0.109375)), {1}, {2}),
+              1.0, 0.5))
+    def test_block_sweep_matches_sector_lu_per_point(self, drawn):
+        # the sector LU shares no factorization code with the eigenbasis
+        # blocks, and unlike the SVD oracle it stays accurate at large
+        # energy spread
+        spec, gamma_inj, gamma_ext = drawn
+        cfg = SweepConfig(network=spec, gamma_min=1e-3, gamma_max=1e5, points=9,
+                          gamma_inj=gamma_inj, gamma_ext=gamma_ext)
+        curve, _ = run_sweep(cfg)
+        H = assemble_hamiltonian(spec)
+        for k, gamma in enumerate(curve.gamma_grid):
+            ref = steady_state(build_liouvillian(H, ChannelSet(gamma_inj, gamma_ext, gamma), spec))
+            j_p = gamma_ext * sum(ref.rho[s, s].real for s in spec.extract_sites)
+            occ = np.diag(ref.rho).real[1:]
+            assert abs(curve.j_p[k] - j_p) <= 1e-10 * j_p, gamma
+            assert np.max(np.abs(curve.occupations[k] - occ)) <= 1e-10 * np.max(occ), gamma
 
 
 def pulse_sweep_by_propagate(cfg):

@@ -13,10 +13,19 @@ def uniform_chain(n, inject, extract):
     return generate_geometry("chain", n, Uniform(0.0), Uniform(1.0), inject=inject, extract=extract)
 
 
+def coupling_map(spec):
+    """Symmetric lookup {(i, j): t_ij} covering both index orders."""
+    out = {}
+    for i, j, t in spec.couplings:
+        out[(i, j)] = t
+        out[(j, i)] = t
+    return out
+
+
 def brute_force_symmetric(spec):
     """Oracle: scan every permutation for a valid involution."""
     n = spec.n_sites
-    cmap = spec.coupling_map()
+    cmap = coupling_map(spec)
     for perm in itertools.permutations(range(1, n + 1)):
         pi = {i + 1: p for i, p in enumerate(perm)}
         if any(pi[pi[s]] != s for s in pi):
