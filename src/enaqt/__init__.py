@@ -33,7 +33,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .presets import PRESET_NAMES, build_preset, preset_network, run_figure_preset
+from .presets import PRESET_NAMES, build_preset, preset_network
 from .reference import (
     ChainParams,
     analytic_chain_current,
@@ -89,7 +89,6 @@ __all__ = [
     "propagate",
     "read_results_csv",
     "read_results_json",
-    "run_figure_preset",
     "run_sweep",
     "save_network",
     "steady_state",

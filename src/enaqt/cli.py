@@ -7,7 +7,11 @@ Subcommands:
     validate  check a network file against the schema invariants
     symmetry  report the inversion-symmetry involution of a network
 
-Exit status is 0 on success and 1 on any structured error.
+Each sweep prints one summary line, `<label>: <classification> -> <file>`,
+with ` gamma*=<rate>` after an enhanced classification; `figure` puts each
+preset's inversion-symmetry verdict (`symmetric, ` or `asymmetric, `)
+before the classification.  Exit status is 0 on success and 1 on any
+structured error.
 """
 
 from __future__ import annotations
@@ -52,53 +56,27 @@ def _network_or_preset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fmo-file", default=None, help="network file for the fig3h preset")
 
 
-def _build_config(args, mode: str) -> SweepConfig:
-    overrides = {}
-    if args.gamma_min is not None:
-        overrides["gamma_min"] = args.gamma_min
-    if args.gamma_max is not None:
-        overrides["gamma_max"] = args.gamma_max
-    if args.points is not None:
-        overrides["points"] = args.points
-    if args.spacing is not None:
-        overrides["spacing"] = args.spacing
-    if args.gamma_inj is not None:
-        overrides["gamma_inj"] = args.gamma_inj
-    if args.gamma_ext is not None:
-        overrides["gamma_ext"] = args.gamma_ext
-    overrides["mode"] = mode
-    if mode == "pulse":
-        overrides["t_end"] = args.t_end
-        overrides["pulse_site"] = args.pulse_site
+def _build_config(args) -> SweepConfig:
+    grid = ("gamma_min", "gamma_max", "points", "spacing", "gamma_inj", "gamma_ext")
+    overrides = {name: getattr(args, name) for name in grid if getattr(args, name) is not None}
+    if args.command == "pulse":
+        overrides.update(mode="pulse", t_end=args.t_end, pulse_site=args.pulse_site)
     if args.preset:
-        return build_preset(
-            args.preset,
-            fmo_file=args.fmo_file,
-            seed=args.seed,
-            **overrides,
-        )
+        return build_preset(args.preset, fmo_file=args.fmo_file, seed=args.seed, **overrides)
     spec = load_network(args.network)
-    return SweepConfig(
-        network=spec,
-        label=Path(args.network).stem,
-        seed=args.seed,
-        **{k: v for k, v in overrides.items() if v is not None or k in ("t_end", "pulse_site")},
-    )
+    return SweepConfig(network=spec, label=Path(args.network).stem, seed=args.seed, **overrides)
+
+
+def _run(cfg: SweepConfig, fmt: str, path, verdict: str = "") -> None:
+    """Run one sweep, write its result file and print its summary line."""
+    curve, classification = run_sweep(cfg)
+    emit_results(curve, classification, fmt, path, config=cfg)
+    star = "" if classification.gamma_star is None else f" gamma*={classification.gamma_star:.3g}"
+    print(f"{cfg.label}: {verdict}{classification.kind}{star} -> {path}")
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args, "steady")
-    curve, classification = run_sweep(cfg)
-    emit_results(curve, classification, args.format, args.output, config=cfg)
-    print(f"{cfg.label or 'sweep'}: {classification.kind} -> {args.output}")
-    return 0
-
-
-def _cmd_pulse(args) -> int:
-    cfg = _build_config(args, "pulse")
-    curve, classification = run_sweep(cfg)
-    emit_results(curve, classification, args.format, args.output, config=cfg)
-    print(f"{cfg.label or 'pulse'}: {classification.kind} -> {args.output}")
+    _run(_build_config(args), args.format, args.output)
     return 0
 
 
@@ -111,10 +89,10 @@ def _cmd_figure(args) -> int:
             print("fig3h: skipped (no --fmo-file supplied)")
             continue
         cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed)
-        curve, classification = run_sweep(cfg)
-        path = outdir / f"{name}.{args.format}"
-        emit_results(curve, classification, args.format, path, config=cfg)
-        print(f"{name}: {classification.kind} -> {path}")
+        net = cfg.network
+        symmetric = detect_inversion_symmetry(net, site_limit=net.n_sites).symmetric
+        verdict = "symmetric, " if symmetric else "asymmetric, "
+        _run(cfg, args.format, outdir / f"{name}.{args.format}", verdict)
     return 0
 
 
@@ -159,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True, help="pulse horizon (ps)")
     p.add_argument("--pulse-site", type=int, default=None,
                    help="initially excited site (default: lowest injection site)")
-    p.set_defaults(func=_cmd_pulse)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="run figure presets")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES + ("all",))

@@ -29,6 +29,10 @@ class UnknownUnit(NetworkError):
     pass
 
 
+class NonFiniteValue(NetworkError):
+    """An on-site energy or a coupling is NaN or infinite."""
+
+
 class SearchBudgetExceeded(RuntimeError):
     """Symmetry search refused: network larger than the configured site limit."""
 

@@ -138,13 +138,7 @@ def hermitize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> float | np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> float | np.ndarray:
     """Validate hermiticity, unit trace and positivity of rho.
 
     rho is one (d, d) matrix or a (k, d, d) stack of them.  Returns the
@@ -161,19 +155,19 @@ def check_density_matrix(
         trace_err = np.abs(np.einsum("kii->k", stack) - 1.0)
     # a NaN fails every comparison, so each check is written to pass only
     # on a value within its bound
-    ok = finite & (herm_err <= herm_tol) & (trace_err <= trace_tol)
+    ok = finite & (herm_err <= HERMITICITY_TOL) & (trace_err <= TRACE_TOL)
     lo = np.full(ok.shape, np.nan)
     lo[ok] = np.linalg.eigvalsh(hermitize(stack[ok])).min(axis=-1)
-    bad = np.flatnonzero(~(lo >= eig_floor))
+    bad = np.flatnonzero(~(lo >= EIGENVALUE_FLOOR))
     if bad.size:
         k = int(bad[0])
         if not finite[k]:
             msg = "non-finite entry"
-        elif not herm_err[k] <= herm_tol:
+        elif not herm_err[k] <= HERMITICITY_TOL:
             msg = f"hermiticity violated by {herm_err[k]:.3e}"
-        elif not trace_err[k] <= trace_tol:
+        elif not trace_err[k] <= TRACE_TOL:
             msg = f"trace deviates from 1 by {trace_err[k]:.3e}"
         else:
-            msg = f"negative eigenvalue {lo[k]:.3e} below floor {eig_floor:.1e}"
+            msg = f"negative eigenvalue {lo[k]:.3e} below floor {EIGENVALUE_FLOOR:.1e}"
         raise NonPhysicalState(msg, index=k if rho.ndim == 3 else None)
     return lo if rho.ndim == 3 else float(lo[0])

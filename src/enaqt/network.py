@@ -14,6 +14,7 @@ hbar = 1.  Wavenumber inputs (cm^-1) are converted on ingestion via
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -25,6 +26,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidSize,
     NetworkError,
+    NonFiniteValue,
     OverlappingSourceSink,
     SelfCoupling,
     UnknownUnit,
@@ -119,8 +121,11 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
         raise InvalidSize(f"n_sites must be positive, got {n}")
     if len(spec.energies) != n:
         raise InvalidSize(f"expected {n} energies, got {len(spec.energies)}")
+    for site, e in enumerate(spec.energies, start=1):
+        if not math.isfinite(e):
+            raise NonFiniteValue(f"site {site} has non-finite energy {e}")
     seen: set[tuple[int, int]] = set()
-    for i, j, _t in spec.couplings:
+    for i, j, t in spec.couplings:
         if i == j:
             raise SelfCoupling(f"edge ({i}, {j}) couples a site to itself")
         if not (1 <= i <= n and 1 <= j <= n):
@@ -129,6 +134,8 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
             raise IndexOutOfRange(f"edge ({i}, {j}) must be stored with i < j")
         if (i, j) in seen:
             raise DuplicateEdge(f"edge ({i}, {j}) appears more than once")
+        if not math.isfinite(t):
+            raise NonFiniteValue(f"edge ({i}, {j}) has non-finite coupling {t}")
         seen.add((i, j))
     for name, sites in (("inject_sites", spec.inject_sites), ("extract_sites", spec.extract_sites)):
         if not sites:
@@ -283,6 +290,10 @@ def network_to_dict(spec: NetworkSpec) -> dict:
 
 
 def network_from_dict(data: dict) -> NetworkSpec:
+    if not isinstance(data, dict):
+        raise NetworkError(
+            f"malformed network file: expected a JSON object, got {type(data).__name__}"
+        )
     raw_unit = data.get("unit", Unit.ANGULAR_PS.value)
     try:
         unit = Unit(raw_unit)

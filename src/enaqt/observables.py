@@ -21,6 +21,9 @@ from .network import NetworkSpec
 
 OCCUPATION_FLOOR = -1e-10
 IMAG_TOL = 1e-10
+# an interior current maximum must exceed both endpoint values by this
+# much, relative, to classify a sweep as enhanced
+PROMINENCE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,7 @@ class SweepCurve:
     delta_n: np.ndarray
     vacuum: np.ndarray
     occupations: np.ndarray  # (points, n_sites)
-    # how each steady-state point was solved; None where not recorded (pulse
-    # mode; rcond and min_eigenvalue also in files written before they were)
+    # how each steady-state point was solved: all four or, in pulse mode, none
     method: tuple[str, ...] | None = None   # "eigenbasis" or "sector_lu"
     residual: np.ndarray | None = None      # max |L vec(rho)| in internal units
     rcond: np.ndarray | None = None         # reciprocal condition of N_gamma; NaN for "sector_lu"
@@ -123,19 +125,26 @@ class SweepCurve:
         # a curve owns its arrays: a view would keep the array it views alive
         for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum", "occupations"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-        if (self.method is None) != (self.residual is None):
-            raise ValueError("method and residual are recorded together or not at all")
-        if self.method is None and (self.rcond is not None or self.min_eigenvalue is not None):
-            raise ValueError("rcond and min_eigenvalue need the method recorded too")
+        points = self.gamma_grid.shape
+        if len(points) != 1:
+            raise ValueError(f"gamma_grid must be one-dimensional, got shape {points}")
+        for name in ("j_p", "j_q", "delta_n", "vacuum"):
+            if getattr(self, name).shape != points:
+                raise ValueError(f"{name} needs one entry per grid point")
+        if self.occupations.ndim != 2 or self.occupations.shape[0] != points[0]:
+            raise ValueError("occupations needs one row per grid point")
+        diagnostics = ("residual", "rcond", "min_eigenvalue")
+        recorded = [getattr(self, name) is not None for name in ("method",) + diagnostics]
+        if any(recorded) and not all(recorded):
+            raise ValueError("method, residual, rcond and min_eigenvalue are recorded "
+                             "together or not at all")
         if self.method is not None:
             object.__setattr__(self, "method", tuple(self.method))
-            if len(self.method) != len(self.gamma_grid):
+            if len(self.method) != points[0]:
                 raise ValueError("method needs one entry per grid point")
-            for name in ("residual", "rcond", "min_eigenvalue"):
-                if getattr(self, name) is None:
-                    continue
+            for name in diagnostics:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-                if getattr(self, name).shape != self.gamma_grid.shape:
+                if getattr(self, name).shape != points:
                     raise ValueError(f"{name} needs one entry per grid point")
         if np.any(np.diff(self.gamma_grid) <= 0):
             raise ValueError("gamma_grid must be strictly increasing")
@@ -160,12 +169,13 @@ class SweepClassification:
     delta_n_argmax: int = 0
 
 
-def classify_sweep(curve: SweepCurve, rel_tol: float = 1e-3) -> SweepClassification:
+def classify_sweep(curve: SweepCurve) -> SweepClassification:
     """Label a sweep as dephasing-enhanced or monotonically suppressed.
 
     The enhanced label requires the current maximum at an interior grid
-    point exceeding both endpoint values by more than rel_tol relative;
-    the threshold separates genuine interior maxima from solver noise.
+    point exceeding both endpoint values by more than PROMINENCE_TOL
+    relative; the threshold separates genuine interior maxima from solver
+    noise.
     Classification depends only on argmax positions and ratios, so it is
     invariant under uniform positive rescaling of the current column.
     """
@@ -175,7 +185,7 @@ def classify_sweep(curve: SweepCurve, rel_tol: float = 1e-3) -> SweepClassificat
     k = int(np.argmax(jp))
     kd = int(np.argmax(curve.delta_n))
     interior = 0 < k < curve.n_points - 1
-    prominent = jp[k] > jp[0] * (1.0 + rel_tol) and jp[k] > jp[-1] * (1.0 + rel_tol)
+    prominent = jp[k] > jp[0] * (1.0 + PROMINENCE_TOL) and jp[k] > jp[-1] * (1.0 + PROMINENCE_TOL)
     if interior and prominent:
         return SweepClassification(
             kind=ENAQT,

@@ -2,8 +2,8 @@
 
 All presets share the chromophore-scale parameters: uniform on-site energy
 1.23e4 cm^-1, coupling 60 cm^-1, and injection/extraction rates of
-5 ps^-1.  Inject/extract placements are documented conventions of this
-package, overridable via build_preset arguments:
+5 ps^-1.  Inject/extract placements are fixed conventions of this
+package:
 
     fig1    symmetric 7-site chain, inject 1, extract 7
     fig2    asymmetric 7-site chain, inject 1, extract 5 (sink pulled two
@@ -44,8 +44,7 @@ from .network import (
     generate_geometry,
     load_network,
 )
-from .observables import SweepClassification, SweepCurve
-from .sweep import DEFAULT_RATE, SweepConfig, run_sweep
+from .sweep import DEFAULT_RATE, SweepConfig
 
 SITE_ENERGY_CM = 1.23e4
 COUPLING_CM = 60.0
@@ -85,12 +84,7 @@ PRESET_NAMES = tuple(sorted(_GEOMETRIES) + ["fig3h"])
 
 
 def preset_network(
-    name: str,
-    *,
-    fmo_file=None,
-    seed: int | None = None,
-    inject=None,
-    extract=None,
+    name: str, *, fmo_file=None, seed: int | None = None
 ) -> tuple[NetworkSpec, int | None]:
     """Network for a named preset, plus the seed actually used."""
     if name == "fig3h":
@@ -111,8 +105,8 @@ def preset_network(
         params,
         e_spec,
         t_spec,
-        inject=inject if inject is not None else inj,
-        extract=extract if extract is not None else ext,
+        inject=inj,
+        extract=ext,
         seed=used_seed if used_seed is not None else 0,
         unit=Unit.WAVENUMBER,
     )
@@ -139,16 +133,3 @@ def build_preset(
         kwargs["gamma_max"] = 1e5
     kwargs.update(overrides)
     return SweepConfig(**kwargs)
-
-
-def run_figure_preset(
-    name: str,
-    *,
-    fmo_file=None,
-    seed: int | None = None,
-    **overrides,
-) -> tuple[SweepConfig, SweepCurve, SweepClassification]:
-    """Run one figure preset end to end."""
-    cfg = build_preset(name, fmo_file=fmo_file, seed=seed, **overrides)
-    curve, classification = run_sweep(cfg)
-    return cfg, curve, classification

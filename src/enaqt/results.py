@@ -16,8 +16,10 @@ records the numpy and scipy versions, the BLAS each was built against
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null when unset),
 read once per process.  Emitting and re-ingesting a JSON file is
 lossless; files without the diagnostics or environment block read back
-the same, with no diagnostics recorded, and files whose diagnostics
-block predates rcond and min_eigenvalue read back without those two.
+the same, with no diagnostics recorded.  A diagnostics block must hold
+all four columns, and every column one entry per grid point; files
+that break this, such as those written before rcond and min_eigenvalue
+were recorded, are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -168,6 +170,8 @@ def read_results_csv(path) -> SweepCurve:
             if not line or line.startswith("#") or line.startswith("gamma_deph"):
                 continue
             rows.append([float(x) for x in line.split(",")])
+    if not rows:
+        raise ValueError(f"{path} holds no data rows")
     data = np.array(rows)
     return SweepCurve(
         gamma_grid=data[:, 0],

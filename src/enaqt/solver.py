@@ -167,7 +167,6 @@ N_EVAL = 201
 class SteadyStateSolution:
     rho: np.ndarray
     residual: float         # max |L vec(rho)| in internal units
-    method: str             # "sector_lu"
     min_eigenvalue: float   # smallest eigenvalue of rho
 
 
@@ -439,7 +438,7 @@ def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray:
     return (sec.T @ x).reshape((d, d), order="F")
 
 
-def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolution:
+def steady_state(L) -> SteadyStateSolution:
     """Unique steady state of a materialized generator (dense or sparse).
 
     The generator must include at least one nonzero dissipative rate;
@@ -461,10 +460,10 @@ def steady_state(L, *, residual_tol: float = RESIDUAL_TOL) -> SteadyStateSolutio
     _check_charge_conserving(L, sec)
     rho = _sector_solve(L, sec, d)
     res = _residual(L, rho)
-    if not res <= residual_tol:
-        raise SolveFailure(f"steady-state residual {res:.3e} exceeds {residual_tol:.1e}")
+    if not res <= RESIDUAL_TOL:
+        raise SolveFailure(f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     lo = check_density_matrix(rho)
-    return SteadyStateSolution(rho=rho, residual=res, method="sector_lu", min_eigenvalue=lo)
+    return SteadyStateSolution(rho=rho, residual=res, min_eigenvalue=lo)
 
 
 class SectorPropagator:
@@ -542,8 +541,8 @@ def propagate(
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")
     check_density_matrix(rho0)
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     if n_eval < 2:
         raise ValueError(f"n_eval must be at least 2, got {n_eval}")
     if t_end == 0.0:

@@ -116,11 +116,15 @@ class SweepConfig:
             raise ValueError("gamma_min must be below gamma_max")
         if self.mode not in ("steady", "pulse"):
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.mode == "pulse" and not (self.t_end and self.t_end > 0):
             raise ValueError("pulse mode requires a positive t_end")
         n = self.network.n_sites
-        if self.pulse_site is not None and not 1 <= self.pulse_site <= n:
-            raise ValueError(f"pulse_site must be a site in 1..{n}, got {self.pulse_site}")
+        if self.pulse_site is not None and not (
+            isinstance(self.pulse_site, numbers.Integral) and 1 <= self.pulse_site <= n
+        ):
+            raise ValueError(f"pulse_site must be a site in 1..{n}, got {self.pulse_site!r}")
 
     def gamma_grid(self) -> np.ndarray:
         if self.spacing == "log":

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +38,39 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "SelfCoupling" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def infinite_energy_file(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"unit": "angular_ps", "sites": [{"energy": 0.0}, {"energy": Infinity}], '
+        '"edges": [{"i": 1, "j": 2, "t": 1.0}], "inject": [1], "extract": [2]}'
+    )
+    return path
+
+
+def test_validate_rejects_an_infinite_energy(infinite_energy_file, capsys):
+    assert main(["validate", "--network", str(infinite_energy_file)]) == 1
+    err = capsys.readouterr().err
+    assert "NonFiniteValue" in err and "site 2" in err
+
+
+def test_sweep_rejects_an_infinite_energy_before_solving(infinite_energy_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--network", str(infinite_energy_file), "--output", str(out)])
+    assert rc == 1
+    assert "error: NonFiniteValue: site 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_network_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["validate", "--network", str(path)]) == 1
+    assert "error: NetworkError: " in capsys.readouterr().err
+
+
 def test_symmetry_output(network_file, capsys):
     assert main(["symmetry", "--network", str(network_file)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -68,6 +103,24 @@ def test_sweep_linear_spacing(network_file, tmp_path):
     curve, _, config = read_results_json(out)
     assert np.allclose(curve.gamma_grid, np.linspace(1, 5, 5))
     assert config["spacing"] == "linear"
+
+
+def test_sweep_and_pulse_print_one_summary_line(network_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    grid = ["--gamma-min", "0.1", "--gamma-max", "10", "--points", "5", "--output", str(out)]
+    assert main(["sweep", "--network", str(network_file), *grid]) == 0
+    assert capsys.readouterr().out == f"chain3: monotonic_decreasing -> {out}\n"
+    assert main(["pulse", "--preset", "fig2", "--t-end", "20", "--output", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert re.fullmatch(rf"fig2: enaqt gamma\*=\S+ -> {re.escape(str(out))}\n", line)
+    assert read_results_csv(out).n_points == 60
+
+
+def test_pulse_rejects_an_infinite_horizon(network_file, tmp_path, capsys):
+    rc = main(["pulse", "--network", str(network_file), "--t-end", "inf",
+               "--output", str(tmp_path / "pulse.csv")])
+    assert rc == 1
+    assert "error: ValueError: t_end must be finite" in capsys.readouterr().err
 
 
 def test_pulse_requires_t_end(network_file, tmp_path):
@@ -127,6 +180,33 @@ def test_figure_preset_writes_file(tmp_path):
     assert rc == 0
     curve, cls, _ = read_results_json(tmp_path / "fig2.json")
     assert cls.kind == "enaqt"
+
+
+# the verdicts of tests/test_acceptance.py and the README's preset table
+FIGURE_VERDICTS = {
+    "fig1": ("symmetric", "monotonic_decreasing"),
+    "fig2": ("asymmetric", "enaqt"),
+    "fig3a": ("symmetric", "monotonic_decreasing"),
+    "fig3b": ("asymmetric", "enaqt"),
+    "fig3c": ("symmetric", "monotonic_decreasing"),
+    "fig3d": ("asymmetric", "enaqt"),
+    "fig3e": ("symmetric", "monotonic_decreasing"),
+    "fig3f": ("asymmetric", "enaqt"),
+    "fig3g": ("asymmetric", "enaqt"),
+    "fig3i": ("asymmetric", "enaqt"),
+}
+
+
+def test_figure_all_prints_each_verdict_and_gamma_star(tmp_path, capsys):
+    assert main(["figure", "--preset", "all", "--output", str(tmp_path), "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "fig3h: skipped (no --fmo-file supplied)"
+    assert len(lines) == len(FIGURE_VERDICTS) + 1
+    for line, (name, (symmetry, kind)) in zip(lines, FIGURE_VERDICTS.items()):
+        _, cls, _ = read_results_json(tmp_path / f"{name}.json")
+        assert cls.kind == kind
+        star = f" gamma*={cls.gamma_star:.3g}" if kind == "enaqt" else ""
+        assert line == f"{name}: {symmetry}, {kind}{star} -> {tmp_path / f'{name}.json'}"
 
 
 def test_console_script_version():

@@ -9,6 +9,8 @@ from enaqt.errors import (
     DuplicateEdge,
     IndexOutOfRange,
     InvalidSize,
+    NetworkError,
+    NonFiniteValue,
     OverlappingSourceSink,
     SelfCoupling,
     UnknownUnit,
@@ -70,6 +72,16 @@ class TestValidation:
     def test_empty_extract(self):
         with pytest.raises(IndexOutOfRange):
             validate_network(two_site(extract_sites=set()))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_energy_names_its_site(self, value):
+        with pytest.raises(NonFiniteValue, match="site 2"):
+            validate_network(two_site(energies=(0.0, value)))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_coupling_names_its_edge(self, value):
+        with pytest.raises(NonFiniteValue, match=r"edge \(1, 2\)"):
+            validate_network(two_site(couplings=((1, 2, value),)))
 
     def test_unsorted_edge_rejected(self):
         with pytest.raises(IndexOutOfRange):
@@ -240,6 +252,18 @@ class TestNetworkFile:
     def test_malformed_file(self):
         with pytest.raises(IndexOutOfRange):
             network_from_dict({"sites": [{"energy": 1.0}]})
+
+    @pytest.mark.parametrize("data", [[1, 2], "chain", 3.0, None])
+    def test_top_level_must_be_an_object(self, data):
+        with pytest.raises(NetworkError, match="JSON object"):
+            network_from_dict(data)
+
+    def test_infinite_energy_in_file(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"sites": [{"energy": 0.0}, {"energy": Infinity}], '
+                        '"edges": [{"i": 1, "j": 2, "t": 1.0}], "inject": [1], "extract": [2]}')
+        with pytest.raises(NonFiniteValue, match="site 2"):
+            load_network(path)
 
     def test_unknown_unit_in_file(self):
         with pytest.raises(UnknownUnit):

@@ -256,6 +256,21 @@ class TestCurveInvariants:
                 vacuum=np.ones(5), occupations=np.ones((5, 2)),
             )
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("j_p", np.ones(3), "j_p needs one entry per grid point"),
+        ("j_q", np.ones(6), "j_q needs one entry per grid point"),
+        ("delta_n", np.ones((5, 1)), "delta_n needs one entry per grid point"),
+        ("vacuum", np.ones(4), "vacuum needs one entry per grid point"),
+        ("occupations", np.ones((2, 2)), "occupations needs one row per grid point"),
+        ("occupations", np.ones(5), "occupations needs one row per grid point"),
+        ("gamma_grid", np.ones((5, 1)), "gamma_grid must be one-dimensional"),
+    ])
+    def test_columns_need_one_entry_per_point(self, name, value, message):
+        columns = dict(gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0], j_p=np.ones(5), j_q=np.ones(5),
+                       delta_n=np.ones(5), vacuum=np.ones(5), occupations=np.ones((5, 2)))
+        with pytest.raises(ValueError, match=message):
+            SweepCurve(**(columns | {name: value}))
+
     def test_negative_current_rejected(self):
         with pytest.raises(ValueError):
             SweepCurve(
@@ -284,7 +299,7 @@ class TestCurveInvariants:
                 gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
                 j_p=np.ones(5), j_q=np.ones(5), delta_n=np.ones(5),
                 vacuum=np.ones(5), occupations=np.ones((5, 2)),
-                method=method, residual=residual,
+                method=method, residual=residual, rcond=np.ones(5), min_eigenvalue=np.ones(5),
             )
 
     @pytest.mark.parametrize("extra", [
@@ -293,7 +308,9 @@ class TestCurveInvariants:
         {"method": ("eigenbasis",) * 5, "residual": np.zeros(5), "min_eigenvalue": np.ones(6)},
     ])
     def test_rcond_and_min_eigenvalue_need_one_entry_per_point(self, extra):
-        with pytest.raises(ValueError):
+        if "method" in extra:
+            extra = {"rcond": np.ones(5), "min_eigenvalue": np.ones(5)} | extra
+        with pytest.raises(ValueError, match="one entry per grid point|recorded together"):
             SweepCurve(
                 gamma_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
                 j_p=np.ones(5), j_q=np.ones(5), delta_n=np.ones(5),

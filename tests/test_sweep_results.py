@@ -309,10 +309,16 @@ class TestPulseSweep:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("site", [-1, 0, 8])
+    @pytest.mark.parametrize("site", [-1, 0, 8, 1.5, 1.0, "1"])
     def test_pulse_site_outside_the_network(self, site):
         with pytest.raises(ValueError, match=r"pulse_site .*1\.\.7"):
             build_preset("fig2", mode="pulse", t_end=20.0, pulse_site=site)
+
+    @pytest.mark.parametrize("mode", ["pulse", "steady"])
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_t_end_must_be_finite(self, chain2_cfg, mode, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            replace(chain2_cfg, mode=mode, t_end=t_end)
 
     def test_too_few_points(self, chain2_cfg):
         with pytest.raises(ValueError):
@@ -410,16 +416,38 @@ class TestEmission:
         back, _, _ = read_results_json(path)
         assert back.method == curve.method and np.all(np.isnan(back.rcond))
 
-    def test_json_from_before_rcond_is_accepted(self, tmp_path, chain2_result):
+    def test_json_from_before_rcond_is_rejected(self, tmp_path, chain2_result):
         curve, cls = chain2_result
         path = tmp_path / "out.json"
         emit_results(curve, cls, "json", path)
         doc = json.loads(path.read_text())
         del doc["diagnostics"]["rcond"], doc["diagnostics"]["min_eigenvalue"]
         path.write_text(json.dumps(doc))
-        back, _, _ = read_results_json(path)
-        assert back.method == curve.method and np.array_equal(back.residual, curve.residual)
-        assert back.rcond is None and back.min_eigenvalue is None
+        with pytest.raises(ValueError, match="recorded together"):
+            read_results_json(path)
+
+    def test_json_with_short_columns_is_rejected(self, tmp_path, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path)
+        doc = json.loads(path.read_text())
+        doc["curve"]["j_p"] = doc["curve"]["j_p"][:3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="j_p needs one entry per grid point"):
+            read_results_json(path)
+        doc["curve"]["j_p"] = curve.j_p.tolist()
+        doc["curve"]["occupations"] = doc["curve"]["occupations"][:2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="occupations needs one row per grid point"):
+            read_results_json(path)
+
+    def test_csv_without_data_rows_is_rejected(self, tmp_path, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.csv"
+        emit_results(curve, cls, "csv", path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        with pytest.raises(ValueError, match="holds no data rows"):
+            read_results_csv(path)
 
     def test_json_without_diagnostics_is_accepted(self, tmp_path, chain2_result):
         curve, cls = chain2_result
