@@ -39,7 +39,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     spacing.add_argument("--linear", dest="spacing", action="store_const", const="linear",
                          help="linear grid spacing")
     p.set_defaults(spacing=None)
-    p.add_argument("--gamma-inj", type=float, default=None, help="injection rate (ps^-1)")
     p.add_argument("--gamma-ext", type=float, default=None, help="extraction rate (ps^-1)")
     p.add_argument("--seed", type=int, default=None, help="seed for random presets")
 
@@ -58,7 +57,7 @@ def _network_or_preset(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args) -> SweepConfig:
     grid = ("gamma_min", "gamma_max", "points", "spacing", "gamma_inj", "gamma_ext")
-    overrides = {name: getattr(args, name) for name in grid if getattr(args, name) is not None}
+    overrides = {name: value for name in grid if (value := getattr(args, name, None)) is not None}
     if args.command == "pulse":
         overrides.update(mode="pulse", t_end=args.t_end, pulse_site=args.pulse_site)
     if args.preset:
@@ -127,9 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="steady-state dephasing sweep")
     _network_or_preset(p)
     _add_grid_flags(p)
+    p.add_argument("--gamma-inj", type=float, default=None, help="injection rate (ps^-1)")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
+    # a pulse has no injection channel, so it takes no --gamma-inj
     p = sub.add_parser("pulse", help="pulse-excitation dephasing sweep")
     _network_or_preset(p)
     _add_grid_flags(p)

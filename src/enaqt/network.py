@@ -289,7 +289,21 @@ def network_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
+def _site_index(value, entry: str) -> int:
+    """A site index as a network file writes it: a JSON integer, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NetworkError(
+            f"malformed network file: {entry} must be an integer site index, got {value!r}"
+        )
+    return value
+
+
 def network_from_dict(data: dict) -> NetworkSpec:
+    """Network from the JSON object of a network file.
+
+    A missing key or a wrongly typed value raises NetworkError naming it;
+    only an index outside 1..n raises IndexOutOfRange.
+    """
     if not isinstance(data, dict):
         raise NetworkError(
             f"malformed network file: expected a JSON object, got {type(data).__name__}"
@@ -304,15 +318,25 @@ def network_from_dict(data: dict) -> NetworkSpec:
         spec = NetworkSpec(
             n_sites=len(sites),
             energies=tuple(float(s["energy"]) for s in sites),
-            couplings=tuple((int(e["i"]), int(e["j"]), float(e["t"])) for e in data["edges"]),
-            inject_sites=frozenset(int(s) for s in data["inject"]),
-            extract_sites=frozenset(int(s) for s in data["extract"]),
+            couplings=tuple(
+                (_site_index(e["i"], f"edges[{k}].i"), _site_index(e["j"], f"edges[{k}].j"),
+                 float(e["t"]))
+                for k, e in enumerate(data["edges"])
+            ),
+            inject_sites=frozenset(
+                _site_index(s, f"inject[{k}]") for k, s in enumerate(data["inject"])
+            ),
+            extract_sites=frozenset(
+                _site_index(s, f"extract[{k}]") for k, s in enumerate(data["extract"])
+            ),
             unit=unit,
         )
     except NetworkError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IndexOutOfRange(f"malformed network file: {exc}") from exc
+    except KeyError as exc:
+        raise NetworkError(f"malformed network file: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"malformed network file: {exc}") from exc
     return validate_network(spec)
 
 

@@ -140,7 +140,7 @@ def config_to_dict(cfg: SweepConfig) -> dict:
         "gamma_max": cfg.gamma_max,
         "points": cfg.points,
         "spacing": cfg.spacing,
-        "gamma_inj": cfg.gamma_inj,
+        "gamma_inj": cfg.gamma_inj if cfg.mode == "steady" else 0.0,  # a pulse injects nothing
         "gamma_ext": cfg.gamma_ext,
         "mode": cfg.mode,
         "t_end": cfg.t_end,

@@ -38,6 +38,41 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "SelfCoupling" in capsys.readouterr().err
 
 
+def write_chain3(tmp_path, **changes):
+    """A 3-site chain network file with the given top-level keys replaced (None drops one)."""
+    doc = {
+        "unit": "angular_ps",
+        "sites": [{"energy": 0.0}] * 3,
+        "edges": [{"i": 1, "j": 2, "t": 1.0}, {"i": 2, "j": 3, "t": 1.0}],
+        "inject": [1],
+        "extract": [3],
+    }
+    doc.update(changes)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
+    return path
+
+
+def test_validate_rejects_non_integer_site_indices(tmp_path, capsys):
+    # int() would read these as inject [1] and edge (1, 2)
+    path = write_chain3(tmp_path, inject=[1.7],
+                        edges=[{"i": 1, "j": 2.9, "t": 1.0}, {"i": 2, "j": 3, "t": 1.0}])
+    assert main(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NetworkError: malformed network file: "
+                            "edges[0].j must be an integer site index, got 2.9\n")
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(edges=None), "missing key 'edges'"),
+    (dict(extract=["x"]), "extract[0] must be an integer site index, got 'x'"),
+])
+def test_validate_malformed_file_is_a_network_error(tmp_path, capsys, changes, message):
+    assert main(["validate", "--network", str(write_chain3(tmp_path, **changes))]) == 1
+    assert capsys.readouterr().err == f"error: NetworkError: malformed network file: {message}\n"
+
+
 @pytest.fixture()
 def infinite_energy_file(tmp_path):
     path = tmp_path / "inf.json"
@@ -138,6 +173,23 @@ def test_pulse_runs(network_file, tmp_path):
     assert rc == 0
     curve = read_results_csv(out)
     assert np.all(curve.j_p <= 1.0 + 1e-9)
+
+
+def test_pulse_takes_no_injection_rate(network_file, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["pulse", "--network", str(network_file), "--t-end", "5", "--gamma-inj", "100",
+              "--output", str(tmp_path / "pulse.csv")])
+    assert info.value.code == 2
+
+
+def test_pulse_echoes_no_injection(network_file, tmp_path):
+    out = tmp_path / "pulse.json"
+    rc = main(["pulse", "--network", str(network_file), "--t-end", "5", "--points", "5",
+               "--output", str(out), "--format", "json"])
+    assert rc == 0
+    _, _, config = read_results_json(out)
+    assert config["mode"] == "pulse"
+    assert config["gamma_inj"] == 0.0
 
 
 def test_pulse_rejects_site_outside_the_network(network_file, tmp_path, capsys):

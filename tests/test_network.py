@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -250,8 +251,32 @@ class TestNetworkFile:
         assert spec.unit == Unit.WAVENUMBER
 
     def test_malformed_file(self):
-        with pytest.raises(IndexOutOfRange):
+        # a missing key is a malformed file, not an index out of range
+        with pytest.raises(NetworkError, match="missing key 'edges'") as info:
             network_from_dict({"sites": [{"energy": 1.0}]})
+        assert type(info.value) is NetworkError
+
+    def test_wrongly_typed_value(self):
+        doc = {"sites": [{"energy": "low"}, {"energy": 0.0}], "edges": [{"i": 1, "j": 2, "t": 1.0}],
+               "inject": [1], "extract": [2]}
+        with pytest.raises(NetworkError, match="'low'") as info:
+            network_from_dict(doc)
+        assert type(info.value) is NetworkError
+
+    @pytest.mark.parametrize("value", [1.7, 2.0, "2", True, "x"])
+    @pytest.mark.parametrize("entry", ["inject[0]", "extract[0]", "edges[0].i", "edges[1].j"])
+    def test_non_integer_site_index(self, entry, value):
+        doc = {"sites": [{"energy": 0.0}] * 3,
+               "edges": [{"i": 1, "j": 2, "t": 1.0}, {"i": 2, "j": 3, "t": 1.0}],
+               "inject": [1], "extract": [3]}
+        if entry.startswith("edges"):
+            doc["edges"][int(entry[6])][entry[-1]] = value
+        else:
+            doc[entry[:-3]][0] = value
+        with pytest.raises(NetworkError, match=rf"{re.escape(entry)} must be an integer site "
+                                               rf"index, got {re.escape(repr(value))}") as info:
+            network_from_dict(doc)
+        assert type(info.value) is NetworkError
 
     @pytest.mark.parametrize("data", [[1, 2], "chain", 3.0, None])
     def test_top_level_must_be_an_object(self, data):
