@@ -298,6 +298,16 @@ def _site_index(value, entry: str) -> int:
     return value
 
 
+def _number(value, entry: str) -> float:
+    """An energy or coupling as a network file writes it: a JSON number, never a string or bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise NetworkError(f"malformed network file: {entry} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise NetworkError(f"malformed network file: {entry} is too large for a float") from None
+
+
 def network_from_dict(data: dict) -> NetworkSpec:
     """Network from the JSON object of a network file.
 
@@ -317,10 +327,10 @@ def network_from_dict(data: dict) -> NetworkSpec:
         sites = data["sites"]
         spec = NetworkSpec(
             n_sites=len(sites),
-            energies=tuple(float(s["energy"]) for s in sites),
+            energies=tuple(_number(s["energy"], f"sites[{k}].energy") for k, s in enumerate(sites)),
             couplings=tuple(
                 (_site_index(e["i"], f"edges[{k}].i"), _site_index(e["j"], f"edges[{k}].j"),
-                 float(e["t"]))
+                 _number(e["t"], f"edges[{k}].t"))
                 for k, e in enumerate(data["edges"])
             ),
             inject_sites=frozenset(

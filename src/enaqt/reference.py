@@ -17,6 +17,10 @@ at d^4 memory, and `apply_liouvillian` evaluates its action on a matrix
 without materializing the superoperator.  The tests check the closed-form
 sparse assembly of `lindblad.build_liouvillian` against both.
 
+`classical_hopping_steady_state` is the strong-dephasing oracle for the
+sweep: the populations of the Haken-Strobl rate equation, with no
+coherences at all.
+
 `dense_propagate` is the oracle for `solver.propagate`: the exponential of
 the whole dense complex kron generator, vacuum-site coherences included,
 bordered by the extracted-population row, at (d^2+1)^2 complex memory.
@@ -98,6 +102,37 @@ def brute_force_steady_state(L) -> np.ndarray:
     v = vh[-1].conj()
     rho = hermitize(v.reshape((d, d), order="F"))
     return rho / np.trace(rho).real
+
+
+def classical_hopping_steady_state(spec: NetworkSpec, channels: ChannelSet) -> Occupations:
+    """Steady occupations of incoherent hopping, the strong-dephasing limit of the network.
+
+    With the coherence rho_ij slaved to the populations, the exciton hops
+    from j to i at k_ij = 2 t_ij^2 Gamma_ij / (Gamma_ij^2 + Delta_ij^2),
+    where Gamma_ij = gamma_deph + (gamma_ext / 2) (1[i sink] + 1[j sink])
+    is the decay rate of rho_ij and Delta_ij = eps_i - eps_j, and
+
+        0 = gamma_inj p_0 1[i source] - gamma_ext p_i 1[i sink] + sum_j k_ij (p_j - p_i),
+
+    with p_0 = 1 - sum_i p_i.  This is exact for an end-to-end uniform
+    chain at every rate; otherwise it differs from the full steady state by
+    O(gamma_deph^-2).  spec must be in internal units (angular ps^-1).
+    """
+    n = spec.n_sites
+    eps = np.array(spec.energies)
+    sink = np.zeros(n)
+    sink[[s - 1 for s in spec.extract_sites]] = 1.0
+    source = np.zeros(n)
+    source[[s - 1 for s in spec.inject_sites]] = 1.0
+    k = np.zeros((n, n))
+    for i, j, t in spec.couplings:
+        a, b = i - 1, j - 1
+        decay = channels.gamma_deph + 0.5 * channels.gamma_ext * (sink[a] + sink[b])
+        k[a, b] = k[b, a] = 2.0 * t**2 * decay / (decay**2 + (eps[a] - eps[b]) ** 2)
+    # p_0 eliminated through the trace
+    A = k - np.diag(k.sum(axis=1) + channels.gamma_ext * sink) - channels.gamma_inj * source[:, None]
+    p = np.linalg.solve(A, -channels.gamma_inj * source)
+    return Occupations(values=p, vacuum=float(1.0 - p.sum()))
 
 
 def creation_op(dim: int, site: int) -> np.ndarray:

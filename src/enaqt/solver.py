@@ -52,15 +52,17 @@ when refinement stalls, or when the residual fails; every gate is logged.
 The rates of a sweep are solved in blocks of at most
 max(1, BLOCK_ENTRIES // n^2), so no complex (block, n, n) stack exceeds
 256 kB: a whole 60-point grid is one block up to 16 sites, and a 40-site
-chain takes 10 rates per block.  Per rate a block forms N_gamma and
-factors it (dgetrf, dgecon and the gate); both site-block passes and the
-refinement are stacked matrix products with one dgetrs per rate, and the
-residual guard applies L_base and L_deph to all the block's states at
-once.  The block is then validated by one `check_density_matrix` call on
-the stack of its states (one stacked eigvalsh) and handed out whole as a
-`SteadyStateBlock`: rho as a (k, d, d) array, the residual, rcond and
-smallest eigenvalue per rate, and a mask of the gated rows, which hold a
-zero rho and NaN diagnostics for the caller to fill from the sector LU.
+chain takes 10 rates per block.  A block is whole arrays: one batched GEMM
+forms its stack of N_gamma (through a complex temporary of at most
+2^13 (n + 1) entries up to 128 sites, 5.2 MB at 40), one stacked 1-norm
+condition number gates it, each site-block pass is stacked products and
+one stacked solve, and the residual guard applies L_base and L_deph to
+all its states at once.  It is validated by one `check_density_matrix`
+call on the stack of its states (one stacked eigvalsh) and handed out
+whole as a `SteadyStateBlock`: rho as a (k, d, d) array, the residual,
+rcond and smallest eigenvalue per rate, and a mask of the gated rows,
+which hold a zero rho and NaN diagnostics for the caller to fill from
+the sector LU.
 
 `steady_state(L)` solves any single generator by one real sparse LU.  The
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
@@ -201,11 +203,11 @@ class EigenbasisSteadyState:
     injection and extraction rates.  `solve(gammas, L_base, L_deph)` then
     works through the rates in blocks of at most max(1, BLOCK_ENTRIES //
     n^2), so no complex (block, n, n) stack exceeds 256 kB however many
-    rates there are.  Per rate it costs one n x n real LU plus one real
-    product of n^3 (n + 1) multiply-adds to form N_gamma; the rest of a
-    block is stacked matrix products.  The full generator at gamma is
-    L_base + gamma L_deph; the two parts are used only for the residual
-    guard, which applies each to the states instead of forming their sum.
+    rates there are.  Per rate it costs a real product of n^3 (n + 1)
+    multiply-adds to form N_gamma and n x n real solves, all stacked over
+    the block.  The full generator at gamma is L_base + gamma L_deph; the
+    two parts are used only for the residual guard, which applies each to
+    the states instead of forming their sum.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -259,8 +261,9 @@ class EigenbasisSteadyState:
                 yield self._solve_block(block, L_base, L_deph)
 
     def _population_matrix(self, s_u: np.ndarray) -> np.ndarray:
-        """N_gamma from s = delta / (gamma + delta) at the pairs a <= b: one real GEMM."""
-        return (self.P_u * s_u).view(float) @ self.Q_int
+        """N_gamma for each row of s = delta / (gamma + delta) at the pairs a <= b: one real GEMM."""
+        # the product must be C-contiguous for its float view
+        return np.multiply(self.P_u, s_u[..., None, :], order="C").view(float) @ self.Q_int
 
     def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> SteadyStateBlock:
         """The states at the rates of one block; the gated rows are logged."""
@@ -275,27 +278,22 @@ class EigenbasisSteadyState:
             reasons[k] = f"the resolvent is singular: min |gamma + delta| = {lo[k]:.3e}"
         live = np.flatnonzero(~singular)
         c = 1.0 / den[live]
-        s_u = (self.delta * c)[:, self.upper[0], self.upper[1]]
+        N = self._population_matrix((self.delta * c)[:, self.upper[0], self.upper[1]])
         rcond = np.zeros(gammas.size)
-        factors, kept = [], []
-        for j, k in enumerate(live):
-            N = self._population_matrix(s_u[j])
-            lu, piv, info = sla.lapack.dgetrf(N)
-            rcond[k] = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0] if info == 0 else 0.0
-            if not rcond[k] >= RCOND_MIN:
-                reasons[k] = f"N_gamma has reciprocal condition {rcond[k]:.3e}"
-                continue
-            factors.append((lu, piv))
-            kept.append(j)
-        live, c = live[kept], c[kept]
+        # the exact 1-norm reciprocal condition; a singular N_gamma gives 0
+        rcond[live] = 1.0 / np.linalg.cond(N, 1)
+        kept = rcond[live] >= RCOND_MIN
+        for k in live[~kept]:
+            reasons[k] = f"N_gamma has reciprocal condition {rcond[k]:.3e}"
+        live, c, N = live[kept], c[kept], N[kept]
         g = gammas[live, None, None]
 
         def site_block(M: np.ndarray) -> np.ndarray:
             """X solving (gamma - K) X - gamma diag(X) = M, one rate per layer."""
             Y = c * (self.W @ M @ self.Wh)
             q = np.einsum("kib,bi->ki", self.V @ Y, self.Vh).real
-            p = np.array([sla.lapack.dgetrs(lu, piv, q_k)[0] for (lu, piv), q_k in zip(factors, q)])
-            Y += g * c * ((self.W * p.reshape(-1, 1, n)) @ self.Wh)
+            p = np.linalg.solve(N, q[..., None])
+            Y += g * c * ((self.W * p.transpose(0, 2, 1)) @ self.Wh)
             return self.V @ Y @ self.Vh
 
         X = site_block(self.B)

@@ -64,6 +64,17 @@ def test_validate_rejects_non_integer_site_indices(tmp_path, capsys):
                             "edges[0].j must be an integer site index, got 2.9\n")
 
 
+def test_validate_rejects_energies_and_couplings_that_are_not_numbers(tmp_path, capsys):
+    # float() would read these as energy 1.0 and coupling 2.0
+    path = write_chain3(tmp_path, sites=[{"energy": 0.0}, {"energy": True}, {"energy": 0.0}],
+                        edges=[{"i": 1, "j": 2, "t": "2"}, {"i": 2, "j": 3, "t": 1.0}])
+    assert main(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NetworkError: malformed network file: "
+                            "sites[1].energy must be a number, got True\n")
+
+
 @pytest.mark.parametrize("changes, message", [
     (dict(edges=None), "missing key 'edges'"),
     (dict(extract=["x"]), "extract[0] must be an integer site index, got 'x'"),

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -226,6 +227,44 @@ class TestUnits:
             convert_units(1.0, "parsec", Unit.ANGULAR_PS)
 
 
+CHAIN3_DOC = {
+    "unit": "angular_ps",
+    "sites": [{"energy": 0.0}, {"energy": 1.0}, {"energy": 2.0}],
+    "edges": [{"i": 1, "j": 2, "t": 1.0}, {"i": 2, "j": 3, "t": 1.5}],
+    "inject": [1],
+    "extract": [3],
+}
+NUMBER_FIELDS = {"sites[1].energy": ("sites", 1, "energy"), "edges[0].t": ("edges", 0, "t")}
+
+# any value a JSON document can hold, integers beyond float range included;
+# half the draws are scalars, which the recursive strategy alone rarely gives
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-(10**500), 10**500) | st.floats() | st.text()
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def json_paths(node, path=()):
+    """The path of node and of every value inside it, as tuples of keys and list positions."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def set_field(doc, path, value):
+    """doc with the value at path replaced (the whole document for the empty path)."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 class TestNetworkFile:
     def test_round_trip(self, tmp_path):
         spec = generate_geometry(
@@ -277,6 +316,46 @@ class TestNetworkFile:
                                                rf"index, got {re.escape(repr(value))}") as info:
             network_from_dict(doc)
         assert type(info.value) is NetworkError
+
+    @pytest.mark.parametrize("value", [True, False, "1e3", "2", None, [1.0], {"t": 1.0}])
+    @pytest.mark.parametrize("entry", NUMBER_FIELDS)
+    def test_energy_and_coupling_must_be_json_numbers(self, entry, value):
+        # float() would read true as 1.0 and "1e3" as 1000.0
+        doc = set_field(copy.deepcopy(CHAIN3_DOC), NUMBER_FIELDS[entry], value)
+        with pytest.raises(NetworkError, match=rf"^malformed network file: {re.escape(entry)} must be "
+                                               rf"a number, got {re.escape(repr(value))}$") as info:
+            network_from_dict(doc)
+        assert type(info.value) is NetworkError
+
+    @pytest.mark.parametrize("value", [10**400, -(10**309)], ids=["1e400", "-1e309"])
+    @pytest.mark.parametrize("entry", NUMBER_FIELDS)
+    def test_integer_beyond_float_range_is_a_network_error(self, entry, value):
+        # float() raises OverflowError on these
+        doc = set_field(copy.deepcopy(CHAIN3_DOC), NUMBER_FIELDS[entry], value)
+        with pytest.raises(NetworkError, match=rf"{re.escape(entry)} is too large for a float") as info:
+            network_from_dict(doc)
+        assert type(info.value) is NetworkError
+
+    @pytest.mark.parametrize("entry, literal, message", [
+        ("sites[1].energy", "NaN", "site 2 has non-finite energy"),
+        ("edges[0].t", "-Infinity", r"edge \(1, 2\) has non-finite coupling"),
+    ])
+    def test_json_nan_and_infinity_are_non_finite_values(self, entry, literal, message):
+        doc = set_field(copy.deepcopy(CHAIN3_DOC), NUMBER_FIELDS[entry], json.loads(literal))
+        with pytest.raises(NonFiniteValue, match=message):
+            network_from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(json_paths(CHAIN3_DOC))), value=JSON_VALUES)
+    def test_any_json_value_in_any_field_is_a_spec_or_a_network_error(self, path, value):
+        doc = set_field(copy.deepcopy(CHAIN3_DOC), path, value)
+        try:
+            spec = network_from_dict(doc)
+        except NetworkError:
+            return
+        numbers = [s["energy"] for s in doc["sites"]] + [e["t"] for e in doc["edges"]]
+        assert all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers)
+        assert spec.energies == tuple(float(s["energy"]) for s in doc["sites"])
 
     @pytest.mark.parametrize("data", [[1, 2], "chain", 3.0, None])
     def test_top_level_must_be_an_object(self, data):

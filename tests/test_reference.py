@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,20 @@ from hypothesis import strategies as st
 
 from enaqt.errors import NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
-from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
+from enaqt.network import Uniform, Unit, assemble_hamiltonian, generate_geometry, to_internal_units
+from enaqt.presets import build_preset
 from enaqt.reference import (
     ChainParams,
     analytic_chain_current,
     analytic_chain_occupations,
     annihilation_op,
     brute_force_steady_state,
+    classical_hopping_steady_state,
     creation_op,
     dissipator,
 )
 from enaqt.solver import steady_state
+from enaqt.sweep import SweepConfig, run_sweep
 
 
 def end_to_end_chain(L, t, gi, ge, gd):
@@ -99,3 +104,47 @@ class TestBruteForce:
         L = build_liouvillian(assemble_hamiltonian(spec), ChannelSet(0, 0, 0), spec)
         with pytest.raises(NonUniqueSteadyState):
             brute_force_steady_state(L)
+
+
+def hopping_gap(cfg):
+    """The grid and the relative gap of the sweep's J_p to the classical hopping current."""
+    curve, _ = run_sweep(cfg)
+    spec = to_internal_units(cfg.network)
+    sinks = [s - 1 for s in sorted(spec.extract_sites)]
+    ref = np.array([
+        cfg.gamma_ext * classical_hopping_steady_state(
+            spec, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)).values[sinks].sum()
+        for gamma in curve.gamma_grid
+    ])
+    return curve.gamma_grid, np.abs(curve.j_p - ref) / curve.j_p
+
+
+class TestClassicalHopping:
+    """The Haken-Strobl rate equation as the strong-dephasing limit of the sweep."""
+
+    def test_two_site_rates_give_the_analytic_chain(self):
+        spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+        occ = classical_hopping_steady_state(spec, ChannelSet(1.0, 1.0, 0.0))
+        assert occ.values == pytest.approx([5 / 13, 4 / 13], abs=1e-15)
+        assert occ.vacuum == pytest.approx(4 / 13, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["fig1", "chain12"])
+    def test_exact_on_uniform_end_to_end_chains(self, name):
+        # fig1 is a 7-site chain; the match holds at every rate
+        grid = dict(gamma_min=1e-2, gamma_max=1e6, points=9)
+        if name == "fig1":
+            cfg = replace(build_preset(name), **grid)
+        else:
+            network = generate_geometry("chain", 12, Uniform(1.23e4), Uniform(60.0),
+                                        inject={1}, extract={12}, unit=Unit.WAVENUMBER)
+            cfg = SweepConfig(network=network, **grid)
+        _, gap = hopping_gap(cfg)
+        assert np.all(gap <= 1e-12), gap
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3c"])
+    def test_gap_falls_as_gamma_to_the_minus_two(self, name):
+        # 7.7e-11 on fig2 at 1e6, 1.2e-10 on fig3a and 1.3e-10 on fig3c
+        gamma, gap = hopping_gap(replace(build_preset(name), gamma_min=1e4, gamma_max=1e6, points=5))
+        slope = np.polyfit(np.log(gamma), np.log(gap), 1)[0]
+        assert -2.05 <= slope <= -1.95, slope
+        assert 1e-11 <= gap[-1] <= 1e-9

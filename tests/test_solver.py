@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import enaqt.solver
 from conftest import random_density_matrix, spectral_gap
@@ -289,10 +290,16 @@ class TestEigenbasis:
             j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (rho, ref.rho))
             assert abs(j_p - j_ref) <= 1e-10 * j_ref, gamma
             assert block.min_eigenvalue[k] == pytest.approx(ref.min_eigenvalue, abs=1e-12)
+            # the recorded rcond is exact; LAPACK's estimate from the LU factors is the oracle
+            N = full_population_matrix(solver, gamma)
+            lu, _, info = sla.lapack.dgetrf(N)
+            estimate = sla.lapack.dgecon(lu, np.linalg.norm(N, 1), norm="1")[0]
+            assert info == 0 and block.rcond[k] == pytest.approx(estimate, rel=1e-12), gamma
 
     @pytest.mark.parametrize("name", [p for p in PRESET_NAMES if p != "fig3h"] + ["chain40"])
     def test_half_term_population_matrix_matches_full_product(self, name):
-        # N_gamma from the a <= b terms against the product over all n^2 terms
+        # N_gamma from the a <= b terms against the product over all n^2 terms,
+        # and the stack of four rates from one call against one rate at a time
         if name == "chain40":
             spec, H, _ = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
             solver = EigenbasisSteadyState(H, spec, RATE, RATE)
@@ -300,10 +307,33 @@ class TestEigenbasis:
             cfg, spec, H, _, _ = preset_generators(name)
             solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
         assert solver.P_u.flags.c_contiguous
-        for gamma in (1e-2, 1.0, 1e3, 1e5):
+        gammas = np.array([1e-2, 1.0, 1e3, 1e5])
+        s_u = (solver.delta / (gammas[:, None, None] + solver.delta))[:, solver.upper[0], solver.upper[1]]
+        stacked = solver._population_matrix(s_u)
+        assert stacked.shape == (gammas.size, spec.n_sites, spec.n_sites)
+        for gamma, row, half in zip(gammas, s_u, stacked):
             full = full_population_matrix(solver, gamma)
-            half = solver._population_matrix((solver.delta / (gamma + solver.delta))[solver.upper])
             assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full)), gamma
+            one = solver._population_matrix(row)
+            assert np.max(np.abs(half - one)) <= 1e-13 * np.max(np.abs(one)), gamma
+
+    def test_block_gated_whole_by_the_resolvent(self, caplog):
+        # at gamma_deph = 0 the 4-ring's dark mode (0, 1, 0, -1)/sqrt(2), which
+        # vanishes on the sink, makes gamma + delta vanish: the block's one
+        # rate is gated before N_gamma is formed, so its condition gate and
+        # solve see an empty stack
+        spec = generate_geometry("ring", 4, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
+        H = assemble_hamiltonian(spec)
+        L_base = build_liouvillian(H, ChannelSet(1.0, 1.0, 0.0), spec)
+        L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
+        solver = EigenbasisSteadyState(H, spec, 1.0, 1.0)
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            warnings.simplefilter("error", RuntimeWarning)
+            [block] = solver.solve(np.array([0.0]), L_base, L_deph)
+        assert block.gated.tolist() == [True] and not block.rho.any()
+        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
+        [record] = caplog.records
+        assert "gamma_deph=0" in record.getMessage() and "resolvent is singular" in record.getMessage()
 
     def test_non_unique_point_is_gated(self, caplog):
         # no injection or extraction: every site state is stationary, so the
