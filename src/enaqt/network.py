@@ -351,8 +351,13 @@ def network_from_dict(data: dict) -> NetworkSpec:
 
 
 def load_network(path) -> NetworkSpec:
+    """The network of a JSON file; a file that is not UTF-8 JSON raises NetworkError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise NetworkError(f"network file {path} is not UTF-8 JSON: {exc}") from exc
+    return network_from_dict(doc)
 
 
 def save_network(spec: NetworkSpec, path) -> None:

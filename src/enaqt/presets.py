@@ -1,9 +1,9 @@
 """Built-in network/sweep presets for the standard benchmark geometries.
 
 All presets share the chromophore-scale parameters: uniform on-site energy
-1.23e4 cm^-1, coupling 60 cm^-1, and injection/extraction rates of
-5 ps^-1.  Inject/extract placements are fixed conventions of this
-package:
+1.23e4 cm^-1, coupling 60 cm^-1, and SweepConfig's injection/extraction
+rates of 5 ps^-1 (a pulse injects nothing).  Inject/extract placements
+are fixed conventions of this package:
 
     fig1    symmetric 7-site chain, inject 1, extract 7
     fig2    asymmetric 7-site chain, inject 1, extract 5 (sink pulled two
@@ -44,7 +44,7 @@ from .network import (
     generate_geometry,
     load_network,
 )
-from .sweep import DEFAULT_RATE, SweepConfig
+from .sweep import SweepConfig
 
 SITE_ENERGY_CM = 1.23e4
 COUPLING_CM = 60.0
@@ -122,13 +122,7 @@ def build_preset(
 ) -> SweepConfig:
     """SweepConfig for a named preset; keyword overrides win."""
     spec, used_seed = preset_network(name, fmo_file=fmo_file, seed=seed)
-    kwargs = dict(
-        network=spec,
-        gamma_inj=DEFAULT_RATE,
-        gamma_ext=DEFAULT_RATE,
-        label=name,
-        seed=used_seed,
-    )
+    kwargs = dict(network=spec, label=name, seed=used_seed)
     if name in _WIDE_GAMMA_PRESETS:
         kwargs["gamma_max"] = 1e5
     kwargs.update(overrides)

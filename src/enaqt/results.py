@@ -1,12 +1,13 @@
 """Machine-readable emission and re-ingestion of sweep results.
 
 CSV files carry one comment line (tool version and config hash), a header
-row, and one data row per grid point sorted by dephasing rate:
+row, and one data row per grid point in increasing dephasing rate:
 
     gamma_deph, j_p, j_q, delta_n, vacuum, n_1, ..., n_L
 
-Floats are written with 17 significant digits, so re-parsing reproduces
-the binary values exactly.  JSON files mirror the same columns and add the
+They are written and read by numpy's text codec (`savetxt`, `loadtxt`),
+with floats at 17 significant digits, so re-parsing reproduces the binary
+values exactly.  JSON files mirror the same columns and add the
 configuration echo and the classification block, and, for a steady sweep,
 a diagnostics block with each point's solve method, residual, reciprocal
 condition of the eigenbasis system (NaN on sector-LU points, written as
@@ -28,6 +29,7 @@ import functools
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -41,10 +43,6 @@ from .sweep import SweepConfig, config_to_dict
 def config_hash(config: dict | None) -> str:
     payload = json.dumps(config or {}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def csv_header(n_sites: int) -> list[str]:
@@ -88,22 +86,12 @@ def _environment() -> dict:
 
 
 def _emit_csv(curve: SweepCurve, path, config: dict | None) -> None:
-    n_sites = curve.occupations.shape[1]
-    order = np.argsort(curve.gamma_grid)
-    lines = [f"# enaqt {__version__} config={config_hash(config)}"]
-    lines.append(",".join(csv_header(n_sites)))
-    for k in order:
-        row = [
-            curve.gamma_grid[k],
-            curve.j_p[k],
-            curve.j_q[k],
-            curve.delta_n[k],
-            curve.vacuum[k],
-            *curve.occupations[k],
-        ]
-        lines.append(",".join(_fmt(x) for x in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([curve.gamma_grid, curve.j_p, curve.j_q, curve.delta_n, curve.vacuum,
+                             curve.occupations])
+    header = (f"# enaqt {__version__} config={config_hash(config)}\n"
+              + ",".join(csv_header(curve.occupations.shape[1])))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="",
+               encoding="utf-8")
 
 
 def _emit_json(
@@ -130,9 +118,7 @@ def _emit_json(
     }
     if curve.method is not None:
         doc["diagnostics"] = {"method": list(curve.method)} | {
-            name: getattr(curve, name).tolist()
-            for name in ("residual", "rcond", "min_eigenvalue")
-            if getattr(curve, name) is not None
+            name: getattr(curve, name).tolist() for name in ("residual", "rcond", "min_eigenvalue")
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -163,16 +149,12 @@ def read_results_json(path) -> tuple[SweepCurve, SweepClassification, dict]:
 
 def read_results_csv(path) -> SweepCurve:
     """Parse an emitted CSV file back into a SweepCurve."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("gamma_deph"):
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    if not rows:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
+        data = np.loadtxt(path, delimiter=",", comments=("#", "gamma_deph"), ndmin=2,
+                          encoding="utf-8")
+    if not data.size:
         raise ValueError(f"{path} holds no data rows")
-    data = np.array(rows)
     return SweepCurve(
         gamma_grid=data[:, 0],
         j_p=data[:, 1],

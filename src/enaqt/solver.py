@@ -60,9 +60,10 @@ one stacked solve, and the residual guard applies L_base and L_deph to
 all its states at once.  It is validated by one `check_density_matrix`
 call on the stack of its states (one stacked eigvalsh) and handed out
 whole as a `SteadyStateBlock`: rho as a (k, d, d) array, the residual,
-rcond and smallest eigenvalue per rate, and a mask of the gated rows,
-which hold a zero rho and NaN diagnostics for the caller to fill from
-the sector LU.
+rcond and smallest eigenvalue per rate, and a mask of the gated rows.
+Before a block is handed out, each gated row is solved by the sector LU
+below on the summed generator L_base + gamma L_deph, so every row holds
+a validated state and only a gated row's rcond is NaN.
 
 `steady_state(L)` solves any single generator by one real sparse LU.  The
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
@@ -176,8 +177,8 @@ class SteadyStateSolution:
 class SteadyStateBlock:
     """Steady states at the k rates of one block, one row per rate.
 
-    A gated row (see EigenbasisSteadyState) holds a zero rho and NaN
-    diagnostics; its point is for the sector LU to solve.
+    A gated row (see EigenbasisSteadyState) was solved by the sector LU
+    of `steady_state`; its rcond is NaN.
     """
 
     rho: np.ndarray             # (k, d, d)
@@ -247,8 +248,10 @@ class EigenbasisSteadyState:
         """The steady states at the rates of gammas, one block of rates at a time, in order.
 
         A block is solved when it is asked for.  Each gated row has been
-        logged.  A state that fails `check_density_matrix` raises
-        NonPhysicalState whose `index` is its row in the block.
+        logged and then solved by `steady_state(L_base + gamma L_deph)`,
+        the sector LU.  A state that fails `check_density_matrix`, and
+        any error of the sector LU, is raised with `index` set to its row
+        in the block.
         """
         gammas = np.asarray(gammas, dtype=float)
         n = self.B.shape[0]
@@ -256,9 +259,18 @@ class EigenbasisSteadyState:
         for start in range(0, gammas.size, size):
             block = gammas[start:start + size]
             if self.gated:
-                yield _gated_block(block.size, n + 1)
+                out = _gated_block(block.size, n + 1)
             else:
-                yield self._solve_block(block, L_base, L_deph)
+                out = self._solve_block(block, L_base, L_deph)
+            for k in np.flatnonzero(out.gated):
+                try:
+                    sol = steady_state(L_base + block[k] * L_deph)
+                except Exception as exc:
+                    exc.index = int(k)
+                    raise
+                out.rho[k], out.residual[k] = sol.rho, sol.residual
+                out.min_eigenvalue[k] = sol.min_eigenvalue
+            yield out
 
     def _population_matrix(self, s_u: np.ndarray) -> np.ndarray:
         """N_gamma for each row of s = delta / (gamma + delta) at the pairs a <= b: one real GEMM."""
@@ -266,7 +278,7 @@ class EigenbasisSteadyState:
         return np.multiply(self.P_u, s_u[..., None, :], order="C").view(float) @ self.Q_int
 
     def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> SteadyStateBlock:
-        """The states at the rates of one block; the gated rows are logged."""
+        """The states at the rates of one block; the gated rows are logged and left for `solve`."""
         n = self.B.shape[0]
         out = _gated_block(gammas.size, n + 1)
         reasons: dict[int, str] = {}
@@ -337,7 +349,7 @@ class EigenbasisSteadyState:
 
 
 def _gated_block(k: int, d: int) -> SteadyStateBlock:
-    """A block of k gated rows: zero states and NaN diagnostics."""
+    """A block of k gated rows, zero states and NaN diagnostics until the sector LU fills them."""
     nan = np.full(k, np.nan)
     return SteadyStateBlock(rho=np.zeros((k, d, d), dtype=complex), residual=nan, rcond=nan.copy(),
                             min_eigenvalue=nan.copy(), gated=np.ones(k, dtype=bool))

@@ -10,21 +10,21 @@ message.
 In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
-grid goes to the solver whole, and it hands back blocks of rates whose
-stacks it bounds by n alone, each already validated as one stack.  The
-generator is affine in each rate, L(gamma_deph) = L_base + gamma_deph *
-L_deph_unit, and both sparse parts are assembled once per sweep.  Every
-state is checked against L_base v + gamma_deph (L_deph_unit v), sparse
-products over a block's states, without forming the sum.  A row the
-eigenbasis solver gates (ill-conditioned eigenvectors, a singular
-population system, stalled refinement or a failed residual) is filled
-from the sector LU of `solver.steady_state` on the summed generator,
-which is logged and recorded as its method.  Each observable is then
-evaluated once on the block's (k, d, d) stack, and the curve's columns
-are the blocks' arrays concatenated.  An error raised while solving or
-evaluating carries the gamma_deph of its point: a bad state in a stack
-is named by its index, a failing sector-LU solve by its row, and any
-other error in a block by the block's first point.
+grid goes to the solver whole, and it hands back finished blocks of
+rates whose stacks it bounds by n alone.  The generator is affine in each
+rate, L(gamma_deph) = L_base + gamma_deph * L_deph_unit, and both sparse
+parts are assembled once per sweep and passed to the solver: every state
+is checked against L_base v + gamma_deph (L_deph_unit v), and a row the
+eigenbasis solve gates (ill-conditioned eigenvectors, a singular
+population system, stalled refinement or a failed residual) is logged
+and solved by the sector LU on the summed generator inside the solver;
+the block's gated mask becomes each point's recorded method.  Each
+observable is then evaluated once on the block's (k, d, d) stack, and the
+curve's columns are the blocks' arrays concatenated.  An error raised
+while solving or evaluating carries the gamma_deph of its point: an error
+with an `index` (a bad state in a stack, a failing sector-LU solve) is
+named by its row, and any other error in a block by the block's first
+point.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
@@ -71,7 +71,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .solver import N_EVAL, EigenbasisSteadyState, SectorPropagator, steady_state
+from .solver import N_EVAL, EigenbasisSteadyState, SectorPropagator
 
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
@@ -86,7 +86,7 @@ class SweepConfig:
     gamma_max: float = DEFAULT_GAMMA_MAX
     points: int = DEFAULT_POINTS
     spacing: str = "log"  # "log" or "linear"
-    gamma_inj: float = DEFAULT_RATE
+    gamma_inj: float | None = None  # DEFAULT_RATE in steady mode; a pulse injects nothing
     gamma_ext: float = DEFAULT_RATE
     mode: str = "steady"  # "steady" or "pulse"
     t_end: float | None = None      # pulse horizon (ps); required in pulse mode
@@ -106,6 +106,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma_min < 0:
             raise ValueError(f"gamma_min must be nonnegative, got {self.gamma_min}")
+        if self.gamma_inj is None:
+            object.__setattr__(self, "gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
         for name in ("gamma_inj", "gamma_ext"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate >= 0):
@@ -120,6 +122,8 @@ class SweepConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.mode == "pulse" and not (self.t_end and self.t_end > 0):
             raise ValueError("pulse mode requires a positive t_end")
+        if self.mode == "pulse" and self.gamma_inj != 0:
+            raise ValueError(f"pulse mode injects nothing: gamma_inj must be 0, got {self.gamma_inj}")
         n = self.network.n_sites
         if self.pulse_site is not None and not (
             isinstance(self.pulse_site, numbers.Integral) and 1 <= self.pulse_site <= n
@@ -140,7 +144,7 @@ def config_to_dict(cfg: SweepConfig) -> dict:
         "gamma_max": cfg.gamma_max,
         "points": cfg.points,
         "spacing": cfg.spacing,
-        "gamma_inj": cfg.gamma_inj if cfg.mode == "steady" else 0.0,  # a pulse injects nothing
+        "gamma_inj": cfg.gamma_inj,
         "gamma_ext": cfg.gamma_ext,
         "mode": cfg.mode,
         "t_end": cfg.t_end,
@@ -179,25 +183,18 @@ def _steady_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np
     channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0)
     eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
     parts, method = [], []
-    start = point = 0  # first grid index of the block; the point an error is charged to
+    start = 0  # first grid index of the block
     try:
         for block in eigenbasis.solve(grid, L_base, L_deph):
-            for k in np.flatnonzero(block.gated):
-                point = start + k
-                sol = steady_state(L_base + grid[point] * L_deph)
-                block.rho[k], block.residual[k] = sol.rho, sol.residual
-                block.min_eigenvalue[k] = sol.min_eigenvalue
-            point = start
             occ = occupations(block.rho)
             parts.append(dict(j_p=exciton_current(block.rho, channels, spec),
                               **_columns(block.rho, occ, H, channels, spec),
                               residual=block.residual, rcond=block.rcond,
                               min_eigenvalue=block.min_eigenvalue))
             method += ["sector_lu" if gated else "eigenbasis" for gated in block.gated]
-            start = point = start + block.gated.size
+            start += block.gated.size
     except Exception as exc:
-        index = getattr(exc, "index", None)
-        _annotate(exc, float(grid[point if index is None else start + index]))
+        _annotate(exc, float(grid[start + (getattr(exc, "index", None) or 0)]))
         raise
     return dict({name: np.concatenate([p[name] for p in parts]) for name in parts[0]},
                 method=tuple(method))

@@ -84,6 +84,15 @@ def test_validate_malformed_file_is_a_network_error(tmp_path, capsys, changes, m
     assert capsys.readouterr().err == f"error: NetworkError: malformed network file: {message}\n"
 
 
+@pytest.mark.parametrize("content", [b'{"sites": [', b"\xff\xfe{}"], ids=["truncated", "utf16_bom"])
+def test_validate_file_that_is_not_json_is_a_network_error(tmp_path, capsys, content):
+    path = tmp_path / "net.json"
+    path.write_bytes(content)
+    assert main(["validate", "--network", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: NetworkError: network file {path} is not "
+                                              "UTF-8 JSON: ")
+
+
 @pytest.fixture()
 def infinite_energy_file(tmp_path):
     path = tmp_path / "inf.json"

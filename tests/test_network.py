@@ -289,6 +289,22 @@ class TestNetworkFile:
         assert spec.energies == (100.0, 200.0)
         assert spec.unit == Unit.WAVENUMBER
 
+    @pytest.mark.parametrize("content,cause", [
+        (b'{"sites": [', json.JSONDecodeError),
+        (b"\xff\xfe{}", UnicodeDecodeError),
+    ], ids=["truncated", "utf16_bom"])
+    def test_file_that_is_not_utf8_json(self, tmp_path, content, cause):
+        path = tmp_path / "net.json"
+        path.write_bytes(content)
+        with pytest.raises(NetworkError, match=rf"^network file {re.escape(str(path))} is not "
+                                               "UTF-8 JSON: ") as info:
+            load_network(path)
+        assert type(info.value) is NetworkError and type(info.value.__cause__) is cause
+
+    def test_missing_file_is_not_a_network_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_network(tmp_path / "absent.json")
+
     def test_malformed_file(self):
         # a missing key is a malformed file, not an index out of range
         with pytest.raises(NetworkError, match="missing key 'edges'") as info:

@@ -321,7 +321,7 @@ class TestEigenbasis:
         # at gamma_deph = 0 the 4-ring's dark mode (0, 1, 0, -1)/sqrt(2), which
         # vanishes on the sink, makes gamma + delta vanish: the block's one
         # rate is gated before N_gamma is formed, so its condition gate and
-        # solve see an empty stack
+        # solve see an empty stack, and the sector LU finds the state non-unique
         spec = generate_geometry("ring", 4, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
         H = assemble_hamiltonian(spec)
         L_base = build_liouvillian(H, ChannelSet(1.0, 1.0, 0.0), spec)
@@ -329,35 +329,39 @@ class TestEigenbasis:
         solver = EigenbasisSteadyState(H, spec, 1.0, 1.0)
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             warnings.simplefilter("error", RuntimeWarning)
-            [block] = solver.solve(np.array([0.0]), L_base, L_deph)
-        assert block.gated.tolist() == [True] and not block.rho.any()
-        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
+            with pytest.raises(NonUniqueSteadyState) as err:
+                list(solver.solve(np.array([0.0]), L_base, L_deph))
+        assert err.value.index == 0
         [record] = caplog.records
         assert "gamma_deph=0" in record.getMessage() and "resolvent is singular" in record.getMessage()
 
     def test_non_unique_point_is_gated(self, caplog):
         # no injection or extraction: every site state is stationary, so the
-        # population system is singular and the point goes to the sector LU
+        # population system is singular and the sector LU, which the point
+        # goes to, finds it so too
         spec, H, L_base = chain_liouvillian(3, 1.0, 0.0, 0.0, 0.0)
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, 0.0, 0.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = solver.solve(np.array([2.0]), L_base, L_deph)
-        assert block.gated.tolist() == [True] and not block.rho.any()
-        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
+            with pytest.raises(NonUniqueSteadyState) as err:
+                list(solver.solve(np.array([2.0]), L_base, L_deph))
+        assert err.value.index == 0
         [record] = caplog.records
         assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
 
     def test_state_failing_the_full_generator_is_gated(self, caplog):
         # the residual guard is independent of the eigenbasis: checked
         # against the generator of another dephasing rate, the state fails
+        # and the row is solved by the sector LU on the generator passed in
         spec, H, L_base = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
         _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             [block] = solver.solve(np.array([1.0]), L_base, L_deph)
-        assert block.gated.tolist() == [True] and not block.rho.any()
-        assert np.isnan([block.residual, block.rcond, block.min_eigenvalue]).all()
+        assert block.gated.tolist() == [True] and np.isnan(block.rcond[0])
+        ref = steady_state(L_base + 1.0 * L_deph)
+        assert np.array_equal(block.rho[0], ref.rho)
+        assert (block.residual[0], block.min_eigenvalue[0]) == (ref.residual, ref.min_eigenvalue)
         [record] = caplog.records
         assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
 
@@ -372,12 +376,29 @@ class TestEigenbasis:
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             [block] = solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph)
         assert block.gated.tolist() == [False, False, True, False]
-        assert not block.rho[2].any() and np.isnan(block.residual[2])
+        assert np.array_equal(block.rho[2], steady_state(L_zero - L_deph + 3.0 * (2.0 * L_deph)).rho)
+        assert np.isnan(block.rcond[2]) and not np.isnan(block.rcond[[0, 1, 3]]).any()
         [record] = caplog.records
         assert "gamma_deph=3" in record.getMessage() and "residual" in record.getMessage()
         ref = steady_state(L_zero + L_deph)
         for k in (0, 1, 3):
             assert np.max(np.abs(block.rho[k] - ref.rho)) <= 1e-10
+
+    def test_sweep_gated_by_cond_v_comes_back_solved(self, caplog):
+        # H_eff of a dimer with its trap at gamma_ext = 4t is defective, so
+        # cond(V) gates the whole sweep and every row is the sector LU's
+        spec, H, L_base = chain_liouvillian(2, 1.0, 1.0, 4.0, 0.0)
+        _, _, L_deph = chain_liouvillian(2, 0.0, 0.0, 0.0, 1.0)
+        gammas = np.logspace(-1, 1, 5)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            [block] = EigenbasisSteadyState(H, spec, 1.0, 4.0).solve(gammas, L_base, L_deph)
+        [record] = caplog.records
+        assert "cond(V)" in record.getMessage()
+        assert block.gated.all() and np.isnan(block.rcond).all()
+        for k, gamma in enumerate(gammas):
+            ref = steady_state(L_base + gamma * L_deph)
+            assert np.array_equal(block.rho[k], ref.rho), gamma
+            assert (block.residual[k], block.min_eigenvalue[k]) == (ref.residual, ref.min_eigenvalue)
 
     def test_blocks_bound_the_stacks_and_match_one_rate_at_a_time(self):
         # a 40-site chain holds 10 rates per block: 25 rates make three

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,7 +32,7 @@ from enaqt.observables import (
 from enaqt.presets import build_preset
 from enaqt.reference import brute_force_steady_state
 from enaqt.results import emit_results, read_results_csv, read_results_json
-from enaqt.solver import propagate, steady_state, transfer_efficiency
+from enaqt.solver import SteadyStateSolution, propagate, steady_state, transfer_efficiency
 from enaqt.sweep import SweepConfig, config_to_dict, run_sweep
 
 
@@ -146,11 +147,34 @@ class TestSweep:
             solved.append(L)
             raise NonUniqueSteadyState("singular")
 
-        monkeypatch.setattr(enaqt.sweep, "steady_state", fails)
+        monkeypatch.setattr(enaqt.solver, "steady_state", fails)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             with pytest.raises(NonUniqueSteadyState, match=r"^\[gamma_deph=3\.16228\] singular"):
                 run_sweep(chain2_cfg)
         assert len(solved) == 1 and len(caplog.records) == 2
+
+    def test_failing_fallback_in_a_later_block_names_its_point(self, monkeypatch):
+        # a 40-site chain holds 10 rates per block: with every point sent to
+        # the sector LU, the fallback of grid point 12, row 2 of the second
+        # block, fails
+        spec = generate_geometry("chain", 40, Uniform(0.0), Uniform(1.0), inject={1}, extract={40})
+        cfg = SweepConfig(network=spec, points=25, gamma_inj=1.0, gamma_ext=1.0)
+        vacuum = np.zeros((spec.dim, spec.dim), dtype=complex)
+        vacuum[0, 0] = 1.0
+        solved = []
+
+        def fails_at_the_thirteenth(L):
+            solved.append(L)
+            if len(solved) == 13:
+                raise NonUniqueSteadyState("singular")
+            return SteadyStateSolution(rho=vacuum, residual=0.0, min_eigenvalue=1.0)
+
+        monkeypatch.setattr(enaqt.solver, "COND_V_MAX", 0.0)
+        monkeypatch.setattr(enaqt.solver, "steady_state", fails_at_the_thirteenth)
+        point = f"{cfg.gamma_grid()[12]:g}"
+        with pytest.raises(NonUniqueSteadyState, match=rf"^\[gamma_deph={re.escape(point)}\] singular"):
+            run_sweep(cfg)
+        assert len(solved) == 13
 
     def test_methods_are_the_two_shared_literals(self, chain2_result):
         # a curve kept per sweep holds one reference per point to one of two
@@ -319,6 +343,20 @@ class TestConfigValidation:
     def test_t_end_must_be_finite(self, chain2_cfg, mode, t_end):
         with pytest.raises(ValueError, match="t_end must be finite"):
             replace(chain2_cfg, mode=mode, t_end=t_end)
+
+    def test_injection_rate_defaults_by_mode(self, chain2_cfg):
+        # a pulse injects nothing: its config holds 0, a steady one the default rate
+        pulse = build_preset("fig2", mode="pulse", t_end=5.0, points=5)
+        assert (pulse.gamma_inj, config_to_dict(pulse)["gamma_inj"]) == (0.0, 0.0)
+        assert build_preset("fig2").gamma_inj == 5.0
+        assert SweepConfig(network=chain2_cfg.network).gamma_inj == 5.0
+        explicit = SweepConfig(network=chain2_cfg.network, mode="pulse", t_end=5.0, gamma_inj=0.0)
+        assert explicit.gamma_inj == 0.0
+
+    @pytest.mark.parametrize("rate", [100.0, 5.0, 1e-300])
+    def test_pulse_rejects_an_injection_rate(self, rate):
+        with pytest.raises(ValueError, match=r"pulse mode injects nothing: gamma_inj must be 0"):
+            build_preset("fig2", mode="pulse", t_end=5.0, points=5, gamma_inj=rate)
 
     def test_too_few_points(self, chain2_cfg):
         with pytest.raises(ValueError):
