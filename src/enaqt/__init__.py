@@ -34,12 +34,6 @@ from .observables import (
     occupations,
 )
 from .presets import PRESET_NAMES, build_preset, preset_network
-from .reference import (
-    ChainParams,
-    analytic_chain_current,
-    analytic_chain_occupations,
-    brute_force_steady_state,
-)
 from .results import emit_results, read_results_csv, read_results_json
 from .solver import (
     SteadyStateSolution,
@@ -54,7 +48,6 @@ from .symmetry import SymmetryReport, apply_permutation, detect_inversion_symmet
 __all__ = [
     "__version__",
     "ChannelSet",
-    "ChainParams",
     "NetworkSpec",
     "Occupations",
     "RandomUniform",
@@ -66,11 +59,8 @@ __all__ = [
     "Trajectory",
     "Uniform",
     "Unit",
-    "analytic_chain_current",
-    "analytic_chain_occupations",
     "apply_permutation",
     "assemble_hamiltonian",
-    "brute_force_steady_state",
     "build_liouvillian",
     "build_preset",
     "check_density_matrix",

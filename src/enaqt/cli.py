@@ -63,7 +63,8 @@ def _build_config(args) -> SweepConfig:
     if args.preset:
         return build_preset(args.preset, fmo_file=args.fmo_file, seed=args.seed, **overrides)
     spec = load_network(args.network)
-    return SweepConfig(network=spec, label=Path(args.network).stem, seed=args.seed, **overrides)
+    # a network file draws nothing, so no seed is echoed
+    return SweepConfig(network=spec, label=Path(args.network).stem, **overrides)
 
 
 def _run(cfg: SweepConfig, fmt: str, path, verdict: str = "") -> None:

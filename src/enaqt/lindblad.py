@@ -33,15 +33,19 @@ straight from the closed forms of these jump operators:
                 at all.
 
 It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries and no
-explicit zeros, so memory is O(nnz), never d^4.  The kron-product form of
-the same generator,
+explicit zeros, so memory is O(nnz), never d^4.
+
+`apply_liouvillian` evaluates the generator's action on a state or a
+(k, d, d) stack of them from the same closed forms, assembling nothing;
+the steady-state sweep checks its states with it.  Both share the diagonal
+and its dephasing rates (`unit_dephasing`).  The kron-product form,
 
     L = -i (I kron H - H^T kron I)
         + sum_k gamma_k [conj(V_k) kron V_k
                          - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2],
 
-lives in `reference.py` together with a matrix-free evaluation of its
-action; the tests use both as independent checks of this assembly.
+lives in `reference.py`; the tests check both the assembly and the action
+against it.
 """
 
 from __future__ import annotations
@@ -76,6 +80,25 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return rho.flatten(order="F")
 
 
+def unit_dephasing(d: int) -> np.ndarray:
+    """Decay rate of each rho[i, j] at unit dephasing: 1 between sites, 1/2 site-vacuum, 0 diagonal."""
+    half = 0.5 * (np.arange(d) > 0)
+    rates = half[:, None] + half[None, :]
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+def _diagonal(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndarray:
+    """The generator's diagonal as a (d, d) array: entry (i, j) multiplies rho[i, j] in drho[i, j]."""
+    d = spec.dim
+    e = np.diag(H)
+    half = np.zeros(d)
+    half[0] += 0.5 * channels.gamma_inj * len(spec.inject_sites)
+    half[sorted(spec.extract_sites)] += 0.5 * channels.gamma_ext
+    return (-1j * (e[:, None] - e[None, :]) - (half[:, None] + half[None, :])
+            - channels.gamma_deph * unit_dephasing(d))
+
+
 def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
     """Assemble the full generator as a d^2 x d^2 CSR matrix."""
     d = spec.dim
@@ -92,17 +115,9 @@ def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) ->
     vals = [np.broadcast_to(-1j * h, rows[0].shape), np.broadcast_to(1j * h, rows[1].shape)]
 
     # diagonal: on-site energies and the decay of every rho[i, j]
-    e = np.diag(H)
-    half = np.zeros(d)
-    half[0] += 0.5 * channels.gamma_inj * len(spec.inject_sites)
-    half[sorted(spec.extract_sites)] += 0.5 * channels.gamma_ext
-    deph = 0.5 * channels.gamma_deph * (idx > 0)
-    deph = deph + deph.T
-    np.fill_diagonal(deph, 0.0)
-    diag = -1j * (e[:, None] - e[None, :]) - (half[:, None] + half[None, :]) - deph
     rows.append(np.arange(d * d))
     cols.append(np.arange(d * d))
-    vals.append(vec(diag))
+    vals.append(vec(_diagonal(H, channels, spec)))
 
     # population transfer: vacuum -> sources, sinks -> vacuum
     src = np.array(sorted(spec.inject_sites), dtype=int) * (d + 1)
@@ -122,6 +137,29 @@ def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) ->
     # zero rates and degenerate on-site energies leave zeros on the diagonal
     L.eliminate_zeros()
     return L
+
+
+def apply_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec,
+                      rho: np.ndarray) -> np.ndarray:
+    """Action of the generator on rho, one (d, d) state or each of a (k, d, d) stack.
+
+    Nothing is assembled: the off-diagonal part of H acts by two matrix
+    products, and the diagonal of `build_liouvillian` and the two
+    population transfers (vacuum to the sources at gamma_inj, the sinks to
+    the vacuum at gamma_ext) act entrywise.
+    """
+    d = spec.dim
+    if H.shape != (d, d) or rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+        raise DimensionMismatch(
+            f"expected {d}x{d} operators, got H {H.shape} and rho {rho.shape}"
+        )
+    H_off = H - np.diag(np.diag(H))
+    drho = -1j * (H_off @ rho - rho @ H_off) + _diagonal(H, channels, spec) * rho
+    src = sorted(spec.inject_sites)
+    snk = sorted(spec.extract_sites)
+    drho[..., src, src] += channels.gamma_inj * rho[..., 0, 0, None]
+    drho[..., 0, 0] += channels.gamma_ext * rho[..., snk, snk].sum(axis=-1)
+    return drho
 
 
 # ---------------------------------------------------------------------------

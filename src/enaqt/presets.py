@@ -30,7 +30,8 @@ The strongly disordered presets fig3d and fig3g sweep up to 1e5 ps^-1:
 their current maximum sits near the detuning scale, far above the default
 1e3 ps^-1 ceiling used for the uniform geometries.  Random presets carry
 pinned seeds so their output is reproducible; the seed is echoed in the
-emitted configuration.
+emitted configuration.  A preset that draws nothing echoes no seed, even
+when one is passed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ COUPLING_RANGE_CM = (10.0, 100.0)
 _UNIFORM_E = Uniform(SITE_ENERGY_CM)
 _UNIFORM_T = Uniform(COUPLING_CM)
 
-# (kind, params, energy spec, coupling spec, inject, extract, default seed)
+# (kind, params, energy spec, coupling spec, inject, extract, default seed);
+# a preset that draws nothing has no default seed and takes none
 _GEOMETRIES = {
     "fig1": ("chain", 7, _UNIFORM_E, _UNIFORM_T, {1}, {7}, None),
     "fig2": ("chain", 7, _UNIFORM_E, _UNIFORM_T, {1}, {5}, None),
@@ -86,7 +88,7 @@ PRESET_NAMES = tuple(sorted(_GEOMETRIES) + ["fig3h"])
 def preset_network(
     name: str, *, fmo_file=None, seed: int | None = None
 ) -> tuple[NetworkSpec, int | None]:
-    """Network for a named preset, plus the seed actually used."""
+    """Network for a named preset, plus the seed of its random draw (None if it draws nothing)."""
     if name == "fig3h":
         if fmo_file is None:
             raise MissingExternalData(
@@ -99,7 +101,7 @@ def preset_network(
     if name not in _GEOMETRIES:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     kind, params, e_spec, t_spec, inj, ext, default_seed = _GEOMETRIES[name]
-    used_seed = default_seed if seed is None else seed
+    used_seed = default_seed if seed is None or default_seed is None else seed
     spec = generate_geometry(
         kind,
         params,

@@ -13,9 +13,10 @@ materializes it as dense kron products of the jump operators,
         + sum_k gamma_k [conj(V_k) kron V_k
                          - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2],
 
-at d^4 memory, and `apply_liouvillian` evaluates its action on a matrix
-without materializing the superoperator.  The tests check the closed-form
-sparse assembly of `lindblad.build_liouvillian` against both.
+at d^4 memory.  The tests check both closed forms of the generator
+against it: the sparse assembly of `lindblad.build_liouvillian` and the
+action of `lindblad.apply_liouvillian`, with which the sweep solver checks
+its states.
 
 `classical_hopping_steady_state` is the strong-dephasing oracle for the
 sweep: the populations of the Haken-Strobl rate equation, with no
@@ -182,53 +183,6 @@ def kron_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> 
     for s in range(1, spec.n_sites + 1):
         L += dissipator(number_op(d, s), channels.gamma_deph)
     return L
-
-
-def apply_liouvillian(
-    H: np.ndarray,
-    channels: ChannelSet,
-    spec: NetworkSpec,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """Action of the generator on rho without materializing the superoperator.
-
-    The channel terms use the closed forms of the jump operators:
-    injection moves vacuum population to the source sites and damps the
-    vacuum row/column, extraction does the reverse, and dephasing removes
-    inter-site coherences at gamma_deph (site-vacuum coherences at half
-    that rate) while leaving every population untouched.
-    """
-    d = spec.dim
-    if H.shape != (d, d) or rho.shape != (d, d):
-        raise DimensionMismatch(
-            f"expected {d}x{d} operators, got H {H.shape} and rho {rho.shape}"
-        )
-    drho = -1j * (H @ rho - rho @ H)
-
-    g = channels.gamma_inj
-    if g:
-        for s in sorted(spec.inject_sites):
-            term = np.zeros_like(rho)
-            term[s, s] = rho[0, 0]
-            term[0, :] -= 0.5 * rho[0, :]
-            term[:, 0] -= 0.5 * rho[:, 0]
-            drho += g * term
-    g = channels.gamma_ext
-    if g:
-        for s in sorted(spec.extract_sites):
-            term = np.zeros_like(rho)
-            term[0, 0] = rho[s, s]
-            term[s, :] -= 0.5 * rho[s, :]
-            term[:, s] -= 0.5 * rho[:, s]
-            drho += g * term
-    g = channels.gamma_deph
-    if g:
-        damp = rho.copy()
-        damp[0, :] *= 0.5
-        damp[:, 0] *= 0.5
-        np.fill_diagonal(damp, 0.0)
-        drho -= g * damp
-    return drho
 
 
 def dense_propagate(

@@ -6,10 +6,11 @@ operator changes the excitation number by -1, 0 or +1 and H conserves it
 so the vacuum-site coherences never couple to the populations or to the
 site-site coherences, and they vanish in the steady state.  Two solvers
 work there, and both end with the same guards: the residual against the
-untouched full generator (at most RESIDUAL_TOL; the sweep solver applies
-its affine parts L_base + gamma L_deph one by one instead of summing
-them) and `check_density_matrix`, whose smallest eigenvalue of rho is
-recorded with the solution.
+untouched full generator (at most RESIDUAL_TOL; the sweep solver takes it
+from the closed-form action `lindblad.apply_liouvillian`, which shares no
+code with the eigenbasis derivation, and `steady_state` from the CSR
+matrix it is given) and `check_density_matrix`, whose smallest eigenvalue
+of rho is recorded with the solution.
 
 `EigenbasisSteadyState` serves the points of a dephasing sweep.  The site
 block X = rho_S of every generator this package builds has Haken-Strobl
@@ -56,14 +57,16 @@ chain takes 10 rates per block.  A block is whole arrays: one batched GEMM
 forms its stack of N_gamma (through a complex temporary of at most
 2^13 (n + 1) entries up to 128 sites, 5.2 MB at 40), one stacked 1-norm
 condition number gates it, each site-block pass is stacked products and
-one stacked solve, and the residual guard applies L_base and L_deph to
-all its states at once.  It is validated by one `check_density_matrix`
+one stacked solve, and the residual guard is one `apply_liouvillian` call
+at zero dephasing on the stack of its states, plus gamma times the
+unit-rate dephasing of `lindblad.unit_dephasing` for each rate: no
+generator is assembled.  It is validated by one `check_density_matrix`
 call on the stack of its states (one stacked eigvalsh) and handed out
 whole as a `SteadyStateBlock`: rho as a (k, d, d) array, the residual,
 rcond and smallest eigenvalue per rate, and a mask of the gated rows.
 Before a block is handed out, each gated row is solved by the sector LU
-below on the summed generator L_base + gamma L_deph, so every row holds
-a validated state and only a gated row's rcond is NaN.
+below on the generator `build_liouvillian` assembles at its rate, so
+every row holds a validated state and only a gated row's rcond is NaN.
 
 `steady_state(L)` solves any single generator by one real sparse LU.  The
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
@@ -123,7 +126,7 @@ from __future__ import annotations
 import functools
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -137,7 +140,8 @@ from .errors import (
     NotChargeConserving,
     SolveFailure,
 )
-from .lindblad import ChannelSet, build_liouvillian, check_density_matrix, hermitize, vec
+from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, hermitize,
+                       unit_dephasing, vec)
 from .network import NetworkSpec
 
 logger = logging.getLogger(__name__)
@@ -201,17 +205,20 @@ class EigenbasisSteadyState:
     """Steady states of one network across dephasing rates, from H_eff's eigenbasis.
 
     Built once per sweep from the Hamiltonian, the network and the
-    injection and extraction rates.  `solve(gammas, L_base, L_deph)` then
-    works through the rates in blocks of at most max(1, BLOCK_ENTRIES //
-    n^2), so no complex (block, n, n) stack exceeds 256 kB however many
-    rates there are.  Per rate it costs a real product of n^3 (n + 1)
-    multiply-adds to form N_gamma and n x n real solves, all stacked over
-    the block.  The full generator at gamma is L_base + gamma L_deph; the
-    two parts are used only for the residual guard, which applies each to
-    the states instead of forming their sum.
+    injection and extraction rates.  `solve(gammas)` then works through
+    the rates in blocks of at most max(1, BLOCK_ENTRIES // n^2), so no
+    complex (block, n, n) stack exceeds 256 kB however many rates there
+    are.  Per rate it costs a real product of n^3 (n + 1) multiply-adds to
+    form N_gamma and n x n real solves, all stacked over the block.  The
+    residual guard applies the generator without assembling it: the
+    rate-free action of `apply_liouvillian` once per block, plus each
+    rate times the unit-rate dephasing.  Only a gated row assembles its
+    generator, for the sector LU.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
+        self.H, self.spec = H, spec
+        self.channels = ChannelSet(gamma_inj, gamma_ext, 0.0)
         n = spec.n_sites
         H_S = H[1:, 1:]
         self.H_eff = (H_S - np.mean(np.diag(H_S).real) * np.eye(n)).astype(complex)
@@ -244,14 +251,14 @@ class EigenbasisSteadyState:
         self.Q_int[0::2] = Q_u.real
         self.Q_int[1::2] = -Q_u.imag
 
-    def solve(self, gammas: np.ndarray, L_base, L_deph) -> Iterator[SteadyStateBlock]:
+    def solve(self, gammas: np.ndarray) -> Iterator[SteadyStateBlock]:
         """The steady states at the rates of gammas, one block of rates at a time, in order.
 
         A block is solved when it is asked for.  Each gated row has been
-        logged and then solved by `steady_state(L_base + gamma L_deph)`,
-        the sector LU.  A state that fails `check_density_matrix`, and
-        any error of the sector LU, is raised with `index` set to its row
-        in the block.
+        logged and then solved by the sector LU, `steady_state` on the
+        generator that `build_liouvillian` assembles at its rate.  A state
+        that fails `check_density_matrix`, and any error of the sector LU,
+        is raised with `index` set to its row in the block.
         """
         gammas = np.asarray(gammas, dtype=float)
         n = self.B.shape[0]
@@ -261,10 +268,11 @@ class EigenbasisSteadyState:
             if self.gated:
                 out = _gated_block(block.size, n + 1)
             else:
-                out = self._solve_block(block, L_base, L_deph)
+                out = self._solve_block(block)
             for k in np.flatnonzero(out.gated):
+                channels = replace(self.channels, gamma_deph=float(block[k]))
                 try:
-                    sol = steady_state(L_base + block[k] * L_deph)
+                    sol = steady_state(build_liouvillian(self.H, channels, self.spec))
                 except Exception as exc:
                     exc.index = int(k)
                     raise
@@ -277,7 +285,7 @@ class EigenbasisSteadyState:
         # the product must be C-contiguous for its float view
         return np.multiply(self.P_u, s_u[..., None, :], order="C").view(float) @ self.Q_int
 
-    def _solve_block(self, gammas: np.ndarray, L_base, L_deph) -> SteadyStateBlock:
+    def _solve_block(self, gammas: np.ndarray) -> SteadyStateBlock:
         """The states at the rates of one block; the gated rows are logged and left for `solve`."""
         n = self.B.shape[0]
         out = _gated_block(gammas.size, n + 1)
@@ -323,9 +331,9 @@ class EigenbasisSteadyState:
         rho[:, 0, 0] = 1.0
         rho[:, 1:, 1:] = X
         rho /= 1.0 + np.einsum("kii->k", X).real[:, None, None]
-        # column k is vec(rho_k)
-        Vm = np.ascontiguousarray(rho.transpose(0, 2, 1).reshape(live.size, (n + 1) ** 2).T)
-        res = np.abs(L_base @ Vm + (L_deph @ Vm) * gammas[live]).max(axis=0)
+        # the generator at gamma is its rate-free part plus gamma times unit-rate dephasing
+        drho = apply_liouvillian(self.H, self.channels, self.spec, rho) - g * unit_dephasing(n + 1) * rho
+        res = np.abs(drho).max(axis=(1, 2))
         passed = (res <= RESIDUAL_TOL) & (step <= REFINE_TOL)
         for j in np.flatnonzero(~passed):
             if not res[j] <= RESIDUAL_TOL:
@@ -423,10 +431,6 @@ def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=A.shape)
 
 
-def _residual(L, rho: np.ndarray) -> float:
-    return float(np.max(np.abs(L @ vec(rho))))
-
-
 def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray:
     """Steady state from the real sector system."""
     A = _sector_system(L, sec)
@@ -469,7 +473,7 @@ def steady_state(L) -> SteadyStateSolution:
     sec = _sector(d)
     _check_charge_conserving(L, sec)
     rho = _sector_solve(L, sec, d)
-    res = _residual(L, rho)
+    res = float(np.max(np.abs(L @ vec(rho))))
     if not res <= RESIDUAL_TOL:
         raise SolveFailure(f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     lo = check_density_matrix(rho)

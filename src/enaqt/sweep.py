@@ -11,14 +11,13 @@ In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
 grid goes to the solver whole, and it hands back finished blocks of
-rates whose stacks it bounds by n alone.  The generator is affine in each
-rate, L(gamma_deph) = L_base + gamma_deph * L_deph_unit, and both sparse
-parts are assembled once per sweep and passed to the solver: every state
-is checked against L_base v + gamma_deph (L_deph_unit v), and a row the
-eigenbasis solve gates (ill-conditioned eigenvectors, a singular
-population system, stalled refinement or a failed residual) is logged
-and solved by the sector LU on the summed generator inside the solver;
-the block's gated mask becomes each point's recorded method.  Each
+rates whose stacks it bounds by n alone.  The sweep assembles no
+generator: the solver checks every state with the closed-form action of
+`lindblad.apply_liouvillian`, and a row the eigenbasis solve gates
+(ill-conditioned eigenvectors, a singular population system, stalled
+refinement or a failed residual) is logged and solved inside the solver
+by the sector LU on the generator assembled at its rate; the block's
+gated mask becomes each point's recorded method.  Each
 observable is then evaluated once on the block's (k, d, d) stack, and the
 curve's columns are the blocks' arrays concatenated.  An error raised
 while solving or evaluating carries the gamma_deph of its point: an error
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import ChannelSet, build_liouvillian, check_density_matrix
+from .lindblad import ChannelSet, check_density_matrix
 from .network import (
     NetworkSpec,
     assemble_hamiltonian,
@@ -89,10 +88,10 @@ class SweepConfig:
     gamma_inj: float | None = None  # DEFAULT_RATE in steady mode; a pulse injects nothing
     gamma_ext: float = DEFAULT_RATE
     mode: str = "steady"  # "steady" or "pulse"
-    t_end: float | None = None      # pulse horizon (ps); required in pulse mode
-    pulse_site: int | None = None   # default: lowest injection site
+    t_end: float | None = None      # pulse horizon (ps); required in pulse mode, None in steady
+    pulse_site: int | None = None   # pulse mode only; default: lowest injection site
     label: str = ""
-    seed: int | None = None         # echoed for reproducibility of random presets
+    seed: int | None = None         # the seed of a random network's draw, echoed; None if none
 
     def __post_init__(self) -> None:
         if not isinstance(self.points, numbers.Integral):
@@ -120,6 +119,9 @@ class SweepConfig:
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
         if self.t_end is not None and not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if self.mode == "steady" and (self.t_end, self.pulse_site) != (None, None):
+            raise ValueError("a steady sweep takes no t_end or pulse_site, "
+                             f"got {self.t_end!r} and {self.pulse_site!r}")
         if self.mode == "pulse" and not (self.t_end and self.t_end > 0):
             raise ValueError("pulse mode requires a positive t_end")
         if self.mode == "pulse" and self.gamma_inj != 0:
@@ -177,15 +179,13 @@ def _columns(rho: np.ndarray, occ: Occupations, H: np.ndarray, channels: Channel
 
 
 def _steady_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.ndarray) -> dict:
-    L_base = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0), spec)
-    L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
     # the currents read only gamma_ext
     channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0)
     eigenbasis = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
     parts, method = [], []
     start = 0  # first grid index of the block
     try:
-        for block in eigenbasis.solve(grid, L_base, L_deph):
+        for block in eigenbasis.solve(grid):
             occ = occupations(block.rho)
             parts.append(dict(j_p=exciton_current(block.rho, channels, spec),
                               **_columns(block.rho, occ, H, channels, spec),

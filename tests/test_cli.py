@@ -254,6 +254,25 @@ def test_figure_preset_writes_file(tmp_path):
     assert cls.kind == "enaqt"
 
 
+@pytest.mark.parametrize("preset,echo", [("fig1", None), ("fig3d", 7)])
+def test_figure_echoes_a_seed_only_for_a_random_draw(tmp_path, preset, echo):
+    # fig1 draws nothing; fig3d draws its on-site energies from the seed
+    rc = main(["figure", "--preset", preset, "--seed", "7", "--output", str(tmp_path),
+               "--format", "json"])
+    assert rc == 0
+    _, _, config = read_results_json(tmp_path / f"{preset}.json")
+    assert config["seed"] == echo
+
+
+def test_sweep_of_a_network_file_echoes_no_seed(network_file, tmp_path):
+    out = tmp_path / "sweep.json"
+    rc = main(["sweep", "--network", str(network_file), "--seed", "7", "--points", "5",
+               "--output", str(out), "--format", "json"])
+    assert rc == 0
+    _, _, config = read_results_json(out)
+    assert config["seed"] is None
+
+
 # the verdicts of tests/test_acceptance.py and the README's preset table
 FIGURE_VERDICTS = {
     "fig1": ("symmetric", "monotonic_decreasing"),

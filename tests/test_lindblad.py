@@ -5,16 +5,10 @@ import scipy.sparse as sp
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
-from enaqt.lindblad import ChannelSet, build_liouvillian, check_density_matrix, vec
+from enaqt.lindblad import ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, vec
 from enaqt.network import RandomUniform, Uniform, assemble_hamiltonian, generate_geometry, to_internal_units
 from enaqt.presets import PRESET_NAMES, preset_network
-from enaqt.reference import (
-    annihilation_op,
-    apply_liouvillian,
-    dissipator,
-    kron_liouvillian,
-    number_op,
-)
+from enaqt.reference import annihilation_op, dissipator, kron_liouvillian, number_op
 from enaqt.solver import _sector
 
 
@@ -149,12 +143,21 @@ def assert_sector_is_closed(K, sec):
 
 
 def assert_matches_kron_oracle(H, spec):
-    sec = _sector(spec.dim)
+    """The assembled generator and its closed-form action, on a random (3, d, d) stack, against K."""
+    d = spec.dim
+    sec = _sector(d)
+    rng = np.random.default_rng(0)
+    rho = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
     for channels in ORACLE_RATES:
         L = build_liouvillian(H, channels, spec).toarray()
         K = kron_liouvillian(H, channels, spec)
         assert np.max(np.abs(L - K)) <= 1e-13 * np.max(np.abs(K)), channels
         assert_sector_is_closed(K, sec)
+        drho = apply_liouvillian(H, channels, spec, rho)
+        for k in range(rho.shape[0]):
+            want = (K @ vec(rho[k])).reshape((d, d), order="F")
+            scale = np.max(np.abs(K)) * np.max(np.abs(rho[k]))
+            assert np.max(np.abs(drho[k] - want)) <= 1e-13 * scale, channels
 
 
 class TestKronOracle:
@@ -255,9 +258,21 @@ class TestApply:
         b = apply_liouvillian(H, channels, spec, X).conj().T
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
-    def test_dimension_mismatch(self, chain2):
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4), (3,), (1, 2, 3, 3)])
+    def test_dimension_mismatch(self, chain2, shape):
         with pytest.raises(DimensionMismatch):
-            apply_liouvillian(np.zeros((3, 3)), ChannelSet(), chain2, np.zeros((4, 4)))
+            apply_liouvillian(np.zeros((3, 3)), ChannelSet(), chain2, np.zeros(shape))
+
+    def test_stack_acts_state_by_state(self, asymmetric_chain):
+        spec, H = asymmetric_chain
+        channels = ChannelSet(2.0, 3.0, 4.0)
+        rng = np.random.default_rng(5)
+        stack = np.array([random_hermitian(rng, spec.dim) for _ in range(4)])
+        drho = apply_liouvillian(H, channels, spec, stack)
+        assert drho.shape == stack.shape
+        for state, action in zip(stack, drho):
+            one = apply_liouvillian(H, channels, spec, state)
+            assert np.max(np.abs(action - one)) <= 1e-13 * np.max(np.abs(one))
 
 
 class TestChannelSet:

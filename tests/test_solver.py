@@ -251,14 +251,23 @@ class TestChargeSector:
         assert caplog.records == []
 
 
-def preset_generators(name):
-    """Hamiltonian, internal-units spec and (L_base, L_deph_unit) of a preset, as in run_sweep."""
+def preset_system(name):
+    """Config, internal-units spec and Hamiltonian of a preset, as in run_sweep."""
     cfg = build_preset(name)
     spec = to_internal_units(cfg.network)
-    H = assemble_hamiltonian(spec)
-    L_base = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, 0.0), spec)
-    L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
-    return cfg, spec, H, L_base, L_deph
+    return cfg, spec, assemble_hamiltonian(spec)
+
+
+def perturbed_rows(monkeypatch, rows):
+    """Make the residual guard of the sweep solver fail at the given rows of the stack it checks."""
+    apply = enaqt.solver.apply_liouvillian
+
+    def perturbed(H, channels, spec, rho):
+        drho = apply(H, channels, spec, rho)
+        drho[rows] += 1.0
+        return drho
+
+    monkeypatch.setattr(enaqt.solver, "apply_liouvillian", perturbed)
 
 
 def full_population_matrix(solver, gamma):
@@ -274,17 +283,18 @@ class TestEigenbasis:
 
     @pytest.mark.parametrize("name", [p for p in PRESET_NAMES if p != "fig3h"])
     def test_matches_sector_lu_on_every_preset(self, name, caplog):
-        cfg, spec, H, L_base, L_deph = preset_generators(name)
+        cfg, spec, H = preset_system(name)
         solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
         sinks = sorted(spec.extract_sites)
         gammas = np.array([1e-2, 1.0, 1e3, 1e5])  # one block on every preset
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = solver.solve(gammas, L_base, L_deph)
+            [block] = solver.solve(gammas)
         assert caplog.records == [] and not block.gated.any()
         assert block.rho.shape == (gammas.size, spec.dim, spec.dim) and block.rho.base is None
         assert np.all((0 < block.rcond) & (block.rcond <= 1)) and np.all(block.residual <= 1e-9)
         for k, gamma in enumerate(gammas):
-            ref = steady_state(L_base + gamma * L_deph)
+            channels = ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma)
+            ref = steady_state(build_liouvillian(H, channels, spec))
             rho = block.rho[k]
             assert np.max(np.abs(rho - ref.rho)) <= 1e-10 * np.max(np.abs(ref.rho)), gamma
             j_p, j_ref = (sum(r[e, e].real for e in sinks) for r in (rho, ref.rho))
@@ -304,7 +314,7 @@ class TestEigenbasis:
             spec, H, _ = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
             solver = EigenbasisSteadyState(H, spec, RATE, RATE)
         else:
-            cfg, spec, H, _, _ = preset_generators(name)
+            cfg, spec, H = preset_system(name)
             solver = EigenbasisSteadyState(H, spec, cfg.gamma_inj, cfg.gamma_ext)
         assert solver.P_u.flags.c_contiguous
         gammas = np.array([1e-2, 1.0, 1e3, 1e5])
@@ -323,14 +333,11 @@ class TestEigenbasis:
         # rate is gated before N_gamma is formed, so its condition gate and
         # solve see an empty stack, and the sector LU finds the state non-unique
         spec = generate_geometry("ring", 4, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
-        H = assemble_hamiltonian(spec)
-        L_base = build_liouvillian(H, ChannelSet(1.0, 1.0, 0.0), spec)
-        L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
-        solver = EigenbasisSteadyState(H, spec, 1.0, 1.0)
+        solver = EigenbasisSteadyState(assemble_hamiltonian(spec), spec, 1.0, 1.0)
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonUniqueSteadyState) as err:
-                list(solver.solve(np.array([0.0]), L_base, L_deph))
+                list(solver.solve(np.array([0.0])))
         assert err.value.index == 0
         [record] = caplog.records
         assert "gamma_deph=0" in record.getMessage() and "resolvent is singular" in record.getMessage()
@@ -339,48 +346,47 @@ class TestEigenbasis:
         # no injection or extraction: every site state is stationary, so the
         # population system is singular and the sector LU, which the point
         # goes to, finds it so too
-        spec, H, L_base = chain_liouvillian(3, 1.0, 0.0, 0.0, 0.0)
-        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        spec, H, _ = chain_liouvillian(3, 1.0, 0.0, 0.0, 0.0)
         solver = EigenbasisSteadyState(H, spec, 0.0, 0.0)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             with pytest.raises(NonUniqueSteadyState) as err:
-                list(solver.solve(np.array([2.0]), L_base, L_deph))
+                list(solver.solve(np.array([2.0])))
         assert err.value.index == 0
         [record] = caplog.records
         assert "gamma_deph=2" in record.getMessage() and "reciprocal condition" in record.getMessage()
 
-    def test_state_failing_the_full_generator_is_gated(self, caplog):
-        # the residual guard is independent of the eigenbasis: checked
-        # against the generator of another dephasing rate, the state fails
-        # and the row is solved by the sector LU on the generator passed in
-        spec, H, L_base = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
-        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+    def test_state_failing_the_full_generator_is_gated(self, monkeypatch, caplog):
+        # the residual guard is independent of the eigenbasis: when the
+        # closed-form action of the generator does not annihilate the state,
+        # the row is solved by the sector LU on the generator at its rate
+        spec, H, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
+        perturbed_rows(monkeypatch, [0])
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = solver.solve(np.array([1.0]), L_base, L_deph)
+            [block] = solver.solve(np.array([1.0]))
         assert block.gated.tolist() == [True] and np.isnan(block.rcond[0])
-        ref = steady_state(L_base + 1.0 * L_deph)
+        ref = steady_state(L)
         assert np.array_equal(block.rho[0], ref.rho)
         assert (block.residual[0], block.min_eigenvalue[0]) == (ref.residual, ref.min_eigenvalue)
         [record] = caplog.records
         assert "gamma_deph=1" in record.getMessage() and "residual" in record.getMessage()
 
-    def test_gated_rate_inside_a_block_keeps_grid_order(self, caplog):
-        # checked against L(0) - L_deph + gamma 2 L_deph, the generator of
-        # dephasing 2 gamma - 1, only the states at gamma = 1 pass: in one
-        # block, the rate 3 between them is gated alone
-        spec, H, L_zero = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.0)
-        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+    def test_gated_rate_inside_a_block_keeps_grid_order(self, monkeypatch, caplog):
+        # the residual guard fails only the state at the rate 3 between the
+        # states at gamma = 1: in one block, that rate is gated alone
+        spec, H, L_one = chain_liouvillian(3, 1.0, 1.0, 2.0, 1.0)
+        _, _, L_three = chain_liouvillian(3, 1.0, 1.0, 2.0, 3.0)
         gammas = np.array([1.0, 1.0, 3.0, 1.0])
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
+        perturbed_rows(monkeypatch, [2])
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph)
+            [block] = solver.solve(gammas)
         assert block.gated.tolist() == [False, False, True, False]
-        assert np.array_equal(block.rho[2], steady_state(L_zero - L_deph + 3.0 * (2.0 * L_deph)).rho)
+        assert np.array_equal(block.rho[2], steady_state(L_three).rho)
         assert np.isnan(block.rcond[2]) and not np.isnan(block.rcond[[0, 1, 3]]).any()
         [record] = caplog.records
         assert "gamma_deph=3" in record.getMessage() and "residual" in record.getMessage()
-        ref = steady_state(L_zero + L_deph)
+        ref = steady_state(L_one)
         for k in (0, 1, 3):
             assert np.max(np.abs(block.rho[k] - ref.rho)) <= 1e-10
 
@@ -391,27 +397,29 @@ class TestEigenbasis:
         _, _, L_deph = chain_liouvillian(2, 0.0, 0.0, 0.0, 1.0)
         gammas = np.logspace(-1, 1, 5)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = EigenbasisSteadyState(H, spec, 1.0, 4.0).solve(gammas, L_base, L_deph)
+            [block] = EigenbasisSteadyState(H, spec, 1.0, 4.0).solve(gammas)
         [record] = caplog.records
         assert "cond(V)" in record.getMessage()
         assert block.gated.all() and np.isnan(block.rcond).all()
         for k, gamma in enumerate(gammas):
-            ref = steady_state(L_base + gamma * L_deph)
+            # the generator assembled at gamma is the affine sum, entry for entry
+            L = build_liouvillian(H, ChannelSet(1.0, 4.0, gamma), spec)
+            assert np.array_equal(L.toarray(), (L_base + gamma * L_deph).toarray()), gamma
+            ref = steady_state(L)
             assert np.array_equal(block.rho[k], ref.rho), gamma
             assert (block.residual[k], block.min_eigenvalue[k]) == (ref.residual, ref.min_eigenvalue)
 
     def test_blocks_bound_the_stacks_and_match_one_rate_at_a_time(self):
         # a 40-site chain holds 10 rates per block: 25 rates make three
         # blocks, and each state equals the one solved alone
-        spec, H, L_base = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
-        _, _, L_deph = chain_liouvillian(40, 0.0, 0.0, 0.0, 1.0)
+        spec, H, _ = chain_liouvillian(40, 1.0, RATE, RATE, 0.0)
         solver = EigenbasisSteadyState(H, spec, RATE, RATE)
         gammas = np.logspace(-2, 3, 25)
-        blocks = list(solver.solve(gammas, L_base, L_deph))
+        blocks = list(solver.solve(gammas))
         assert [b.gated.size for b in blocks] == [10, 10, 5]
         rho = np.concatenate([b.rho for b in blocks])
         for k in (0, 12, 24):
-            [alone] = solver.solve(gammas[k:k + 1], L_base, L_deph)
+            [alone] = solver.solve(gammas[k:k + 1])
             assert np.max(np.abs(rho[k] - alone.rho[0])) <= 1e-14
 
     def test_refines_until_the_correction_is_small(self, monkeypatch, caplog):
@@ -421,16 +429,14 @@ class TestEigenbasis:
         # rate is gated instead
         spec = NetworkSpec(3, (0.0, 0.0, 466.0), ((1, 2, -0.109375), (1, 3, -0.109375)), {1}, {2})
         H = assemble_hamiltonian(spec)
-        L_base = build_liouvillian(H, ChannelSet(1.0, 0.5, 0.0), spec)
-        L_deph = build_liouvillian(np.zeros_like(H), ChannelSet(0.0, 0.0, 1.0), spec)
-        ref = steady_state(L_base + 1e-3 * L_deph).rho
+        ref = steady_state(build_liouvillian(H, ChannelSet(1.0, 0.5, 1e-3), spec)).rho
         solver = EigenbasisSteadyState(H, spec, 1.0, 0.5)
-        [block] = solver.solve(np.array([1e-3]), L_base, L_deph)
+        [block] = solver.solve(np.array([1e-3]))
         assert not block.gated[0]
         assert abs(block.rho[0, 2, 2] - ref[2, 2]) <= 1e-13 * ref[2, 2].real
         monkeypatch.setattr(enaqt.solver, "MAX_REFINE", 1)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
-            [block] = solver.solve(np.array([1e-3]), L_base, L_deph)
+            [block] = solver.solve(np.array([1e-3]))
         assert block.gated[0]
         [record] = caplog.records
         assert "refinement stalled" in record.getMessage()
@@ -438,8 +444,7 @@ class TestEigenbasis:
     def test_state_failing_validation_names_its_row(self, monkeypatch):
         # the block is validated as one stack; the error names the row of
         # the first bad state in the block, past the gated rows before it
-        spec, H, L_zero = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.0)
-        _, _, L_deph = chain_liouvillian(3, 0.0, 0.0, 0.0, 1.0)
+        spec, H, _ = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.0)
         solver = EigenbasisSteadyState(H, spec, 1.0, 2.0)
         check = enaqt.solver.check_density_matrix
         stacks = []
@@ -451,10 +456,11 @@ class TestEigenbasis:
             return check(rho)
 
         monkeypatch.setattr(enaqt.solver, "check_density_matrix", second_made_negative)
-        # rows 0 and 2 pass the residual guard, row 1 is gated
+        # rows 0, 2 and 3 pass the residual guard, row 1 is gated
+        perturbed_rows(monkeypatch, [1])
         gammas = np.array([1.0, 3.0, 1.0, 1.0])
         with pytest.raises(NonPhysicalState, match="negative eigenvalue") as err:
-            list(solver.solve(gammas, L_zero - L_deph, 2.0 * L_deph))
+            list(solver.solve(gammas))
         assert err.value.index == 2 and stacks == [(3, 4, 4)]
 
 
@@ -591,7 +597,7 @@ class TestSectorPropagator:
     @pytest.mark.parametrize("name", ["fig2", "fig3a"])
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e3])
     def test_shifted_generator_matches_assembly_at_gamma(self, name, gamma):
-        cfg, spec, H, _, _ = preset_generators(name)
+        cfg, spec, H = preset_system(name)
         prop = SectorPropagator(H, spec, cfg.gamma_inj, cfg.gamma_ext)
         L = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma), spec)
         sec = _sector(spec.dim)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enaqt.lindblad
 import enaqt.solver
 import enaqt.sweep
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
@@ -324,12 +325,47 @@ class TestPulseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (enaqt.sweep, enaqt.solver):
-            for name in calls:
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        # the sweep resolves only check_density_matrix, the solver both
+        for module, name in ((enaqt.sweep, "check_density_matrix"),
+                             (enaqt.solver, "check_density_matrix"),
+                             (enaqt.solver, "build_liouvillian")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
         run_sweep(cfg)
         assert calls == {"build_liouvillian": 1, "check_density_matrix": 1}
+
+
+class TestSteadyGenerators:
+    """A steady sweep assembles a generator only for a point the eigenbasis solve gates."""
+
+    @staticmethod
+    def count_assemblies(monkeypatch, cfg) -> tuple[int, SweepCurve]:
+        """Generators assembled by a sweep of cfg, wherever the package resolves the builder."""
+        calls = []
+        build = enaqt.lindblad.build_liouvillian
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (enaqt.sweep, enaqt.solver):
+            if hasattr(module, "build_liouvillian"):
+                monkeypatch.setattr(module, "build_liouvillian", counted)
+        curve, _ = run_sweep(cfg)
+        return len(calls), curve
+
+    def test_eigenbasis_sweep_assembles_none(self, monkeypatch):
+        n, curve = self.count_assemblies(monkeypatch, build_preset("fig1"))
+        assert n == 0 and set(curve.method) == {"eigenbasis"}
+
+    def test_each_gated_point_assembles_one(self, monkeypatch):
+        # H_eff of a dimer with its trap at gamma_ext = 4t is defective:
+        # cond(V) gates all 5 points
+        spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+        cfg = SweepConfig(network=spec, gamma_inj=1.0, gamma_ext=4.0, gamma_min=0.1, gamma_max=10.0,
+                          points=5)
+        n, curve = self.count_assemblies(monkeypatch, cfg)
+        assert n == 5 and set(curve.method) == {"sector_lu"}
 
 
 class TestConfigValidation:
@@ -343,6 +379,11 @@ class TestConfigValidation:
     def test_t_end_must_be_finite(self, chain2_cfg, mode, t_end):
         with pytest.raises(ValueError, match="t_end must be finite"):
             replace(chain2_cfg, mode=mode, t_end=t_end)
+
+    @pytest.mark.parametrize("field,value", [("t_end", 20.0), ("pulse_site", 3), ("pulse_site", 99)])
+    def test_steady_sweep_takes_no_pulse_fields(self, field, value):
+        with pytest.raises(ValueError, match=r"a steady sweep takes no t_end or pulse_site"):
+            build_preset("fig1", **{field: value})
 
     def test_injection_rate_defaults_by_mode(self, chain2_cfg):
         # a pulse injects nothing: its config holds 0, a steady one the default rate
