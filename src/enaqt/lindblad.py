@@ -33,7 +33,8 @@ straight from the closed forms of these jump operators:
                 at all.
 
 It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries and no
-explicit zeros, so memory is O(nnz), never d^4.
+explicit zeros, so memory is O(nnz), never d^4.  It imports scipy.sparse
+when first called; nothing else in this module needs scipy.
 
 `apply_liouvillian` evaluates the generator's action on a state or a
 (k, d, d) stack of them from the same closed forms, assembling nothing;
@@ -52,12 +53,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonPhysicalState
 from .network import NetworkSpec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,8 @@ def _diagonal(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndar
 
 def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
     """Assemble the full generator as a d^2 x d^2 CSR matrix."""
+    import scipy.sparse as sp
+
     d = spec.dim
     if H.shape != (d, d):
         raise DimensionMismatch(

@@ -13,14 +13,17 @@ a diagnostics block with each point's solve method, residual, reciprocal
 condition of the eigenbasis system (NaN on sector-LU points, written as
 JSON's NaN token) and smallest eigenvalue of rho.  An environment block
 records the numpy and scipy versions, the BLAS each was built against
-(name and version, from `show_config(mode="dicts")`) and the
-OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null when unset),
-read once per process.  Emitting and re-ingesting a JSON file is
-lossless; files without the diagnostics or environment block read back
-the same, with no diagnostics recorded.  A diagnostics block must hold
-all four columns, and every column one entry per grid point; files
-that break this, such as those written before rcond and min_eigenvalue
-were recorded, are rejected with ValueError.
+(name and version, from `show_config(mode="dicts")`, read once per
+library) and the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null
+when unset).  scipy is recorded only if it is loaded when the file is
+written, and is null otherwise: this module never imports it, and a
+steady sweep that needs no sector-LU fallback never loads it.  Emitting
+and re-ingesting a JSON file is lossless; files without the diagnostics
+or environment block read back the same, with no diagnostics recorded.
+A diagnostics block must hold all four columns, and every column one
+entry per grid point; files that break this, such as those written
+before rcond and min_eigenvalue were recorded, are rejected with
+ValueError.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import warnings
 from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from .observables import SweepClassification, SweepCurve
@@ -69,20 +72,22 @@ def emit_results(
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-@functools.cache
 def _environment() -> dict:
-    """Library versions, their BLAS builds and the BLAS thread settings of this process."""
-
-    def build(mod) -> dict:
-        blas = mod.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-        return {"version": mod.__version__,
-                "blas": {"name": blas.get("name"), "version": blas.get("version")}}
-
+    """Library versions, their BLAS builds and the BLAS thread settings, as loaded now."""
     return {
-        "numpy": build(np),
-        "scipy": build(scipy),
+        "numpy": _build("numpy"),
+        "scipy": _build("scipy") if "scipy" in sys.modules else None,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
+
+
+@functools.cache
+def _build(name: str) -> dict:
+    """Version and BLAS build of a loaded library."""
+    mod = sys.modules[name]
+    blas = mod.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"version": mod.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 def _emit_csv(curve: SweepCurve, path, config: dict | None) -> None:

@@ -23,10 +23,11 @@ Silbey, J. Phys. Chem. A 113, 13825 (2009)):
 
 where removing the mean on-site energy eps_mean (which the commutator
 ignores) removes the ~2.3e3 ps^-1 rounding scale.  One eigendecomposition
-H_eff = V Lambda W (W = V^-1) per sweep makes K elementwise, with
-K -> -delta_ab and delta_ab = i (lambda_a - conj(lambda_b)), so the
-resolvent R_gamma = (gamma - K)^-1 costs O(n^3) to apply.  Per gamma, with
-rho_00 = 1, the populations p solve the real n x n system
+H_eff = V Lambda W (W = V^-1) per sweep (np.linalg.eig, LAPACK geev)
+makes K elementwise, with K -> -delta_ab and delta_ab = i (lambda_a -
+conj(lambda_b)), so the resolvent R_gamma = (gamma - K)^-1 costs O(n^3)
+to apply.  Per gamma, with rho_00 = 1, the populations p solve the real
+n x n system
 
     N_gamma p = gamma_inj diag(R_gamma sum_s E_ss),
     N_gamma = Re(P diag(delta / (gamma + delta)) Q),
@@ -119,6 +120,12 @@ chain took 0.25-0.54 s that way against 0.9-1.3 s dense; a 64-site chain
 (16 strongly coupled sites) 24-43 s against 19-27 ms dense; fig2
 125-209 ms against 4.5-7.1 ms dense.  No size wins on every preset, so
 the dense path is the only one.
+
+scipy is imported inside the functions that use it, so it is loaded on
+first use: by the sector LU (`steady_state`, which a sweep calls only for
+a gated row), by `expm` in `SectorPropagator.evolve` and `propagate`, and
+by `lindblad.build_liouvillian`.  A steady sweep whose rows all pass the
+eigenbasis gates runs on numpy alone and leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -127,11 +134,9 @@ import functools
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DimensionMismatch,
@@ -143,6 +148,9 @@ from .errors import (
 from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, hermitize,
                        unit_dephasing, vec)
 from .network import NetworkSpec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -227,7 +235,7 @@ class EigenbasisSteadyState:
         sources = [s - 1 for s in sorted(spec.inject_sites)]
         self.B = np.zeros((n, n))
         self.B[sources, sources] = gamma_inj
-        lam, V = sla.eig(self.H_eff)
+        lam, V = np.linalg.eig(self.H_eff)
         cond_V = float(np.linalg.cond(V))
         self.gated = not cond_V <= COND_V_MAX
         if self.gated:
@@ -383,6 +391,8 @@ class _Sector:
 
 @functools.lru_cache(maxsize=8)
 def _sector(d: int) -> _Sector:
+    import scipy.sparse as sp
+
     col, row = np.divmod(np.arange(d * d), d)  # vec index row + col*d
     vac = (row == 0) != (col == 0)
     k = np.flatnonzero(~vac)
@@ -422,6 +432,8 @@ def _sector_generator(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
 
 def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
     """Re(Tp L T) with its last (population) row replaced by the trace."""
+    import scipy.sparse as sp
+
     A = _sector_generator(L, sec)
     cut = A.indptr[-2]
     indptr = A.indptr.copy()
@@ -433,6 +445,8 @@ def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
 
 def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray:
     """Steady state from the real sector system."""
+    import scipy.sparse.linalg as spla
+
     A = _sector_system(L, sec)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
@@ -462,6 +476,8 @@ def steady_state(L) -> SteadyStateSolution:
     that state is the unique one whenever the vacuum-coherence block is
     nonsingular, which any injection or dephasing rate guarantees.
     """
+    import scipy.sparse as sp
+
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"generator must be square, got {L.shape}")
     L = sp.csr_matrix(L, dtype=complex)
@@ -521,6 +537,8 @@ class SectorPropagator:
 
     def evolve(self, gamma: float, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Bordered sector coordinates at equally spaced times, one row per time, from x0."""
+        import scipy.linalg as sla
+
         return _samples(sla.expm(self.generator(gamma) * (times[1] - times[0])), x0, times.size)
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
@@ -551,6 +569,8 @@ def propagate(
     block, formed only when rho0 has one.  A generator that couples them
     to the sector raises NotChargeConserving.
     """
+    import scipy.linalg as sla
+
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")

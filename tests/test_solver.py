@@ -161,12 +161,12 @@ class TestSteadyState:
         assert caplog.records == []
 
     def test_sparse_solve_errors_propagate(self, monkeypatch):
-        import enaqt.solver as solver_mod
+        import scipy.sparse.linalg
 
         def broken(*_args, **_kwargs):
             raise MemoryError("out of memory in the sparse factorization")
 
-        monkeypatch.setattr(solver_mod.spla, "splu", broken)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
         _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         with pytest.raises(MemoryError):
             steady_state(L)
@@ -180,12 +180,12 @@ class TestSteadyState:
         # (named for the null-space fallback this error replaced) Both ways
         # real SuperLU reports a singular system, some from dpanel_bmod,
         # raise NonUniqueSteadyState quoting SuperLU, and nothing is logged.
-        import enaqt.solver as solver_mod
+        import scipy.sparse.linalg
 
         def singular(*_args, **_kwargs):
             raise RuntimeError(message)
 
-        monkeypatch.setattr(solver_mod.spla, "splu", singular)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             with pytest.raises(NonUniqueSteadyState, match=message):
@@ -193,12 +193,12 @@ class TestSteadyState:
         assert caplog.records == []
 
     def test_other_superlu_runtime_errors_propagate(self, monkeypatch):
-        import enaqt.solver as solver_mod
+        import scipy.sparse.linalg
 
         def broken(*_args, **_kwargs):
             raise RuntimeError("not enough memory to perform factorization")
 
-        monkeypatch.setattr(solver_mod.spla, "splu", broken)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
         _, _, L = chain_liouvillian(3, 1.0, 1.0, 2.0, 0.5)
         with pytest.raises(RuntimeError, match="not enough memory"):
             steady_state(L)
