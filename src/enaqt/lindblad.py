@@ -34,11 +34,16 @@ straight from the closed forms of these jump operators:
 
 It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries and no
 explicit zeros, so memory is O(nnz), never d^4.  It imports scipy.sparse
-when first called; nothing else in this module needs scipy.
+when first called; nothing else in this module needs scipy.  The package
+calls it only for a row of a steady sweep that the eigenbasis solve
+gates, whose generator the sector LU of `solver.steady_state` then
+solves; the tests also compare against it.
 
 `apply_liouvillian` evaluates the generator's action on a state or a
-(k, d, d) stack of them from the same closed forms, assembling nothing;
-the steady-state sweep checks its states with it.  Both share the diagonal
+(k, d, d) stack of them from the same closed forms, assembling nothing.
+The steady-state sweep checks its states with it, and
+`solver.SectorPropagator` forms the dense sector generator of a pulse
+sweep from its action on the sector basis states.  Both share the diagonal
 and its dephasing rates (`unit_dephasing`).  The kron-product form,
 
     L = -i (I kron H - H^T kron I)

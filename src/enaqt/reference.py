@@ -25,6 +25,8 @@ coherences at all.
 `dense_propagate` is the oracle for `solver.propagate`: the exponential of
 the whole dense complex kron generator, vacuum-site coherences included,
 bordered by the extracted-population row, at (d^2+1)^2 complex memory.
+Its exponential is scipy.linalg.expm, the only scipy this module uses,
+imported when the oracle is called.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NonUniqueSteadyState
 from .lindblad import ChannelSet, hermitize, vec
@@ -197,8 +198,13 @@ def dense_propagate(
 
     One propagator expm(G dt) of the dense (d^2+1)-square generator G,
     `kron_liouvillian` bordered by one row holding gamma_ext at the vec
-    index of each sink population, is applied sample by sample.
+    index of each sink population, is applied sample by sample.  The
+    exponential is scipy.linalg.expm, which shares no code with the
+    solver's own; scipy is imported here, so the other oracles load none
+    of it.
     """
+    import scipy.linalg as sla
+
     d = spec.dim
     d2 = d * d
     G = np.zeros((d2 + 1, d2 + 1), dtype=complex)

@@ -94,44 +94,53 @@ instead of being clipped.  The dense SVD null vector of
 
 Propagation is exact on the output grid and lives in the same real
 sector.  The generator does not depend on time, so one propagator
-P = expm(G dt) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-(2009), as implemented by scipy.linalg.expm) carries the state from each
-sample to the next.  G is the real sector generator Re(Tp L T), n^2 + 1
-unknowns (rho_00 among them, so an injection channel needs nothing extra),
-bordered by one row that accumulates the extracted population (Van Loan,
-IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns, n^4 real memory.
-`SectorPropagator` holds G at zero dephasing, built once from the
-generator of `build_liouvillian` and checked for charge conservation once;
-dephasing is exactly diagonal in the sector (-gamma on the Re and Im
-coordinate of every site-site coherence, 0 on the populations and the
-border row, -gamma/2 on the vacuum-site coherences), so G at any rate is a
-shifted copy and a pulse sweep pays one `expm` per point.  `propagate`
+P = exp(G dt) carries the state from each sample to the next.  G is the
+real sector generator, n^2 + 1 unknowns (rho_00 among them, so an
+injection channel needs nothing extra), bordered by one row that
+accumulates the extracted population (Van Loan, IEEE TAC 23, 395 (1978)):
+n^2 + 2 real unknowns, n^4 real memory.  `SectorPropagator` holds G at
+zero dephasing, formed once from the closed-form action
+`lindblad.apply_liouvillian` on the sector basis states, the same
+definition of the generator with which the steady solver checks its
+states, and checked for charge conservation on the way; dephasing is
+exactly diagonal in the sector (-gamma on the Re and Im coordinate of
+every site-site coherence, 0 on the populations and the border row,
+-gamma/2 on the vacuum-site coherences), so G at any rate is a shifted
+copy and a pulse sweep pays one exponential per point.  `propagate`
 builds one for a single rate and maps every sample back to rho.  The
 vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
 and which no observable reads, stay out of G; a start state that carries
-them evolves them in their own decoupled 2n-square block.  There is no
-step-size control and no stiffness limit on the dephasing rate.  The
-dense propagator costs n^4 memory, so large networks trade memory for
-time against scipy.sparse.linalg.expm_multiply on the sparse sector
-generator, whose cost scales with ||G||_1 t_end instead.  Measured per
-pulse point (201 samples, t_end 20 ps, 2-core OpenBLAS host): a 40-site
-chain took 0.25-0.54 s that way against 0.9-1.3 s dense; a 64-site chain
-0.36-0.88 s in 80 MB at gamma <= 100 but 6.2 s at gamma = 1e3; fig3g
-(16 strongly coupled sites) 24-43 s against 19-27 ms dense; fig2
-125-209 ms against 4.5-7.1 ms dense.  No size wins on every preset, so
-the dense path is the only one.
+them evolves them in their own decoupled 2n-square complex block.  Both
+exponentials are `_expm`, the degree-13 Pade approximant with scaling and
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): six matrix
+products, one solve and one squaring per factor of 2 in ||G dt||_1 /
+5.37.  At gamma = 1e5 and dt = 0.1 ps (||G dt||_1 ~ 1e4, 11 squarings) it
+stays within 1.2e-10 of the full-space oracle, against a float64 floor
+eps gamma t_end of 4.4e-10 over 20 ps.  There is no step-size control and
+no stiffness limit on the dephasing rate.  The dense propagator costs n^4
+memory, so large networks trade memory for time against
+scipy.sparse.linalg.expm_multiply on the sparse sector generator, whose
+cost scales with ||G||_1 t_end instead.  Measured per pulse point (201
+samples, t_end 20 ps, 2-core OpenBLAS host, with scipy.linalg.expm for
+the dense exponential): a 40-site chain took 0.25-0.54 s that way against
+0.9-1.3 s dense; a 64-site chain 0.36-0.88 s in 80 MB at gamma <= 100 but
+6.2 s at gamma = 1e3; fig3g (16 strongly coupled sites) 24-43 s against
+19-27 ms dense; fig2 125-209 ms against 4.5-7.1 ms dense.  No size wins
+on every preset, so the dense path is the only one.
 
 scipy is imported inside the functions that use it, so it is loaded on
 first use: by the sector LU (`steady_state`, which a sweep calls only for
-a gated row), by `expm` in `SectorPropagator.evolve` and `propagate`, and
-by `lindblad.build_liouvillian`.  A steady sweep whose rows all pass the
-eigenbasis gates runs on numpy alone and leaves scipy unloaded.
+a gated row, and the sparse T and Tp it projects with) and by
+`lindblad.build_liouvillian`, which assembles that row's generator.  A
+steady sweep whose rows all pass the eigenbasis gates, every pulse sweep
+and `propagate` run on numpy alone and leave scipy unloaded.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -172,7 +181,8 @@ RCOND_MIN = 1e-10
 # 1e-3, where one pass left J_p off by 4.5e-10 with a residual of 5e-17.
 REFINE_TOL = 1e-8
 MAX_REFINE = 4
-# entries of one complex (block, n, n) stack of the sweep solver: 256 kB
+# entries of one complex stack, (block, n, n) in the sweep solver and
+# (block, d, d) basis states in SectorPropagator: 256 kB
 BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
 N_EVAL = 201
@@ -373,43 +383,89 @@ def _gated_block(k: int, d: int) -> SteadyStateBlock:
 
 @dataclass(frozen=True)
 class _Sector:
-    """The real charge sector of the d^2 vec space and its change of basis.
+    """The real charge sector of the d^2 vec space and its coordinates.
 
     The sector coordinates are the n^2 + 1 vec indices that are not
     vacuum-site coherences, in vec order: a population rho_pp stands for
     itself, and for i < j the index of rho_ij holds Re rho_ij and the
-    index of rho_ji holds Im rho_ij.  T (d^2 x (n^2+1)) maps them to
-    vec(rho) with two entries per coherence column; Tp = diag(1 or 1/2) T^H
-    is its left inverse.  The last coordinate is the population of site n.
+    index of rho_ji holds Im rho_ij.  The last coordinate is the
+    population of site n.  `coordinates` and `state` map between them and
+    (d, d) matrices, or stacks of them, by indexing; the sparse T
+    (d^2 x (n^2+1), vec(rho) from the coordinates) and its left inverse
+    Tp = diag(1 or 1/2) T^H are built from the same arrays when the sector
+    LU first asks for them.
     """
 
-    vac: np.ndarray      # mask of the vacuum-site coherences over vec indices
-    pops: np.ndarray     # sector positions of the populations
-    T: sp.csr_matrix
-    Tp: sp.csr_matrix
+    d: int
+    vac: np.ndarray   # mask of the vacuum-site coherences over vec indices
+    pops: np.ndarray  # sector positions of the populations, site 0 to n
+    re: np.ndarray    # sector positions of Re rho_ij, i < j, in vec order of rho_ij
+    im: np.ndarray    # sector positions of Im rho_ij, pairwise with re
+    i: np.ndarray     # row i of each rho_ij, pairwise with re
+    j: np.ndarray     # column j of each rho_ij, pairwise with re
+
+    @property
+    def size(self) -> int:
+        """Number of sector coordinates, n^2 + 1."""
+        return self.pops.size + 2 * self.re.size
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """Sector coordinates, (..., n^2 + 1), of the Hermitian part of each (d, d) matrix of rho."""
+        a, b = rho[..., self.i, self.j], rho[..., self.j, self.i]
+        x = np.empty(rho.shape[:-2] + (self.size,))
+        x[..., self.pops] = np.diagonal(rho, axis1=-2, axis2=-1).real
+        x[..., self.re] = 0.5 * (a.real + b.real)
+        x[..., self.im] = 0.5 * (a.imag - b.imag)
+        return x
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """The (d, d) matrices with sector coordinates x and no vacuum-site coherences."""
+        rho = np.zeros(x.shape[:-1] + (self.d, self.d), dtype=complex)
+        z = x[..., self.re] + 1j * x[..., self.im]
+        rho[..., self.i, self.j] = z
+        rho[..., self.j, self.i] = z.conj()
+        sites = np.arange(self.d)
+        rho[..., sites, sites] = x[..., self.pops]
+        return rho
+
+    @functools.cached_property
+    def T(self) -> sp.csr_matrix:
+        """vec(rho) from the sector coordinates: one entry per population column, two per coherence."""
+        import scipy.sparse as sp
+
+        d = self.d
+        ij, ji = self.i + self.j * d, self.j + self.i * d  # vec indices of rho_ij and rho_ji
+        # rho_pp = x_p;  rho_ij = x_re + i x_im and rho_ji = x_re - i x_im
+        rows = np.concatenate([np.arange(d) * (d + 1), ij, ji, ij, ji])
+        cols = np.concatenate([self.pops, self.re, self.re, self.im, self.im])
+        vals = np.concatenate([np.ones(d + 2 * self.re.size), np.full(self.re.size, 1j),
+                               np.full(self.re.size, -1j)])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, self.size))
+
+    @functools.cached_property
+    def Tp(self) -> sp.csr_matrix:
+        """The left inverse of T: the sector coordinates of a Hermitian vec(rho)."""
+        import scipy.sparse as sp
+
+        scale = np.full(self.size, 0.5)
+        scale[self.pops] = 1.0
+        return (sp.diags(scale) @ self.T.conj().T).tocsr()
 
 
 @functools.lru_cache(maxsize=8)
 def _sector(d: int) -> _Sector:
-    import scipy.sparse as sp
-
     col, row = np.divmod(np.arange(d * d), d)  # vec index row + col*d
     vac = (row == 0) != (col == 0)
     k = np.flatnonzero(~vac)
     row, col = row[k], col[k]
-    pos = np.arange(k.size)
-    coh = row != col
-    upper = row < col
-    partner = np.searchsorted(k, col + row * d)[coh]  # sector position of rho_ji
-    # T[k[pos], pos] is 1 for a population or Re, -i for Im;
-    # T[k[partner], pos] is 1 for Re, +i for Im
-    T = sp.csr_matrix(
-        (np.concatenate([np.where(upper | ~coh, 1.0, -1j), np.where(upper, 1.0, 1j)[coh]]),
-         (np.concatenate([k, k[partner]]), np.concatenate([pos, pos[coh]]))),
-        shape=(d * d, k.size),
-    )
-    Tp = (sp.diags(np.where(coh, 0.5, 1.0)) @ T.conj().T).tocsr()
-    return _Sector(vac=vac, pops=np.flatnonzero(~coh), T=T, Tp=Tp)
+    re = np.flatnonzero(row < col)
+    im = np.searchsorted(k, col[re] + row[re] * d)  # sector position of rho_ji
+    return _Sector(d=d, vac=vac, pops=np.flatnonzero(row == col), re=re, im=im, i=row[re], j=col[re])
+
+
+def _vacuum_coordinates(rho: np.ndarray) -> np.ndarray:
+    """The vacuum-site coherences of each (d, d) matrix in vec order: rho_s0, then rho_0s."""
+    return np.concatenate([rho[..., 1:, 0], rho[..., 0, 1:]], axis=-1)
 
 
 def _check_charge_conserving(L: sp.csr_matrix, sec: _Sector) -> None:
@@ -425,16 +481,11 @@ def _check_charge_conserving(L: sp.csr_matrix, sec: _Sector) -> None:
         )
 
 
-def _sector_generator(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
-    """The real sector generator Re(Tp L T)."""
-    return (sec.Tp @ L @ sec.T).real
-
-
 def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
     """Re(Tp L T) with its last (population) row replaced by the trace."""
     import scipy.sparse as sp
 
-    A = _sector_generator(L, sec)
+    A = (sec.Tp @ L @ sec.T).real
     cut = A.indptr[-2]
     indptr = A.indptr.copy()
     indptr[-1] = cut + sec.pops.size
@@ -500,26 +551,49 @@ class SectorPropagator:
     """Exact propagation in the real charge sector of one network across dephasing rates.
 
     Built once per pulse sweep from the Hamiltonian, the network and the
-    injection and extraction rates.  The constructor assembles the
-    generator L_base at zero dephasing, checks that it conserves charge
-    and densifies the bordered sector generator G_base: Re(Tp L_base T)
-    plus one row holding gamma_ext at the sector position of each sink
-    population.  Dephasing is diagonal in the sector, -gamma on the Re and
-    Im coordinate of every site-site coherence and 0 on the populations
-    and the border, so G(gamma) is G_base shifted on those diagonal
-    entries and each rate costs one `expm`.
+    injection and extraction rates.  The constructor forms the dense
+    bordered sector generator G_base at zero dephasing column by column:
+    column j holds the sector coordinates of `apply_liouvillian` on the
+    state with coordinate j set to 1, applied in blocks of at most
+    max(1, BLOCK_ENTRIES // d^2) states, and the border row holds gamma_ext
+    at the sector position of each sink population.  An output with a
+    nonzero vacuum-site coherence means the generator is not charge
+    conserving and raises NotChargeConserving; that covers both
+    directions, since the only coupling the closed form can hold, an H
+    entry between the vacuum and a site, shows on the population of one
+    of the two.  Dephasing is diagonal in
+    the sector, -gamma on the Re and Im coordinate of every site-site
+    coherence and 0 on the populations and the border, so G(gamma) is
+    G_base shifted on those diagonal entries and each rate costs one
+    exponential.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
         self.d = spec.dim
-        self.L_base = build_liouvillian(H, ChannelSet(gamma_inj, gamma_ext, 0.0), spec)
-        self.sec = _sector(self.d)
-        _check_charge_conserving(self.L_base, self.sec)
-        m = self.sec.T.shape[1]
+        self.H, self.spec = H, spec
+        self.channels = ChannelSet(gamma_inj, gamma_ext, 0.0)
+        self.sec = sec = _sector(self.d)
+        m = sec.size
         self.G_base = np.zeros((m + 1, m + 1))
-        self.G_base[:m, :m] = _sector_generator(self.L_base, self.sec).toarray()
-        self.G_base[m, self.sec.pops[sorted(spec.extract_sites)]] = gamma_ext
-        self.coherences = np.setdiff1d(np.arange(m), self.sec.pops)
+        size = max(1, BLOCK_ENTRIES // self.d**2)
+        for start in range(0, m, size):
+            cols = np.arange(start, min(start + size, m))
+            x = np.zeros((cols.size, m))
+            x[np.arange(cols.size), cols] = 1.0
+            rho = sec.state(x)
+            drho = apply_liouvillian(H, self.channels, spec, rho)
+            leak = np.argwhere(_vacuum_coordinates(drho))
+            if leak.size:
+                k, c = leak[0]
+                i, j = np.argwhere(rho[k])[0]
+                s, t = (c + 1, 0) if c < self.d - 1 else (0, c - self.d + 2)
+                raise NotChargeConserving(
+                    f"generator couples rho[{i}, {j}] and rho[{s}, {t}] across the charge sector "
+                    "and the vacuum-site coherences"
+                )
+            self.G_base[:m, cols] = sec.coordinates(drho).T
+        self.G_base[m, sec.pops[sorted(spec.extract_sites)]] = gamma_ext
+        self.coherences = np.setdiff1d(np.arange(m), sec.pops)
 
     def generator(self, gamma: float) -> np.ndarray:
         """The bordered sector generator G at dephasing rate gamma."""
@@ -529,22 +603,24 @@ class SectorPropagator:
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """Sector coordinates of rho, bordered by an extracted population of 0."""
-        return np.append((self.sec.Tp @ vec(rho)).real, 0.0)
+        return np.append(self.sec.coordinates(rho), 0.0)
 
     def state(self, x: np.ndarray) -> np.ndarray:
-        """The (d, d) matrix with sector coordinates x and no vacuum-site coherences."""
-        return (self.sec.T @ x).reshape((self.d, self.d), order="F")
+        """The (d, d) matrix, or stack of them, with sector coordinates x and no vacuum-site coherences."""
+        return self.sec.state(x)
 
     def evolve(self, gamma: float, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Bordered sector coordinates at equally spaced times, one row per time, from x0."""
-        import scipy.linalg as sla
-
-        return _samples(sla.expm(self.generator(gamma) * (times[1] - times[0])), x0, times.size)
+        return _samples(_expm(self.generator(gamma) * (times[1] - times[0])), x0, times.size)
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
         """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
-        vac = np.flatnonzero(self.sec.vac)
-        B = self.L_base[vac][:, vac].toarray()
+        n = self.d - 1
+        E = np.zeros((2 * n, self.d, self.d), dtype=complex)
+        s = np.arange(n)
+        E[s, s + 1, 0] = 1.0
+        E[n + s, 0, s + 1] = 1.0
+        B = _vacuum_coordinates(apply_liouvillian(self.H, self.channels, self.spec, E)).T
         B[np.diag_indices_from(B)] -= 0.5 * gamma
         return B
 
@@ -569,8 +645,6 @@ def propagate(
     block, formed only when rho0 has one.  A generator that couples them
     to the sector raises NotChargeConserving.
     """
-    import scipy.linalg as sla
-
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")
@@ -589,14 +663,12 @@ def propagate(
     prop = SectorPropagator(H, spec, channels.gamma_inj, channels.gamma_ext)
     times = np.linspace(0.0, t_end, n_eval)
     y = prop.evolve(channels.gamma_deph, prop.coordinates(rho0), times)
-    sec = prop.sec
-    v = (sec.T @ y[:, :-1].T).T
-    c0 = vec(rho0)[sec.vac]
+    states = prop.state(y[:, :-1])
+    c0 = _vacuum_coordinates(rho0)
     if np.any(c0):
-        P = sla.expm(prop.vacuum_block(channels.gamma_deph) * (times[1] - times[0]))
-        v[:, np.flatnonzero(sec.vac)] = _samples(P, c0, n_eval)
-    # column stacking: row-major (d, d) blocks hold rho transposed
-    states = v.reshape((n_eval, d, d)).transpose(0, 2, 1)
+        P = _expm(prop.vacuum_block(channels.gamma_deph) * (times[1] - times[0]))
+        c = _samples(P, c0, n_eval)
+        states[:, 1:, 0], states[:, 0, 1:] = c[:, :d - 1], c[:, d - 1:]
     return Trajectory(times=times, states=states, extracted=y[:, -1])
 
 
@@ -617,3 +689,45 @@ def transfer_efficiency(traj: Trajectory) -> float:
     delivered to the sinks by the end of the window.
     """
     return float(traj.extracted[-1])
+
+
+# numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp
+# and the largest 1-norm at which it is accurate to double precision
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a real or complex square matrix by scaling and squaring.
+
+    A is scaled by 2^-s so that its 1-norm is at most _THETA13, the
+    degree-13 Pade approximant r = (V - U)^-1 (V + U) is formed from A^2,
+    A^4 and A^6 in six matrix products and one solve, and r is squared s
+    times (Higham 2005, Algorithm 2.3).
+    """
+    b = _PADE13
+    norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    s = max(0, math.frexp(norm / _THETA13)[1])  # 2^s >= norm / _THETA13
+    A = A * 2.0**-s
+    diag = np.arange(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+    U[diag, diag] += b[1]
+    U = A @ U
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    V[diag, diag] += b[0]
+    # the powers go before the solve, and V - U is formed in place: on a
+    # large network each of these arrays is n^4 doubles
+    del A, A2, A4, A6
+    X = V + U
+    V -= U
+    del U
+    X = np.linalg.solve(V, X)
+    for _ in range(s):
+        X = X @ X
+    return X

@@ -27,13 +27,14 @@ point.
 
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
-`solver.SectorPropagator` is built per sweep: it assembles the generator
-at zero dephasing once, checks charge conservation once and densifies the
-(n^2 + 2)-square bordered charge-sector generator once; the start state is
+`solver.SectorPropagator` is built per sweep: it forms the (n^2 + 2)-square
+bordered charge-sector generator at zero dephasing once, from the
+closed-form action of `lindblad.apply_liouvillian` on the sector basis
+states, and checks charge conservation on the way; the start state is
 validated once.  Dephasing only shifts the diagonal of the coherence
-coordinates, so each point costs one real exponential and 200
-matrix-vector steps in sector coordinates; no sample is mapped back to a
-density matrix.  The emitted columns then read as follows: j_p is the
+coordinates, so each point costs one real exponential (`solver._expm`,
+numpy alone) and 200 matrix-vector steps in sector coordinates; no
+sample is mapped back to a density matrix.  The emitted columns then read as follows: j_p is the
 transfer efficiency eta(t_end) (total extracted population, the border
 coordinate of the last sample), j_q the time-integrated heat current, and
 the occupations (and the delta_n derived from them) are trajectory time

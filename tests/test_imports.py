@@ -1,4 +1,5 @@
-"""scipy is loaded on first use: a steady sweep and its JSON file need none of it.
+"""scipy is loaded on first use: steady and pulse sweeps, their JSON files and the
+analytic oracles need none of it.
 
 Each test runs in a fresh interpreter, since this one has loaded scipy.
 """
@@ -18,6 +19,12 @@ def run_python(args, cwd):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def imported(proc):
+    """Every module a command run under -X importtime imported, from its stderr."""
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
 
 
 STEADY_THEN_GATED = """
@@ -54,11 +61,67 @@ def test_steady_sweep_and_json_emit_load_no_scipy(tmp_path):
 
 
 def test_figure_command_loads_no_scipy(tmp_path):
-    # -X importtime lists every module the command imports on stderr
-    proc = run_python(["-X", "importtime", "-m", "enaqt.cli", "figure", "--preset", "fig1",
-                       "--output", str(tmp_path), "--format", "json"], tmp_path)
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "enaqt.results" in imported and "numpy" in imported
-    assert [name for name in imported if name == "scipy" or name.startswith("scipy.")] == []
+    names = imported(run_python(["-X", "importtime", "-m", "enaqt.cli", "figure", "--preset", "fig1",
+                                 "--output", str(tmp_path), "--format", "json"], tmp_path))
+    assert "enaqt.results" in names and "numpy" in names
+    assert [name for name in names if name.split(".")[0] == "scipy"] == []
     assert json.loads((tmp_path / "fig1.json").read_text())["environment"]["scipy"] is None
+
+
+PULSE_AND_PROPAGATE = """
+import json, sys
+import numpy as np
+from enaqt import build_preset, emit_results, run_sweep
+from enaqt.lindblad import ChannelSet, hermitize
+from enaqt.network import assemble_hamiltonian, to_internal_units
+from enaqt.solver import propagate
+
+cfg = build_preset("fig2", mode="pulse", t_end=20.0)
+curve, cls = run_sweep(cfg)
+emit_results(curve, cls, "json", "pulse.json", config=cfg)
+spec = to_internal_units(cfg.network)
+# a start state with vacuum-site coherences evolves them by their own block
+rho0 = np.eye(spec.dim) / spec.dim + 0.05 * hermitize(np.triu(np.ones((spec.dim, spec.dim)), 1))
+traj = propagate(assemble_hamiltonian(spec), ChannelSet(0.0, 5.0, 1.0), spec, rho0, 2.0)
+print(json.dumps({"coherence": float(abs(traj.states[-1, 0, 1])),
+                  "loaded": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_pulse_sweep_and_propagate_load_no_scipy(tmp_path):
+    out = json.loads(run_python(["-c", PULSE_AND_PROPAGATE], tmp_path).stdout)
+    assert out["loaded"] == []
+    assert out["coherence"] > 0.0
+    assert json.loads((tmp_path / "pulse.json").read_text())["environment"]["scipy"] is None
+
+
+def test_pulse_command_loads_no_scipy(tmp_path):
+    out = tmp_path / "fig2.json"
+    names = imported(run_python(["-X", "importtime", "-m", "enaqt.cli", "pulse", "--preset", "fig2",
+                                 "--t-end", "20", "--output", str(out), "--format", "json"], tmp_path))
+    assert "enaqt.solver" in names
+    assert [name for name in names if name.split(".")[0] == "scipy"] == []
+    assert json.loads(out.read_text())["environment"]["scipy"] is None
+
+
+ORACLES = """
+import json, sys
+from enaqt.lindblad import ChannelSet
+from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
+from enaqt.reference import (ChainParams, analytic_chain_current, brute_force_steady_state,
+                             kron_liouvillian)
+
+spec = generate_geometry("chain", 3, Uniform(0.0), Uniform(1.0), inject={1}, extract={3})
+L = kron_liouvillian(assemble_hamiltonian(spec), ChannelSet(5.0, 5.0, 1.0), spec)
+rho = brute_force_steady_state(L)
+print(json.dumps({"j": analytic_chain_current(ChainParams(3, 1.0, 5.0, 5.0, 1.0)),
+                  "n3": rho[3, 3].real,
+                  "loaded": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_analytic_and_svd_oracles_load_no_scipy(tmp_path):
+    out = json.loads(run_python(["-c", ORACLES], tmp_path).stdout)
+    assert out["loaded"] == []
+    # the two oracles agree on the end-to-end chain: J = gamma_ext n_L
+    assert abs(out["j"] - 5.0 * out["n3"]) <= 1e-10 * out["j"]

@@ -33,6 +33,7 @@ from enaqt.reference import (
 from enaqt.solver import (
     EigenbasisSteadyState,
     SectorPropagator,
+    _expm,
     _sector,
     propagate,
     steady_state,
@@ -546,13 +547,21 @@ class TestPropagate:
             propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=1)
 
 
-def assert_matches_dense(H, channels, spec, rho0, t_end):
+def assert_matches_dense(H, channels, spec, rho0, t_end, tol=1e-10):
     traj = propagate(H, channels, spec, rho0, t_end)
     ref = dense_propagate(H, channels, spec, rho0, t_end)
     assert np.array_equal(traj.times, ref.times)
-    assert np.max(np.abs(traj.states - ref.states)) <= 1e-10
-    assert np.max(np.abs(traj.extracted - ref.extracted)) <= 1e-10
+    assert np.max(np.abs(traj.states - ref.states)) <= tol
+    assert np.max(np.abs(traj.extracted - ref.extracted)) <= tol
     return traj
+
+
+def pulse_start(spec):
+    """A single excitation on the lowest-numbered injection site."""
+    site = min(spec.inject_sites)
+    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho0[site, site] = 1.0
+    return rho0
 
 
 class TestPropagateAgainstDenseOracle:
@@ -563,11 +572,23 @@ class TestPropagateAgainstDenseOracle:
         cfg = build_preset("fig2")
         spec = to_internal_units(cfg.network)
         H = assemble_hamiltonian(spec)
-        site = min(spec.inject_sites)
-        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
-        rho0[site, site] = 1.0
-        traj = assert_matches_dense(H, ChannelSet(0.0, cfg.gamma_ext, gamma), spec, rho0, 20.0)
+        channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
+        traj = assert_matches_dense(H, channels, spec, pulse_start(spec), 20.0)
         assert np.all(traj.states[:, 0, 1:] == 0.0)
+
+    # the stiffest points of the presets' pulse grids: ||G dt||_1 is about
+    # 1e4 at gamma = 1e5 (the most squarings), and fig3a is the largest
+    # generator (627-square)
+    @pytest.mark.parametrize("name, gamma", [("fig3g", 1e5), ("fig3d", 1e5), ("fig3a", 1e3)])
+    def test_stiff_pulse(self, name, gamma):
+        cfg, spec, H = preset_system(name)
+        t_end = 20.0
+        # rounding of exp(G t_end) in float64 is of order eps gamma t_end
+        # (4.4e-10 at gamma = 1e5); the measured differences are 1.8e-11
+        # (fig3g), 1.1e-10 (fig3d) and 3.4e-13 (fig3a)
+        floor = np.finfo(float).eps * gamma * t_end
+        channels = ChannelSet(0.0, cfg.gamma_ext, gamma)
+        assert_matches_dense(H, channels, spec, pulse_start(spec), t_end, tol=2 * floor)
 
     def test_injection_from_the_vacuum(self, asymmetric_chain):
         spec, H = asymmetric_chain
@@ -587,7 +608,7 @@ class TestPropagateAgainstDenseOracle:
         H[0, 1] = H[1, 0] = 1.0
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho0[1, 1] = 1.0
-        with pytest.raises(NotChargeConserving):
+        with pytest.raises(NotChargeConserving, match=r"rho\[0, 0\] and rho\[1, 0\]"):
             propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 1.0)
 
 
@@ -609,6 +630,36 @@ class TestSectorPropagator:
         vac = np.flatnonzero(sec.vac)
         block = L[vac][:, vac].toarray()
         assert np.max(np.abs(prop.vacuum_block(gamma) - block)) <= 1e-13 * np.max(np.abs(block))
+
+
+class TestExpm:
+    """The scaling-and-squaring Pade exponential against exact answers."""
+
+    def test_zero_matrix(self):
+        # the Pade quotient is b_0 I / b_0 I, up to the solve's rounding
+        assert np.max(np.abs(_expm(np.zeros((4, 4))) - np.eye(4))) <= np.finfo(float).eps
+
+    def test_diagonal(self):
+        a = np.array([-20.0, -3.0, 0.0, 0.5, 2.0, 7.5])
+        X = _expm(np.diag(a))
+        assert np.count_nonzero(X - np.diag(np.diag(X))) == 0
+        assert np.max(np.abs(np.diag(X) / np.exp(a) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-3.0, -7.0), (0.5, 0.25)])
+    def test_non_normal_triangular(self, a, b):
+        # ||A||_1 = 1e4 takes 11 squarings
+        X = _expm(np.array([[a, 1e4], [0.0, b]]))
+        assert X[1, 0] == 0.0
+        upper = X[0, 0], X[0, 1], X[1, 1]
+        exact = np.exp(a), 1e4 * (np.exp(a) - np.exp(b)) / (a - b), np.exp(b)
+        assert np.max(np.abs(np.divide(upper, exact) - 1.0)) <= 1e-12
+
+    def test_complex_vacuum_block(self):
+        # the on-site energies make it complex with a 1-norm of about 234 at dt = 0.1 ps
+        cfg, spec, H = preset_system("fig2")
+        B = SectorPropagator(H, spec, 0.0, cfg.gamma_ext).vacuum_block(1.0) * 0.1
+        ref = sla.expm(B)
+        assert np.max(np.abs(_expm(B) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTransferEfficiency:

@@ -317,7 +317,7 @@ class TestPulseSweep:
         assert cls == ref_cls
 
     def test_builds_the_generator_and_checks_the_start_state_once(self, monkeypatch):
-        calls = {"build_liouvillian": 0, "check_density_matrix": 0}
+        calls = {"build_liouvillian": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -325,14 +325,17 @@ class TestPulseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the sweep resolves only check_density_matrix, the solver both
+        # the sweep resolves only check_density_matrix, the solver all three
         for module, name in ((enaqt.sweep, "check_density_matrix"),
                              (enaqt.solver, "check_density_matrix"),
-                             (enaqt.solver, "build_liouvillian")):
+                             (enaqt.solver, "build_liouvillian"),
+                             (enaqt.solver, "apply_liouvillian")):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
         run_sweep(cfg)
-        assert calls == {"build_liouvillian": 1, "check_density_matrix": 1}
+        # fig2's 50 sector basis states take one block of the closed-form action;
+        # nothing is assembled
+        assert calls == {"build_liouvillian": 0, "apply_liouvillian": 1, "check_density_matrix": 1}
 
 
 class TestSteadyGenerators:
