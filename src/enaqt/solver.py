@@ -94,9 +94,10 @@ instead of being clipped.  The dense SVD null vector of
 
 Propagation is exact on the output grid and lives in the same real
 sector.  The generator does not depend on time, so one propagator
-P = exp(G dt) carries the state from each sample to the next.  G is the
-real sector generator, n^2 + 1 unknowns (rho_00 among them, so an
-injection channel needs nothing extra), bordered by one row that
+P = exp(G dt) carries the state from each sample to the next, and P^b
+from each sample to the one b further on.  G is the real sector
+generator, n^2 + 1 unknowns (rho_00 among them, so an injection channel
+needs nothing extra), bordered by one row that
 accumulates the extracted population (Van Loan, IEEE TAC 23, 395 (1978)):
 n^2 + 2 real unknowns, n^4 real memory.  `SectorPropagator` holds G at
 zero dephasing, formed once from the closed-form action
@@ -106,16 +107,26 @@ states, and checked for charge conservation on the way; dephasing is
 exactly diagonal in the sector (-gamma on the Re and Im coordinate of
 every site-site coherence, 0 on the populations and the border row,
 -gamma/2 on the vacuum-site coherences), so G at any rate is a shifted
-copy and a pulse sweep pays one exponential per point.  `propagate`
-builds one for a single rate and maps every sample back to rho.  The
+copy and a pulse sweep pays one exponential per point.  It takes its
+rates in blocks of max(1, BLOCK_ENTRIES // (n^2 + 2)^2), 6 on fig2 (7
+sites) and 1 from 10 sites up: one stacked exponential per block, and
+`_samples` steps the block's trajectories together.  The first b samples
+take one product by P each; P^b, from log2(b) squarings, then advances b
+samples per batched product.  b is the largest power of two up to 8
+whose squarings cost no more than the N_EVAL - 1 steps of a trajectory,
+log2(b) (n^2 + 2) <= N_EVAL - 1: 8 up to 8 sites, 4 at 9, 2 from 10 to
+14 and 1 (one product per sample) from 15 up.  `propagate` evolves a
+block of its one rate and maps every sample back to rho.  The
 vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
 and which no observable reads, stay out of G; a start state that carries
-them evolves them in their own decoupled 2n-square complex block.  Both
-exponentials are `_expm`, the degree-13 Pade approximant with scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): six matrix
-products, one solve and one squaring per factor of 2 in ||G dt||_1 /
-5.37.  At gamma = 1e5 and dt = 0.1 ps (||G dt||_1 ~ 1e4, 11 squarings) it
-stays within 1.2e-10 of the full-space oracle, against a float64 floor
+them evolves them in their own decoupled 2n-square complex block, through
+the same `_samples`.  Both exponentials are `_expm`, the degree-13 Pade
+approximant with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+26, 1179 (2005)): six matrix products, one solve and one squaring per
+factor of 2 in ||G dt||_1 / 5.37, each over a whole stack of matrices
+whose members keep their own number of squarings.  At gamma = 1e5 and
+dt = 0.1 ps (||G dt||_1 ~ 1e4, 11 squarings) it stays within 1.2e-10 of
+the full-space oracle, against a float64 floor
 eps gamma t_end of 4.4e-10 over 20 ps.  There is no step-size control and
 no stiffness limit on the dephasing rate.  The dense propagator costs n^4
 memory, so large networks trade memory for time against
@@ -140,7 +151,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -181,8 +191,9 @@ RCOND_MIN = 1e-10
 # 1e-3, where one pass left J_p off by 4.5e-10 with a residual of 5e-17.
 REFINE_TOL = 1e-8
 MAX_REFINE = 4
-# entries of one complex stack, (block, n, n) in the sweep solver and
-# (block, d, d) basis states in SectorPropagator: 256 kB
+# entries of one stack: complex (block, n, n) in the sweep solver and
+# (block, d, d) basis states in SectorPropagator, 256 kB; real
+# (block, n^2 + 2, n^2 + 2) generators of a pulse sweep, 128 kB
 BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
 N_EVAL = 201
@@ -564,8 +575,9 @@ class SectorPropagator:
     of the two.  Dephasing is diagonal in
     the sector, -gamma on the Re and Im coordinate of every site-site
     coherence and 0 on the populations and the border, so G(gamma) is
-    G_base shifted on those diagonal entries and each rate costs one
-    exponential.
+    G_base shifted on those diagonal entries.  `evolve` takes a block of
+    rates: one stacked exponential, and `_samples` steps the block's
+    trajectories together, several samples per batched product.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -595,10 +607,11 @@ class SectorPropagator:
         self.G_base[m, sec.pops[sorted(spec.extract_sites)]] = gamma_ext
         self.coherences = np.setdiff1d(np.arange(m), sec.pops)
 
-    def generator(self, gamma: float) -> np.ndarray:
-        """The bordered sector generator G at dephasing rate gamma."""
-        G = self.G_base.copy()
-        G[self.coherences, self.coherences] -= gamma
+    def generator(self, gammas: np.ndarray | float) -> np.ndarray:
+        """The bordered sector generator G at each dephasing rate: (k, m, m) for k rates, (m, m) for one scalar."""
+        gammas = np.asarray(gammas, dtype=float)
+        G = np.broadcast_to(self.G_base, gammas.shape + self.G_base.shape).copy()
+        G[..., self.coherences, self.coherences] -= gammas[..., np.newaxis]
         return G
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
@@ -609,9 +622,9 @@ class SectorPropagator:
         """The (d, d) matrix, or stack of them, with sector coordinates x and no vacuum-site coherences."""
         return self.sec.state(x)
 
-    def evolve(self, gamma: float, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Bordered sector coordinates at equally spaced times, one row per time, from x0."""
-        return _samples(_expm(self.generator(gamma) * (times[1] - times[0])), x0, times.size)
+    def evolve(self, gammas: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Bordered sector coordinates from x0 at equally spaced times and each rate: (len(times), k, m)."""
+        return _samples(_expm(self.generator(gammas) * (times[1] - times[0])), x0, times.size)
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
         """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
@@ -638,8 +651,8 @@ def propagate(
     The returned trajectory samples n_eval equally spaced times.  One
     `SectorPropagator` forms the bordered sector generator, whose extra
     component carries the cumulative extracted population
-    integral(sum_s gamma_ext rho_ss dt), and one propagator
-    P = expm(G dt) is applied sample by sample, which is exact on the
+    integral(sum_s gamma_ext rho_ss dt), and the propagator
+    P = expm(G dt) steps the samples by `_samples`, which is exact on the
     grid up to rounding; T maps each sample back to rho.  Vacuum-site
     coherences in rho0 evolve by the exponential of their own 2n-square
     block, formed only when rho0 has one.  A generator that couples them
@@ -662,7 +675,7 @@ def propagate(
 
     prop = SectorPropagator(H, spec, channels.gamma_inj, channels.gamma_ext)
     times = np.linspace(0.0, t_end, n_eval)
-    y = prop.evolve(channels.gamma_deph, prop.coordinates(rho0), times)
+    y = prop.evolve(np.array([channels.gamma_deph]), prop.coordinates(rho0), times)[:, 0]
     states = prop.state(y[:, :-1])
     c0 = _vacuum_coordinates(rho0)
     if np.any(c0):
@@ -672,12 +685,44 @@ def propagate(
     return Trajectory(times=times, states=states, extracted=y[:, -1])
 
 
+def _samples_per_product(m: int) -> int:
+    """b, the samples `_samples` advances per product with an m-square propagator.
+
+    The largest power of two up to 8 whose log2(b) extra squarings, m^3
+    multiply-adds each, stay within the m^2 (N_EVAL - 1) of the steps of a
+    trajectory: 8 up to 8 sites (m <= 66), 1 from 15 sites (m = 227) up.
+    """
+    b = 8
+    while b > 1 and (b.bit_length() - 1) * m > N_EVAL - 1:
+        b //= 2
+    return b
+
+
 def _samples(P: np.ndarray, x0: np.ndarray, n_eval: int) -> np.ndarray:
-    """x0, P x0, ..., P^(n_eval-1) x0 as the rows of one array."""
-    y = np.empty((n_eval, x0.size), dtype=np.result_type(P, x0))
+    """x0, P x0, ..., P^(n_eval-1) x0 for each matrix of P, as an (n_eval, ..., m) array.
+
+    P is one m-square propagator or a stack of them, and x0 an m-vector or
+    one per matrix.  The first b = `_samples_per_product(m)` samples are
+    stepped by P one at a time; P^b, from log2(b) squarings, then advances
+    b samples per batched product, y[j:j+b] = P^b y[j-b:j].  With b = 1
+    every sample is one product by P.
+    """
+    m = P.shape[-1]
+    b = _samples_per_product(m)
+    y = np.empty((n_eval,) + P.shape[:-2] + (m,), dtype=np.result_type(P, x0))
     y[0] = x0
-    for k in range(n_eval - 1):
-        np.dot(P, y[k], out=y[k + 1])
+    # each trajectory's samples as the rows of a matrix, a view into y:
+    # its rows times P^T on the right advance it by one sample
+    rows = np.swapaxes(y, 0, -2)
+    step = np.swapaxes(P, -1, -2)
+    for j in range(1, min(b, n_eval)):
+        np.matmul(rows[..., j - 1:j, :], step, out=rows[..., j:j + 1, :])
+    for _ in range(b.bit_length() - 1):
+        P = P @ P
+    step = np.swapaxes(P, -1, -2)
+    for j in range(b, n_eval, b):
+        r = min(b, n_eval - j)  # the last block may be ragged
+        np.matmul(rows[..., j - b:j - b + r, :], step, out=rows[..., j:j + r, :])
     return y
 
 
@@ -701,26 +746,32 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) of a real or complex square matrix by scaling and squaring.
+    """exp(A) of a real or complex square matrix, or of each of a (k, m, m) stack, by scaling and squaring.
 
-    A is scaled by 2^-s so that its 1-norm is at most _THETA13, the
-    degree-13 Pade approximant r = (V - U)^-1 (V + U) is formed from A^2,
-    A^4 and A^6 in six matrix products and one solve, and r is squared s
-    times (Higham 2005, Algorithm 2.3).
+    Each matrix is scaled by 2^-s, with its own s, so that its 1-norm is
+    at most _THETA13; the degree-13 Pade approximant r = (V - U)^-1 (V + U)
+    is formed from A^2, A^4 and A^6 in six matrix products and one solve,
+    each over the whole stack, and r is squared s times (Higham 2005,
+    Algorithm 2.3): the i-th squaring takes only the matrices whose s
+    exceeds i, so each gets the arithmetic it would get alone.
     """
     b = _PADE13
-    norm = np.abs(A).sum(axis=0).max(initial=0.0)
-    s = max(0, math.frexp(norm / _THETA13)[1])  # 2^s >= norm / _THETA13
-    A = A * 2.0**-s
-    diag = np.arange(A.shape[0])
+    single = A.ndim == 2
+    if single:
+        A = A[np.newaxis]
+    norm = np.abs(A).sum(axis=1).max(axis=1, initial=0.0)
+    s = np.maximum(0, np.frexp(norm / _THETA13)[1])  # 2^s >= norm / _THETA13
+    # rebinding A lets the caller's array go: on a large network it is n^4 doubles
+    A = A * np.ldexp(1.0, -s)[:, None, None]
+    diag = np.arange(A.shape[-1])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
     U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-    U[diag, diag] += b[1]
+    U[:, diag, diag] += b[1]
     U = A @ U
     V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    V[diag, diag] += b[0]
+    V[:, diag, diag] += b[0]
     # the powers go before the solve, and V - U is formed in place: on a
     # large network each of these arrays is n^4 doubles
     del A, A2, A4, A6
@@ -728,6 +779,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
     V -= U
     del U
     X = np.linalg.solve(V, X)
-    for _ in range(s):
-        X = X @ X
-    return X
+    for i in range(s.max(initial=0)):
+        live = np.flatnonzero(s > i)
+        if live.size == X.shape[0]:
+            X = X @ X
+        else:
+            X[live] = X[live] @ X[live]
+    return X[0] if single else X

@@ -32,17 +32,23 @@ bordered charge-sector generator at zero dephasing once, from the
 closed-form action of `lindblad.apply_liouvillian` on the sector basis
 states, and checks charge conservation on the way; the start state is
 validated once.  Dephasing only shifts the diagonal of the coherence
-coordinates, so each point costs one real exponential (`solver._expm`,
-numpy alone) and 200 matrix-vector steps in sector coordinates; no
-sample is mapped back to a density matrix.  The emitted columns then read as follows: j_p is the
-transfer efficiency eta(t_end) (total extracted population, the border
-coordinate of the last sample), j_q the time-integrated heat current, and
-the occupations (and the delta_n derived from them) are trajectory time
-averages.  Both time integrals are the trapezoid rule on the 201-sample
-trajectory, taken in sector coordinates; only the integral is mapped back
-to a density matrix.  The sweep collects eta and these integrals point by
-point and evaluates the heat current, linear in rho, and delta_n once on
-the stack of integrals.
+coordinates.  The grid is walked in blocks of max(1, BLOCK_ENTRIES //
+(n^2 + 2)^2) rates (6 on fig2, 1 from 10 sites up), and each block is
+whole arrays: one stacked real exponential (`solver._expm`, numpy alone)
+and the block's trajectories stepped together in sector coordinates,
+several samples per batched product on small networks
+(`solver._samples`); no sample is mapped back to a density matrix.  An
+error in a block is annotated with the block's first gamma_deph.  The
+emitted columns then read as follows: j_p is the transfer efficiency
+eta(t_end) (total extracted population, the border coordinate of the
+last sample), j_q the time-integrated heat current, and the occupations
+(and the delta_n derived from them) are trajectory time averages.  Both
+time integrals are the trapezoid rule on the 201-sample trajectory,
+taken in sector coordinates as one product of the trapezoid weights with
+the block's samples; only the integrals are mapped back to density
+matrices, by one call on the stack of all of them.  The sweep then
+evaluates the heat current, linear in rho, and delta_n once on that
+stack.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .solver import N_EVAL, EigenbasisSteadyState, SectorPropagator
+from .solver import BLOCK_ENTRIES, N_EVAL, EigenbasisSteadyState, SectorPropagator
 
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
@@ -209,16 +215,22 @@ def _pulse_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.
     propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
     x0 = propagator.coordinates(rho0)
     times = np.linspace(0.0, cfg.t_end, N_EVAL)
+    # the trapezoid rule on the equally spaced samples, as one weighted sum
+    weights = np.full(N_EVAL, times[1] - times[0])
+    weights[[0, -1]] *= 0.5
+    size = max(1, BLOCK_ENTRIES // x0.size**2)  # rates per block of generators
     eta = np.empty(grid.size)
-    rho_int = np.empty((grid.size, spec.dim, spec.dim), dtype=complex)
-    for k, gamma in enumerate(grid):
+    integral = np.empty((grid.size, x0.size - 1))
+    for start in range(0, grid.size, size):
+        block = grid[start:start + size]
         try:
-            y = propagator.evolve(gamma, x0, times)
+            y = propagator.evolve(block, x0, times)
         except Exception as exc:
-            _annotate(exc, float(gamma))
+            _annotate(exc, float(block[0]))
             raise
-        eta[k] = y[-1, -1]
-        rho_int[k] = propagator.state(np.trapezoid(y[:, :-1], times, axis=0))
+        eta[start:start + size] = y[-1, :, -1]
+        integral[start:start + size] = np.tensordot(weights, y, axes=1)[:, :-1]
+    rho_int = propagator.state(integral)
     avg = np.diagonal(rho_int, axis1=1, axis2=2).real / times[-1]
     occ = Occupations(values=avg[:, 1:], vacuum=avg[:, 0])
     return dict(j_p=eta, **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))

@@ -34,6 +34,8 @@ from enaqt.solver import (
     EigenbasisSteadyState,
     SectorPropagator,
     _expm,
+    _samples,
+    _samples_per_product,
     _sector,
     propagate,
     steady_state,
@@ -660,6 +662,55 @@ class TestExpm:
         B = SectorPropagator(H, spec, 0.0, cfg.gamma_ext).vacuum_block(1.0) * 0.1
         ref = sla.expm(B)
         assert np.max(np.abs(_expm(B) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stack_matches_each_matrix(self):
+        # 0, 2 and 11 squarings: each matrix of the stack keeps its own count
+        A = np.zeros((3, 6, 6))
+        A[1] = np.diag([-20.0, -3.0, 0.0, 0.5, 2.0, 7.5])
+        A[2, :2, :2] = [[1.0, 1e4], [0.0, -1.0]]
+        X = _expm(A)
+        assert X.shape == A.shape
+        for got, matrix in zip(X, A):
+            want = _expm(matrix)
+            assert want.shape == matrix.shape
+            assert np.max(np.abs(got - want)) <= np.finfo(float).eps * np.max(np.abs(want))
+
+
+class TestSamples:
+    """Several samples per product against one product per sample."""
+
+    @staticmethod
+    def recurrence(P, x0, n_eval):
+        y = [np.broadcast_to(x0, P.shape[:-1])]
+        for _ in range(n_eval - 1):
+            y.append(np.einsum("...ij,...j->...i", P, y[-1]))
+        return np.array(y)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_one_product_per_sample(self, kind):
+        cfg, spec, H = preset_system("fig2")
+        prop = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
+        if kind == "real":
+            # a stack of three rates from the bordered sector generator
+            P = _expm(prop.generator(np.array([1e-2, 1.0, 1e2])) * 0.1)
+            x0 = prop.coordinates(pulse_start(spec))
+        else:
+            # the vacuum block, one complex matrix and a complex start
+            P = _expm(prop.vacuum_block(1.0) * 0.1)
+            x0 = np.array([1.0, 1j]) @ np.random.default_rng(3).standard_normal((2, P.shape[0]))
+        b = _samples_per_product(P.shape[-1])
+        assert b == 8
+        for n_eval in (2, b, b + 1, 201):
+            got = _samples(P, x0, n_eval)
+            want = self.recurrence(P, x0, n_eval)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n_eval
+
+    @pytest.mark.parametrize("m, b", [(2, 8), (51, 8), (66, 8), (83, 4), (102, 2), (198, 2), (227, 1),
+                                      (627, 1)])
+    def test_samples_per_product(self, m, b):
+        # m = n^2 + 2: up to 8 sites (fig2 has 7) take 8 samples per product, 15 sites and up one
+        assert _samples_per_product(m) == b
 
 
 class TestTransferEfficiency:

@@ -337,6 +337,25 @@ class TestPulseSweep:
         # nothing is assembled
         assert calls == {"build_liouvillian": 0, "apply_liouvillian": 1, "check_density_matrix": 1}
 
+    def test_error_names_the_first_rate_of_its_block(self, monkeypatch):
+        expm = enaqt.solver._expm
+        calls = []
+
+        def fail_second_block(A):
+            calls.append(A.shape)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return expm(A)
+
+        monkeypatch.setattr(enaqt.solver, "_expm", fail_second_block)
+        cfg = build_preset("fig2", mode="pulse", t_end=20.0, points=20, gamma_min=1e-2, gamma_max=1e2)
+        # fig2's 51-square bordered generator takes BLOCK_ENTRIES // 51^2 = 6 rates per block
+        size = enaqt.solver.BLOCK_ENTRIES // 51**2
+        first = cfg.gamma_grid()[size]
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"[gamma_deph={first:g}] Singular matrix")):
+            run_sweep(cfg)
+        assert calls == [(size, 51, 51)] * 2
+
 
 class TestSteadyGenerators:
     """A steady sweep assembles a generator only for a point the eigenbasis solve gates."""
