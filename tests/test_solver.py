@@ -700,7 +700,8 @@ class TestSamples:
             x0 = np.array([1.0, 1j]) @ np.random.default_rng(3).standard_normal((2, P.shape[0]))
         b = _samples_per_product(P.shape[-1])
         assert b == 8
-        for n_eval in (2, b, b + 1, 201):
+        # n_eval <= b, no block, a last block of 1 sample and one of 3
+        for n_eval in (2, b, b + 1, 201, 2 * b + 3):
             got = _samples(P, x0, n_eval)
             want = self.recurrence(P, x0, n_eval)
             assert got.shape == want.shape
