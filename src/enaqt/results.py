@@ -7,7 +7,12 @@ row, and one data row per grid point in increasing dephasing rate:
 
 They are written and read by numpy's text codec (`savetxt`, `loadtxt`),
 with floats at 17 significant digits, so re-parsing reproduces the binary
-values exactly.  JSON files mirror the same columns and add the
+values exactly.  A JSON file is one compact line (no indentation, no
+spaces after separators) and a newline, written by `json.dumps` without
+indent, the one call that runs CPython's C encoder: floats by
+`float.__repr__`, the shortest string that parses back to the same bits,
+and NaN as JSON's NaN token.  Files written indented by earlier versions
+read back the same.  JSON files mirror the same columns and add the
 configuration echo and the classification block, and, for a steady sweep,
 a diagnostics block with each point's solve method, residual, reciprocal
 condition of the eigenbasis system (NaN on sector-LU points, written as
@@ -125,8 +130,9 @@ def _emit_json(
         doc["diagnostics"] = {"method": list(curve.method)} | {
             name: getattr(curve, name).tolist() for name in ("residual", "rcond", "min_eigenvalue")
         }
+    # json.dumps without indent is the one call that runs the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -43,13 +43,15 @@ the full complex product.  (The equivalent form I - gamma diag R_gamma
 diag cancels catastrophically at large gamma.)  Then X = R_gamma(B +
 gamma diag p), refined on the n x n equation with its residual taken from
 H_eff itself until a correction is below REFINE_TOL of 1 + tr X (one
-pass almost always; an ill-conditioned N_gamma needs more), and rho_00 = 1 / (1 +
-tr X) normalizes.  A point is gated to the sector LU below when cond(V)
-exceeds COND_V_MAX (H_eff is not normal and is defective at exceptional
-points), when the spectrum gamma + delta of the resolvent or N_gamma has
-a reciprocal condition below RCOND_MIN (a dark mode at gamma = 0, or no
-injection and extraction: the steady state need not be unique there),
-when refinement stalls, or when the residual fails; every gate is logged.
+pass almost always; a block that needs more, as an ill-conditioned
+N_gamma does, goes on until a correction is below SLOW_REFINE_TOL), and
+rho_00 = 1 / (1 + tr X) normalizes.  A point is gated to the sector LU
+below when cond(V) exceeds COND_V_MAX (H_eff is not normal and is
+defective at exceptional points), when the spectrum gamma + delta of the
+resolvent or N_gamma has a reciprocal condition below RCOND_MIN (a dark
+mode at gamma = 0, or no injection and extraction: the steady state need
+not be unique there), when refinement stalls, or when the residual
+fails; every gate is logged.
 
 The rates of a sweep are solved in blocks of at most
 max(1, BLOCK_ENTRIES // n^2), so no complex (block, n, n) stack exceeds
@@ -183,13 +185,20 @@ COND_V_MAX = 1e4
 # sit above 3e-7 (fig3d at small gamma, over 21 disorder draws); a
 # non-unique steady state gives 0.
 RCOND_MIN = 1e-10
-# Refinement of the eigenbasis solve goes on while a rate's largest
-# correction to X exceeds REFINE_TOL of 1 + tr X, for at most MAX_REFINE
+# Refinement of the eigenbasis solve stops when every rate's largest
+# correction to X is below REFINE_TOL of 1 + tr X after the first pass,
+# or below SLOW_REFINE_TOL after a later one, for at most MAX_REFINE
 # passes; a rate still above is gated.  One pass suffices on the presets
-# but for fig3d at small gamma; a random 3-site network with a site
-# detuned by 466 ps^-1 and coupled at 0.11 ps^-1 needs more at gamma =
-# 1e-3, where one pass left J_p off by 4.5e-10 with a residual of 5e-17.
+# but for fig3d at small gamma.  A block that needs a second pass
+# converges slowly, and a correction just below REFINE_TOL then leaves
+# errors near 1e-10: a random 3-site network with a site detuned by
+# 466 ps^-1 and coupled at 0.11 ps^-1 needs more at gamma = 1e-3, where
+# one pass left J_p off by 4.5e-10 with a residual of 5e-17, and a random
+# 9-site network with sites detuned by up to 960 ps^-1 and couplings of
+# 0.1 ps^-1 shrinks its corrections only 270-fold per pass there, so the
+# third, at 9.1e-9, left J_p off by 1.1e-10.
 REFINE_TOL = 1e-8
+SLOW_REFINE_TOL = 1e-12
 MAX_REFINE = 4
 # entries of one stack: complex (block, n, n) in the sweep solver and
 # (block, d, d) basis states in SectorPropagator, 256 kB; real
@@ -347,14 +356,16 @@ class EigenbasisSteadyState:
 
         X = site_block(self.B)
         off = ~np.eye(n, dtype=bool)
+        tol = REFINE_TOL
         for _ in range(MAX_REFINE):
             KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
             dX = site_block(self.B - (g * (X * off) - KX))
             X += dX
             # relative to 1 + tr X, the trace of rho before it is normalized
             step = np.abs(dX).max(axis=(1, 2)) / (1.0 + np.einsum("kii->k", X).real)
-            if np.all(step <= REFINE_TOL):
+            if np.all(step <= tol):
                 break
+            tol = SLOW_REFINE_TOL
         X = hermitize(X)
         rho = np.zeros((live.size, n + 1, n + 1), dtype=complex)
         rho[:, 0, 0] = 1.0
@@ -363,7 +374,7 @@ class EigenbasisSteadyState:
         # the generator at gamma is its rate-free part plus gamma times unit-rate dephasing
         drho = apply_liouvillian(self.H, self.channels, self.spec, rho) - g * unit_dephasing(n + 1) * rho
         res = np.abs(drho).max(axis=(1, 2))
-        passed = (res <= RESIDUAL_TOL) & (step <= REFINE_TOL)
+        passed = (res <= RESIDUAL_TOL) & (step <= tol)
         for j in np.flatnonzero(~passed):
             if not res[j] <= RESIDUAL_TOL:
                 reasons[live[j]] = f"residual {res[j]:.3e} exceeds {RESIDUAL_TOL:.1e}"

@@ -101,7 +101,8 @@ class SweepConfig:
     seed: int | None = None         # the seed of a random network's draw, echoed; None if none
 
     def __post_init__(self) -> None:
-        if not isinstance(self.points, numbers.Integral):
+        # bool is an Integral, but True is no count of points or site index
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 5:
             raise ValueError(f"need at least 5 grid points, got {self.points}")
@@ -135,7 +136,8 @@ class SweepConfig:
             raise ValueError(f"pulse mode injects nothing: gamma_inj must be 0, got {self.gamma_inj}")
         n = self.network.n_sites
         if self.pulse_site is not None and not (
-            isinstance(self.pulse_site, numbers.Integral) and 1 <= self.pulse_site <= n
+            isinstance(self.pulse_site, numbers.Integral) and not isinstance(self.pulse_site, bool)
+            and 1 <= self.pulse_site <= n
         ):
             raise ValueError(f"pulse_site must be a site in 1..{n}, got {self.pulse_site!r}")
 

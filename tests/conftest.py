@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from enaqt.network import (
+    NetworkSpec,
     Uniform,
     Unit,
     assemble_hamiltonian,
@@ -38,6 +39,16 @@ def symmetric_chain():
 def asymmetric_chain():
     spec = paper_chain(5)
     return spec, assemble_hamiltonian(spec)
+
+
+def slow_refinement_network(t12: float, t78: float, t89: float) -> NetworkSpec:
+    """A 9-site network, found by the random-network property test, on which
+    the eigenbasis refinement shrinks its corrections only 270-fold per pass
+    at gamma_deph = 1e-3 (injection 1, extraction 0.1 ps^-1)."""
+    energies = (599.1015625, 179.73046875, 0.0, 876.18603515625, 718.921875, 0.0, 958.5625, 479.28125, 0.0)
+    couplings = ((1, 2, t12), (1, 4, -0.1), (2, 3, -0.1), (2, 6, -0.1), (3, 5, -0.1), (5, 7, -0.1),
+                 (7, 8, t78), (8, 9, t89))
+    return NetworkSpec(9, energies, couplings, {1, 2, 3, 4, 5}, {6})
 
 
 def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import enaqt.solver
-from conftest import random_density_matrix, spectral_gap
+from conftest import random_density_matrix, slow_refinement_network, spectral_gap
 from enaqt.errors import (
     DimensionMismatch,
     NonPhysicalState,
@@ -443,6 +443,25 @@ class TestEigenbasis:
         assert block.gated[0]
         [record] = caplog.records
         assert "refinement stalled" in record.getMessage()
+
+    def test_slow_refinement_goes_on_below_refine_tol(self, monkeypatch, caplog):
+        # corrections of 6.7e-4, 2.5e-6 and 9.1e-9: the third is below
+        # REFINE_TOL but left the occupations off by 1.1e-10; the fifth
+        # reaches SLOW_REFINE_TOL, and capped at three passes the rate is gated
+        spec = slow_refinement_network(-0.1, -0.1, -0.5)
+        H = assemble_hamiltonian(spec)
+        ref = steady_state(build_liouvillian(H, ChannelSet(1.0, 0.1, 1e-3), spec)).rho
+        solver = EigenbasisSteadyState(H, spec, 1.0, 0.1)
+        monkeypatch.setattr(enaqt.solver, "MAX_REFINE", 5)
+        [block] = solver.solve(np.array([1e-3]))
+        assert not block.gated[0]
+        assert np.max(np.abs(block.rho[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        monkeypatch.setattr(enaqt.solver, "MAX_REFINE", 3)
+        with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
+            [block] = solver.solve(np.array([1e-3]))
+        assert block.gated[0]
+        [record] = caplog.records
+        assert "refinement stalled at a correction of 9.1" in record.getMessage()
 
     def test_state_failing_validation_names_its_row(self, monkeypatch):
         # the block is validated as one stack; the error names the row of

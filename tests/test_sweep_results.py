@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import enaqt.lindblad
 import enaqt.solver
 import enaqt.sweep
+from conftest import slow_refinement_network
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
@@ -25,6 +26,7 @@ from enaqt.network import (
 )
 from enaqt.observables import (
     Occupations,
+    SweepClassification,
     SweepCurve,
     classify_sweep,
     delta_n,
@@ -259,6 +261,11 @@ class TestRandomNetworks:
     # that one refinement pass left J_p off by 4.5e-10
     @example((NetworkSpec(3, (0.0, 0.0, 466.0), ((1, 2, -0.109375), (1, 3, -0.109375)), {1}, {2}),
               1.0, 0.5))
+    # at gamma = 1e-3 refinement shrinks each correction only 270-fold, and
+    # stopping at the first below 1e-8 left the occupations, or J_p, off by
+    # 1.1e-10 (the sector LU agrees with a 40-digit solve to 1e-15)
+    @example((slow_refinement_network(-0.1, -0.1, -0.5), 1.0, 0.1))
+    @example((slow_refinement_network(-0.5, -1.0, -0.1), 1.0, 0.1))
     def test_block_sweep_matches_sector_lu_per_point(self, drawn):
         # the sector LU shares no factorization code with the eigenbasis
         # blocks, and unlike the SVD oracle it stays accurate at large
@@ -391,7 +398,7 @@ class TestSteadyGenerators:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("site", [-1, 0, 8, 1.5, 1.0, "1"])
+    @pytest.mark.parametrize("site", [-1, 0, 8, 1.5, 1.0, "1", True, False])
     def test_pulse_site_outside_the_network(self, site):
         with pytest.raises(ValueError, match=r"pulse_site .*1\.\.7"):
             build_preset("fig2", mode="pulse", t_end=20.0, pulse_site=site)
@@ -451,16 +458,110 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gamma_min"):
             replace(chain2_cfg, spacing="linear", gamma_min=-1.0)
 
-    @pytest.mark.parametrize("points", [60.0, 5.5, "60", None])
+    @pytest.mark.parametrize("points", [60.0, 5.5, "60", None, True, False])
     def test_points_must_be_an_integer(self, chain2_cfg, points):
-        with pytest.raises(ValueError, match="points"):
+        with pytest.raises(ValueError, match="points must be an integer"):
             replace(chain2_cfg, points=points)
 
     def test_integer_like_points_are_accepted(self, chain2_cfg):
         assert replace(chain2_cfg, points=np.int64(7)).gamma_grid().size == 7
 
 
+# floats whose shortest repr is easy to get wrong: signed zeros, the
+# smallest subnormal, the largest finite double, a sum that is not 0.3
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+EDGE_CURVE = SweepCurve(
+    gamma_grid=[0.0, 5e-324, 0.1 + 0.2, 1.7976931348623157e308],
+    j_p=[0.0, -0.0, 5e-324, 1.7976931348623157e308],
+    j_q=[-0.0, -5e-324, 0.1 + 0.2, -1.7976931348623157e308],
+    delta_n=EDGE_FLOATS[:4],
+    vacuum=EDGE_FLOATS[1:],
+    occupations=[EDGE_FLOATS[:2], EDGE_FLOATS[1:3], EDGE_FLOATS[2:4], EDGE_FLOATS[3:]],
+    method=("eigenbasis", "sector_lu", "eigenbasis", "sector_lu"),
+    residual=EDGE_FLOATS[:4],
+    rcond=[0.1 + 0.2, np.nan, 5e-324, np.nan],
+    min_eigenvalue=[-0.0, -5e-324, 0.0, -1.7976931348623157e308],
+)
+
+
+@st.composite
+def edge_curves(draw):
+    """Sweep curves whose columns hold edge floats among arbitrary finite ones."""
+    points, sites = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    edge = st.sampled_from(EDGE_FLOATS + [-5e-324, -1.7976931348623157e308])
+    finite = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+    nonnegative = st.one_of(st.sampled_from(EDGE_FLOATS),
+                            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+    def column(values):
+        return draw(st.lists(values, min_size=points, max_size=points))
+
+    grid = draw(st.lists(nonnegative, min_size=points, max_size=points, unique=True))
+    return SweepCurve(
+        gamma_grid=sorted(grid),
+        j_p=column(nonnegative),
+        j_q=column(finite),
+        delta_n=column(finite),
+        vacuum=column(finite),
+        occupations=[draw(st.lists(finite, min_size=sites, max_size=sites)) for _ in range(points)],
+        method=column(st.sampled_from(["eigenbasis", "sector_lu"])),
+        residual=column(finite),
+        rcond=column(st.one_of(st.just(np.nan), finite)),
+        min_eigenvalue=column(finite),
+    )
+
+
+def assert_same_bits(back: SweepCurve, curve: SweepCurve) -> None:
+    """Every float column of back holds exactly the bits of curve's: signed zeros and NaN included."""
+    for name in ("gamma_grid", "j_p", "j_q", "delta_n", "vacuum", "occupations",
+                 "residual", "rcond", "min_eigenvalue"):
+        a, b = getattr(back, name), getattr(curve, name)
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert back.method == curve.method
+
+
+@pytest.fixture(scope="module")
+def emit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("emit")
+
+
 class TestEmission:
+    @settings(max_examples=60, deadline=None)
+    @given(edge_curves())
+    @example(EDGE_CURVE)
+    def test_json_round_trip_keeps_every_bit(self, emit_dir, curve):
+        cls = SweepClassification(kind="enaqt", gamma_star=0.1 + 0.2, delta_n_gamma_star=5e-324,
+                                  j_p_argmax=1, delta_n_argmax=0)
+        path = emit_dir / "edge.json"
+        emit_results(curve, cls, "json", path)
+        back, back_cls, _ = read_results_json(path)
+        assert_same_bits(back, curve)
+        assert back_cls == cls
+
+    def test_json_is_one_line(self, tmp_path, chain2_cfg, chain2_result):
+        curve, cls = chain2_result
+        path = tmp_path / "out.json"
+        emit_results(curve, cls, "json", path, config=chain2_cfg)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text)["curve"]["j_p"] == curve.j_p.tolist()
+
+    def test_indented_json_still_reads(self, tmp_path, chain2_cfg, chain2_result):
+        # files written before the compact layout are json.dump(doc, fh, indent=2) of the same document
+        curve, cls = chain2_result
+        curve = replace(curve, method=("eigenbasis", "sector_lu") * 2 + ("eigenbasis",),
+                        rcond=np.where(np.arange(5) % 2, np.nan, curve.rcond))
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        emit_results(curve, cls, "json", compact, config=chain2_cfg)
+        with open(indented, "w", encoding="utf-8") as fh:
+            json.dump(json.loads(compact.read_text(encoding="utf-8")), fh, indent=2)
+            fh.write("\n")
+        assert indented.read_text(encoding="utf-8").count("\n") > 100
+        new, old = read_results_json(compact), read_results_json(indented)
+        assert_same_bits(old[0], new[0])
+        assert_same_bits(old[0], curve)
+        assert old[1:] == new[1:] == (cls, config_to_dict(chain2_cfg))
+
     def test_csv_rows_and_columns(self, tmp_path, chain2_cfg, chain2_result):
         curve, cls = chain2_result
         path = tmp_path / "out.csv"
