@@ -19,9 +19,11 @@ Every case is one `SweepConfig`, timed through `run_sweep`.  The series:
 
 Each case runs in CHILDREN fresh interpreters, so no one child's speed
 decides a row; each runs it once untimed, then REPEATS timed times.  A row
-gives the min and median over all runs, each child's min, the largest peak
-RSS, the largest J_p (eta in pulse mode), the classification, the solve
-methods and the BLAS thread count.  Children import enaqt from --src
+gives the min and median over all runs, and each child's min, of the sweep
+time (`sweep_s`) and of the minor page faults of the process during a
+timed run (`minflt`, the change in ru_minflt), then the largest peak RSS,
+the largest J_p (eta in pulse mode), the classification, the solve methods
+and the BLAS thread count.  Children import enaqt from --src
 (default: this repository's src) and cap their address space at
 --mem-limit-mb above their imports; a case that runs out is recorded as
 not run.  --output stores the result under --label.
@@ -117,17 +119,19 @@ def child(series: str, case: str, mem_limit_mb: int) -> dict:
            "points": cfg.points, "gamma_min": cfg.gamma_min, "gamma_max": cfg.gamma_max,
            "blas_threads": blas_threads()}
     cap_address_space(mem_limit_mb)
-    samples = []
+    samples, faults = [], []
     try:
         run_sweep(cfg)
         for _ in range(REPEATS):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             curve, cls = run_sweep(cfg)
             samples.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     except MemoryError:
         out["status"] = f"not run: out of memory under a {mem_limit_mb} MB address-space cap"
         return out
-    out.update(status="ok", sweep_s=samples, max_j_p=float(curve.j_p.max()), kind=cls.kind,
+    out.update(status="ok", sweep_s=samples, minflt=faults, max_j_p=float(curve.j_p.max()), kind=cls.kind,
                methods=sorted(set(curve.method or ())))
     if series == "chains":
         t = to_internal_units(cfg.network).couplings[0][2]
@@ -149,11 +153,12 @@ def run_case(series: str, case: str, mem_limit_mb: int, env: dict) -> dict:
         rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         if rows[-1]["status"] != "ok":
             return rows[-1]
-    samples = [s for row in rows for s in row["sweep_s"]]
-    return {**rows[0],
-            "sweep_s": {"min": min(samples), "median": statistics.median(samples),
-                        "child_min": [min(row["sweep_s"]) for row in rows]},
-            "peak_rss_mb": max(row["peak_rss_mb"] for row in rows)}
+    merged = {}
+    for key in ("sweep_s", "minflt"):
+        samples = [s for row in rows for s in row[key]]
+        merged[key] = {"min": min(samples), "median": statistics.median(samples),
+                       "child_min": [min(row[key]) for row in rows]}
+    return {**rows[0], **merged, "peak_rss_mb": max(row["peak_rss_mb"] for row in rows)}
 
 
 def main(argv=None) -> None:

@@ -25,8 +25,11 @@ coherences at all.
 `dense_propagate` is the oracle for `solver.propagate`: the exponential of
 the whole dense complex kron generator, vacuum-site coherences included,
 bordered by the extracted-population row, at (d^2+1)^2 complex memory.
-Its exponential is scipy.linalg.expm, the only scipy this module uses,
-imported when the oracle is called.
+`dense_pulse` is the oracle for a pulse sweep's point: the same bordered
+generator, bordered once more by the start state as a Van Loan column, so
+that one exponential to t_end gives the state there and the exact time
+integral of the trajectory.  Their exponential is scipy.linalg.expm, the
+only scipy this module uses, imported when an oracle is called.
 """
 
 from __future__ import annotations
@@ -186,6 +189,15 @@ def kron_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> 
     return L
 
 
+def _bordered_kron_generator(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndarray:
+    """`kron_liouvillian` bordered by one row holding gamma_ext at the vec index of each sink population."""
+    d = spec.dim
+    G = np.zeros((d * d + 1, d * d + 1), dtype=complex)
+    G[:-1, :-1] = kron_liouvillian(H, channels, spec)
+    G[-1, [s * (d + 1) for s in spec.extract_sites]] = channels.gamma_ext
+    return G
+
+
 def dense_propagate(
     H: np.ndarray,
     channels: ChannelSet,
@@ -207,10 +219,7 @@ def dense_propagate(
 
     d = spec.dim
     d2 = d * d
-    G = np.zeros((d2 + 1, d2 + 1), dtype=complex)
-    G[:d2, :d2] = kron_liouvillian(H, channels, spec)
-    G[d2, [s * (d + 1) for s in spec.extract_sites]] = channels.gamma_ext
-
+    G = _bordered_kron_generator(H, channels, spec)
     times = np.linspace(0.0, t_end, n_eval)
     P = sla.expm(G * (times[1] - times[0]))
     y = np.empty((n_eval, d2 + 1), dtype=complex)
@@ -221,3 +230,32 @@ def dense_propagate(
     # column stacking: row-major (d, d) blocks hold rho transposed
     states = y[:, :d2].reshape((n_eval, d, d)).transpose(0, 2, 1)
     return Trajectory(times=times, states=states, extracted=y[:, d2].real)
+
+
+def dense_pulse(
+    H: np.ndarray,
+    channels: ChannelSet,
+    spec: NetworkSpec,
+    rho0: np.ndarray,
+    t_end: float,
+) -> tuple[float, np.ndarray]:
+    """eta(t_end) and the integral of rho(t) over [0, t_end], from the full space.
+
+    One exponential of the (d^2+2)-square Van Loan matrix [[G, x0], [0, 0]]
+    t_end (Van Loan, IEEE TAC 23, 395 (1978)), where G is the bordered
+    kron generator of `dense_propagate` and x0 = (vec(rho0), 0): its
+    leading block applied to x0 is the bordered state at t_end, whose
+    border coordinate is eta, and its last column the exact integral of
+    the bordered state.  The exponential is scipy.linalg.expm.
+    """
+    import scipy.linalg as sla
+
+    d = spec.dim
+    d2 = d * d
+    M = np.zeros((d2 + 2, d2 + 2), dtype=complex)
+    M[:d2 + 1, :d2 + 1] = _bordered_kron_generator(H, channels, spec)
+    M[:d2, d2 + 1] = vec(rho0)
+    E = sla.expm(M * t_end)
+    eta = (E[d2, :d2] @ vec(rho0)).real
+    # column stacking: a row-major (d, d) block holds rho transposed
+    return float(eta), E[:d2, d2 + 1].reshape((d, d)).T

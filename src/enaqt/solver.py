@@ -94,45 +94,58 @@ residual above tolerance raises SolveFailure.  Positivity violations raise
 instead of being clipped.  The dense SVD null vector of
 `reference.brute_force_steady_state` is the test oracle for both solvers.
 
-Propagation is exact on the output grid and lives in the same real
-sector.  The generator does not depend on time, so one propagator
-P = exp(G dt) carries the state from each sample to the next, and P^b
-from each sample to the one b further on.  G is the real sector
+Propagation lives in the same real sector.  G is the real sector
 generator, n^2 + 1 unknowns (rho_00 among them, so an injection channel
-needs nothing extra), bordered by one row that
-accumulates the extracted population (Van Loan, IEEE TAC 23, 395 (1978)):
-n^2 + 2 real unknowns, n^4 real memory.  `SectorPropagator` holds G at
-zero dephasing, formed once from the closed-form action
-`lindblad.apply_liouvillian` on the sector basis states, the same
-definition of the generator with which the steady solver checks its
-states, and checked for charge conservation on the way; dephasing is
-exactly diagonal in the sector (-gamma on the Re and Im coordinate of
-every site-site coherence, 0 on the populations and the border row,
--gamma/2 on the vacuum-site coherences), so G at any rate is a shifted
-copy and a pulse sweep pays one exponential per point.  It takes its
-rates in blocks of max(1, BLOCK_ENTRIES // (n^2 + 2)^2), 6 on fig2 (7
-sites) and 1 from 10 sites up: one stacked exponential per block, and
-`_samples` steps the block's trajectories together.  The first b samples
-take one product by P each; P^b, from log2(b) squarings, then advances b
+needs nothing extra), bordered by one row that accumulates the extracted
+population (Van Loan, IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns,
+n^4 real memory.  `SectorPropagator` holds G at zero dephasing, formed
+once from the closed-form action `lindblad.apply_liouvillian` on the
+sector basis states, the same definition of the generator with which the
+steady solver checks its states, and checked for charge conservation on
+the way; dephasing is exactly diagonal in the sector (-gamma on the Re and
+Im coordinate of every site-site coherence, 0 on the populations and the
+border row, -gamma/2 on the vacuum-site coherences), so G at any rate is
+a shifted copy.
+
+A pulse point needs the state at t_end and the time integral of the
+trajectory, and one exponential gives both: the (n^2 + 3)-square Van Loan
+matrix [[G, x0], [0, 0]] t_end has exp(G t_end) as its leading block and
+the integral of exp(G s) x0 over [0, t_end] as its last column, exact up
+to rounding.  `SectorPropagator.pulse` takes its rates in blocks of
+max(1, BLOCK_ENTRIES // (n^2 + 3)^2), 6 on fig2 (7 sites) and 1 from 10
+sites up: one stacked exponential per block, no samples and no
+quadrature.  It checks the trace of every state at t_end against
+PULSE_TRACE_TOL; the rounding of exp(G t_end) grows like
+eps ||G||_1 t_end, and on the shipped presets' 20 ps grids the drift stays
+below that, at most 1.9e-10 (fig3g at gamma = 5.8e4, ||G||_1 t_end
+~ 1.5e6), while a horizon of 1e20 ps on fig2 still delivers the whole
+pulse.
+
+`propagate` samples a trajectory instead: one propagator P = exp(G dt)
+carries the state from each sample to the next, and P^b from each sample
+to the one b further on; `_samples` steps it.  The first b samples take
+one product by P each; P^b, from log2(b) squarings, then advances b
 samples per batched product.  b is the largest power of two up to 8
 whose squarings cost no more than the N_EVAL - 1 steps of a trajectory,
 log2(b) (n^2 + 2) <= N_EVAL - 1: 8 up to 8 sites, 4 at 9, 2 from 10 to
-14 and 1 (one product per sample) from 15 up.  `propagate` evolves a
-block of its one rate and maps every sample back to rho.  The
-vacuum-site coherences, which rotate at the on-site energy (~2.3e3 ps^-1)
-and which no observable reads, stay out of G; a start state that carries
-them evolves them in their own decoupled 2n-square complex block, through
-the same `_samples`.  Both exponentials are `_expm`, the degree-13 Pade
-approximant with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-26, 1179 (2005)): six matrix products, one solve and one squaring per
-factor of 2 in ||G dt||_1 / 5.37, each over a whole stack of matrices
-whose members keep their own number of squarings.  At gamma = 1e5 and
-dt = 0.1 ps (||G dt||_1 ~ 1e4, 11 squarings) it stays within 1.2e-10 of
-the full-space oracle, against a float64 floor
-eps gamma t_end of 4.4e-10 over 20 ps.  There is no step-size control and
-no stiffness limit on the dephasing rate.  The dense propagator costs n^4
-memory, so large networks trade memory for time against
-scipy.sparse.linalg.expm_multiply on the sparse sector generator, whose
+14 and 1 (one product per sample) from 15 up; every sample is mapped back
+to rho.  The vacuum-site coherences, which rotate at the on-site energy
+(~2.3e3 ps^-1) and which no observable reads, stay out of G; a start
+state that carries them evolves them in their own decoupled 2n-square
+complex block, through the same `_samples`.
+
+Every exponential is `_expm`, the degree-30 Taylor approximant with
+scaling and squaring, evaluated by Paterson-Stockmeyer in nine matrix
+products and no solve, with one squaring per factor of 2 in
+||A||_1 / 3.54, over a whole stack of matrices whose members keep their
+own number of squarings.  The degree-13 Pade approximant (Higham, SIAM J.
+Matrix Anal. Appl. 26, 1179 (2005)) needs six products and one solve at
+5.37, but numpy's stacked solve cost as much as 16 products on fig2's
+stacks; degree 30 pays for its ninth product with one squaring fewer than
+degree 25 on most points, and squaring is where the rounding grows.
+There is no step-size control and no stiffness limit on the dephasing
+rate.  The dense propagator costs n^4 memory, so large networks trade
+memory for time against scipy.sparse.linalg.expm_multiply on the sparse sector generator, whose
 cost scales with ||G||_1 t_end instead.  Measured per pulse point (201
 samples, t_end 20 ps, 2-core OpenBLAS host, with scipy.linalg.expm for
 the dense exponential): a 40-site chain took 0.25-0.54 s that way against
@@ -153,6 +166,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -202,10 +216,16 @@ SLOW_REFINE_TOL = 1e-12
 MAX_REFINE = 4
 # entries of one stack: complex (block, n, n) in the sweep solver and
 # (block, d, d) basis states in SectorPropagator, 256 kB; real
-# (block, n^2 + 2, n^2 + 2) generators of a pulse sweep, 128 kB
+# (block, n^2 + 3, n^2 + 3) Van Loan matrices of a pulse sweep, 128 kB,
+# whose exponential works in 11 slabs of that size
 BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
 N_EVAL = 201
+# largest |tr rho(t_end) - 1| a pulse point may have: rounding in
+# exp(G t_end) grows like eps ||G||_1 t_end, and the shipped presets'
+# 20 ps grids read at most 2.5e-11 (fig3g at gamma = 1e5); a horizon of
+# 1e12 ps or more on fig2 reads 1e-2 to 1
+PULSE_TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -586,9 +606,8 @@ class SectorPropagator:
     of the two.  Dephasing is diagonal in
     the sector, -gamma on the Re and Im coordinate of every site-site
     coherence and 0 on the populations and the border, so G(gamma) is
-    G_base shifted on those diagonal entries.  `evolve` takes a block of
-    rates: one stacked exponential, and `_samples` steps the block's
-    trajectories together, several samples per batched product.
+    G_base shifted on those diagonal entries, and `pulse` pays one stacked
+    exponential per block of rates, of the Van Loan matrices to t_end.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -633,9 +652,45 @@ class SectorPropagator:
         """The (d, d) matrix, or stack of them, with sector coordinates x and no vacuum-site coherences."""
         return self.sec.state(x)
 
-    def evolve(self, gammas: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Bordered sector coordinates from x0 at equally spaced times and each rate: (len(times), k, m)."""
-        return _samples(_expm(self.generator(gammas) * (times[1] - times[0])), x0, times.size)
+    def pulse(self, gammas: np.ndarray, x0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bordered sector coordinates at t_end from x0, and their integrals over [0, t_end], at each rate.
+
+        The rates are taken in blocks of max(1, BLOCK_ENTRIES // (m + 1)^2),
+        one stacked `_expm` of the Van Loan matrices [[G, x0], [0, 0]] t_end
+        per block: the leading block of each is exp(G t_end), applied to
+        x0, and its last column the exact integral of exp(G s) x0 over
+        [0, t_end].  Both results are (k, m) arrays.  A state at t_end
+        whose trace is off 1 by more than PULSE_TRACE_TOL raises
+        NonPhysicalState; that and any other error in a block is raised
+        with `index` set to its rate's position in gammas, the block's
+        first rate for an error that names no row.
+        """
+        m = x0.size
+        size = max(1, BLOCK_ENTRIES // (m + 1)**2)
+        y, integral = np.empty((gammas.size, m)), np.empty((gammas.size, m))
+        for start in range(0, gammas.size, size):
+            block = gammas[start:start + size]
+            try:
+                M = np.zeros((block.size, m + 1, m + 1))
+                M[:, :m, :m] = self.generator(block)
+                M[:, :m, m] = x0
+                M *= t_end
+                E = _expm(M)
+                y[start:start + size] = E[:, :m, :m] @ x0
+                integral[start:start + size] = E[:, :m, m]
+                # this block's arrays go before the next block allocates its
+                # own: kept alive, they made glibc map fresh pages, 665 minor
+                # page faults per 20-point fig2 sweep against none
+                del M, E
+                defect = np.abs(y[start:start + size, self.sec.pops].sum(axis=1) - 1.0)
+                bad = np.flatnonzero(~(defect <= PULSE_TRACE_TOL))
+                if bad.size:
+                    raise NonPhysicalState(f"trace of rho(t_end) deviates from 1 by {defect[bad[0]]:.3e}, "
+                                           f"above {PULSE_TRACE_TOL:.0e}", index=int(bad[0]))
+            except Exception as exc:
+                exc.index = start + (getattr(exc, "index", None) or 0)
+                raise
+        return y, integral
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
         """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
@@ -686,12 +741,12 @@ def propagate(
 
     prop = SectorPropagator(H, spec, channels.gamma_inj, channels.gamma_ext)
     times = np.linspace(0.0, t_end, n_eval)
-    y = prop.evolve(np.array([channels.gamma_deph]), prop.coordinates(rho0), times)[:, 0]
+    dt = times[1] - times[0]
+    y = _samples(_expm(prop.generator(channels.gamma_deph) * dt), prop.coordinates(rho0), n_eval)
     states = prop.state(y[:, :-1])
     c0 = _vacuum_coordinates(rho0)
     if np.any(c0):
-        P = _expm(prop.vacuum_block(channels.gamma_deph) * (times[1] - times[0]))
-        c = _samples(P, c0, n_eval)
+        c = _samples(_expm(prop.vacuum_block(channels.gamma_deph) * dt), c0, n_eval)
         states[:, 1:, 0], states[:, 0, 1:] = c[:, :d - 1], c[:, d - 1:]
     return Trajectory(times=times, states=states, extracted=y[:, -1])
 
@@ -747,53 +802,73 @@ def transfer_efficiency(traj: Trajectory) -> float:
     return float(traj.extracted[-1])
 
 
-# numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp
-# and the largest 1-norm at which it is accurate to double precision
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# the degree of the Taylor approximant to exp, a multiple of _PS_BLOCK, and
+# the largest 1-norm at which its backward error stays below 2^-53 (theta_30
+# of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1,
+# recomputed to 17 digits from the series of log(e^-x T_30(x)))
+_TAYLOR_DEGREE = 30
+_THETA = 3.5396663487436893
+# Paterson-Stockmeyer block: the approximant is a polynomial in A^5 whose
+# coefficients are polynomials of degree 4 in A
+_PS_BLOCK = 5
+_PS_ROWS = _TAYLOR_DEGREE // _PS_BLOCK
+# row j, column i - 1: the coefficient 1/(5 j + i)! of A^i in the j-th
+# block, i = 1..5; A^5 has one only in the last row, 1/30!
+_PS_COEF = np.array([[1 / math.factorial(_PS_BLOCK * j + i) if i < _PS_BLOCK or j == _PS_ROWS - 1 else 0.0
+                      for i in range(1, _PS_BLOCK + 1)] for j in range(_PS_ROWS)])
+# the coefficient 1/(5 j)! of the identity in the j-th block
+_PS_IDENTITY = np.array([1 / math.factorial(_PS_BLOCK * j) for j in range(_PS_ROWS)])
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) of a real or complex square matrix, or of each of a (k, m, m) stack, by scaling and squaring.
 
     Each matrix is scaled by 2^-s, with its own s, so that its 1-norm is
-    at most _THETA13; the degree-13 Pade approximant r = (V - U)^-1 (V + U)
-    is formed from A^2, A^4 and A^6 in six matrix products and one solve,
-    each over the whole stack, and r is squared s times (Higham 2005,
-    Algorithm 2.3): the i-th squaring takes only the matrices whose s
-    exceeds i, so each gets the arithmetic it would get alone.
+    below _THETA, and the degree-30 Taylor polynomial T(A) = sum A^i / i!
+    is evaluated by Paterson-Stockmeyer (Bader, Blanes & Casas,
+    Mathematics 7, 1174 (2019)): A^2 to A^5 in four products, the six
+    coefficient blocks B_j = sum_i A^i / (5 j + i)!, of degree 4 in A, in
+    one GEMM over the stacked powers, then T = B_0 + A^5 (B_1 + ... +
+    A^5 (B_5 + A^5 / 30!)) in five more: nine products and no solve, each
+    over the whole stack.  T is then squared s times.  The stack is
+    ordered by s, so the matrices the i-th squaring takes, those whose s
+    exceeds i, are its tail, and each gets the arithmetic it would get
+    alone.  Every temporary is a slab of one workspace allocated per call
+    and written through `out=`; exp(0) is exactly I.
     """
-    b = _PADE13
     single = A.ndim == 2
     if single:
         A = A[np.newaxis]
-    norm = np.abs(A).sum(axis=1).max(axis=1, initial=0.0)
-    s = np.maximum(0, np.frexp(norm / _THETA13)[1])  # 2^s >= norm / _THETA13
-    # rebinding A lets the caller's array go: on a large network it is n^4 doubles
-    A = A * np.ldexp(1.0, -s)[:, None, None]
-    diag = np.arange(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-    U[:, diag, diag] += b[1]
-    U = A @ U
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    V[:, diag, diag] += b[0]
-    # the powers go before the solve, and V - U is formed in place: on a
-    # large network each of these arrays is n^4 doubles
-    del A, A2, A4, A6
-    X = V + U
-    V -= U
-    del U
-    X = np.linalg.solve(V, X)
-    for i in range(s.max(initial=0)):
-        live = np.flatnonzero(s > i)
-        if live.size == X.shape[0]:
-            X = X @ X
-        else:
-            X[live] = X[live] @ X[live]
-    return X[0] if single else X
+    k, m = A.shape[0], A.shape[-1]
+    # slabs 0..4 hold A..A^5, slabs 5.. the coefficient blocks; the Horner
+    # steps and the squarings then alternate between slabs 0 and 1
+    work = np.empty((_PS_BLOCK + _PS_ROWS, k, m, m), dtype=np.result_type(A, float))
+    powers, blocks = work[:_PS_BLOCK], work[_PS_BLOCK:]
+    norm = np.abs(A, out=powers[0]).real.sum(axis=1).max(axis=1, initial=0.0)
+    s = np.maximum(0, np.frexp(norm / _THETA)[1])  # 2^s > norm / _THETA
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    X = powers[0]
+    np.take(A, order, axis=0, out=X)
+    X *= np.ldexp(1.0, -s)[:, None, None]
+    for i in range(1, _PS_BLOCK):
+        np.matmul(powers[i - 1], X, out=powers[i])
+    np.matmul(_PS_COEF, powers.reshape(_PS_BLOCK, -1), out=blocks.reshape(_PS_ROWS, -1))
+    diag = np.arange(m)
+    blocks[:, :, diag, diag] += _PS_IDENTITY[:, None, None]
+    A5 = powers[-1]
+    cur, nxt, spare = blocks[-1], work[0], work[1]
+    for j in range(_PS_ROWS - 2, -1, -1):
+        np.matmul(cur, A5, out=nxt)
+        nxt += blocks[j]
+        cur, nxt, spare = nxt, spare, nxt
+    # matrix j ends its s[j] squarings in `even` if s[j] is even, else in `odd`
+    even, odd = cur, nxt
+    for i in range(s[-1] if k else 0):
+        lo = np.searchsorted(s, i, side="right")  # the matrices with s > i
+        np.matmul(cur[lo:], cur[lo:], out=nxt[lo:])
+        cur, nxt = nxt, cur
+    np.copyto(even, odd, where=(s % 2 == 1)[:, None, None])
+    out = np.empty_like(even)
+    out[order] = even
+    return out[0] if single else out

@@ -28,25 +28,24 @@ point.
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
 `solver.SectorPropagator` is built per sweep: it forms the (n^2 + 2)-square
-bordered charge-sector generator at zero dephasing once, from the
+bordered charge-sector generator G at zero dephasing once, from the
 closed-form action of `lindblad.apply_liouvillian` on the sector basis
-states, and checks charge conservation on the way; the start state is
+states, and checks charge conservation on the way; the start state x0 is
 validated once.  Dephasing only shifts the diagonal of the coherence
-coordinates.  The grid is walked in blocks of max(1, BLOCK_ENTRIES //
-(n^2 + 2)^2) rates (6 on fig2, 1 from 10 sites up), and each block is
-whole arrays: one stacked real exponential (`solver._expm`, numpy alone)
-and the block's trajectories stepped together in sector coordinates,
-several samples per batched product on small networks
-(`solver._samples`); no sample is mapped back to a density matrix.  An
-error in a block is annotated with the block's first gamma_deph.  The
-emitted columns then read as follows: j_p is the transfer efficiency
-eta(t_end) (total extracted population, the border coordinate of the
-last sample), j_q the time-integrated heat current, and the occupations
-(and the delta_n derived from them) are trajectory time averages.  Both
-time integrals are the trapezoid rule on the 201-sample trajectory,
-taken in sector coordinates as one product of the trapezoid weights with
-the block's samples; only the integrals are mapped back to density
-matrices, by one call on the stack of all of them.  The sweep then
+coordinates.  The grid goes to `SectorPropagator.pulse` whole, which
+walks it in blocks of max(1, BLOCK_ENTRIES // (n^2 + 3)^2) rates (6 on
+fig2, 1 from 10 sites up); each block is one stacked real exponential
+(`solver._expm`, numpy alone) of the Van Loan matrix [[G, x0], [0, 0]]
+t_end (Van Loan, IEEE TAC 23, 395 (1978)): its leading block applied to
+x0 is the state at t_end, whose trace the propagator checks, and its last
+column the exact time integral of the trajectory.  Nothing is sampled.
+An error is annotated with the gamma_deph of the rate its `index` names:
+its own, or the first of its block.  The emitted columns then read as
+follows: j_p is the transfer efficiency eta(t_end) (total extracted
+population, the border coordinate at t_end), j_q the time-integrated heat
+current, and the occupations (and the delta_n derived from them) are
+trajectory time averages.  Only the integrals are mapped back to density
+matrices, by one call on the stack of all of them, and the sweep
 evaluates the heat current, linear in rho, and delta_n once on that
 stack.
 """
@@ -77,7 +76,7 @@ from .observables import (
     heat_current,
     occupations,
 )
-from .solver import BLOCK_ENTRIES, N_EVAL, EigenbasisSteadyState, SectorPropagator
+from .solver import EigenbasisSteadyState, SectorPropagator
 
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
@@ -101,7 +100,7 @@ class SweepConfig:
     seed: int | None = None         # the seed of a random network's draw, echoed; None if none
 
     def __post_init__(self) -> None:
-        # bool is an Integral, but True is no count of points or site index
+        # bool is an Integral, but True is no count of points, site index or horizon
         if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 5:
@@ -125,6 +124,8 @@ class SweepConfig:
             raise ValueError("gamma_min must be below gamma_max")
         if self.mode not in ("steady", "pulse"):
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
+        if self.t_end is not None and (isinstance(self.t_end, bool) or not isinstance(self.t_end, numbers.Real)):
+            raise ValueError(f"t_end must be a number of picoseconds, got {self.t_end!r}")
         if self.t_end is not None and not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.mode == "steady" and (self.t_end, self.pulse_site) != (None, None):
@@ -216,23 +217,12 @@ def _pulse_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.
     check_density_matrix(rho0)
     propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
     x0 = propagator.coordinates(rho0)
-    times = np.linspace(0.0, cfg.t_end, N_EVAL)
-    # the trapezoid rule on the equally spaced samples, as one weighted sum
-    weights = np.full(N_EVAL, times[1] - times[0])
-    weights[[0, -1]] *= 0.5
-    size = max(1, BLOCK_ENTRIES // x0.size**2)  # rates per block of generators
-    eta = np.empty(grid.size)
-    integral = np.empty((grid.size, x0.size - 1))
-    for start in range(0, grid.size, size):
-        block = grid[start:start + size]
-        try:
-            y = propagator.evolve(block, x0, times)
-        except Exception as exc:
-            _annotate(exc, float(block[0]))
-            raise
-        eta[start:start + size] = y[-1, :, -1]
-        integral[start:start + size] = np.tensordot(weights, y, axes=1)[:, :-1]
-    rho_int = propagator.state(integral)
-    avg = np.diagonal(rho_int, axis1=1, axis2=2).real / times[-1]
+    try:
+        y, integral = propagator.pulse(grid, x0, cfg.t_end)
+    except Exception as exc:
+        _annotate(exc, float(grid[exc.index]))
+        raise
+    rho_int = propagator.state(integral[:, :-1])
+    avg = np.diagonal(rho_int, axis1=1, axis2=2).real / cfg.t_end
     occ = Occupations(values=avg[:, 1:], vacuum=avg[:, 0])
-    return dict(j_p=eta, **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))
+    return dict(j_p=y[:, -1], **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))

@@ -36,6 +36,9 @@ def test_child_times_one_whole_sweep(series, case, kind):
     row = run_child(series, case)
     assert row["status"] == "ok"
     assert len(row["sweep_s"]) == load_script().REPEATS
+    # minor page faults per timed run: whole counts, one per run
+    assert len(row["minflt"]) == load_script().REPEATS
+    assert all(isinstance(n, int) and n >= 0 for n in row["minflt"])
     assert row["kind"] == kind
     assert row["methods"] == ["eigenbasis"]
     assert row["points"] == 60
