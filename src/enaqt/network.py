@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -176,20 +177,29 @@ def _draw(spec: ValueSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"unsupported value spec {spec!r}")
 
 
+def _size(kind: str, value) -> int:
+    """A size parameter of a geometry: an integer, never a truncated float, string or bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSize(f"{kind} size must be an integer, got {value!r}")
+    return int(value)
+
+
 def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
     """Site count and edge list (i < j) for a named geometry."""
     if kind == "chain":
-        length = int(params)
+        length = _size(kind, params)
         if length < 1:
             raise InvalidSize(f"chain length must be >= 1, got {length}")
         return length, [(i, i + 1) for i in range(1, length)]
     if kind == "ring":
-        length = int(params)
+        length = _size(kind, params)
         if length < 3:
             raise InvalidSize(f"ring length must be >= 3, got {length}")
         return length, [(i, i + 1) for i in range(1, length)] + [(1, length)]
     if kind == "grid":
-        w, h = (int(p) for p in params)
+        if not (isinstance(params, (tuple, list)) and len(params) == 2):
+            raise InvalidSize(f"grid size must be a (width, height) pair, got {params!r}")
+        w, h = (_size(kind, p) for p in params)
         if w < 1 or h < 1:
             raise InvalidSize(f"grid dimensions must be positive, got {w}x{h}")
         edges = []
@@ -212,7 +222,7 @@ def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
                     edges.append((v + 1, u + 1))
         return 8, edges
     if kind == "full_graph":
-        n = int(params)
+        n = _size(kind, params)
         if n < 2:
             raise InvalidSize(f"full graph needs >= 2 sites, got {n}")
         return n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

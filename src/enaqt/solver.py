@@ -122,14 +122,9 @@ below that, at most 1.9e-10 (fig3g at gamma = 5.8e4, ||G||_1 t_end
 pulse.
 
 `propagate` samples a trajectory instead: one propagator P = exp(G dt)
-carries the state from each sample to the next, and P^b from each sample
-to the one b further on; `_samples` steps it.  The first b samples take
-one product by P each; P^b, from log2(b) squarings, then advances b
-samples per batched product.  b is the largest power of two up to 8
-whose squarings cost no more than the N_EVAL - 1 steps of a trajectory,
-log2(b) (n^2 + 2) <= N_EVAL - 1: 8 up to 8 sites, 4 at 9, 2 from 10 to
-14 and 1 (one product per sample) from 15 up; every sample is mapped back
-to rho.  The vacuum-site coherences, which rotate at the on-site energy
+carries the state from each sample to the next, one product per sample
+in `_samples`, and every sample is mapped back to rho.  No sweep calls
+it.  The vacuum-site coherences, which rotate at the on-site energy
 (~2.3e3 ps^-1) and which no observable reads, stay out of G; a start
 state that carries them evolves them in their own decoupled 2n-square
 complex block, through the same `_samples`.
@@ -145,14 +140,15 @@ stacks; degree 30 pays for its ninth product with one squaring fewer than
 degree 25 on most points, and squaring is where the rounding grows.
 There is no step-size control and no stiffness limit on the dephasing
 rate.  The dense propagator costs n^4 memory, so large networks trade
-memory for time against scipy.sparse.linalg.expm_multiply on the sparse sector generator, whose
-cost scales with ||G||_1 t_end instead.  Measured per pulse point (201
-samples, t_end 20 ps, 2-core OpenBLAS host, with scipy.linalg.expm for
-the dense exponential): a 40-site chain took 0.25-0.54 s that way against
-0.9-1.3 s dense; a 64-site chain 0.36-0.88 s in 80 MB at gamma <= 100 but
-6.2 s at gamma = 1e3; fig3g (16 strongly coupled sites) 24-43 s against
-19-27 ms dense; fig2 125-209 ms against 4.5-7.1 ms dense.  No size wins
-on every preset, so the dense path is the only one.
+memory for time against scipy.sparse.linalg.expm_multiply on the sparse
+sector generator, whose cost scales with ||G||_1 t_end instead.  Measured
+per 201-sample `propagate` call, the call that BENCH_7.json times (t_end
+20 ps, 2-core OpenBLAS host, with scipy.linalg.expm for the dense
+exponential): a 40-site chain took 0.25-0.54 s that way against 0.9-1.3 s
+dense; a 64-site chain 0.36-0.88 s in 80 MB at gamma <= 100 but 6.2 s at
+gamma = 1e3; fig3g (16 strongly coupled sites) 24-43 s against 19-27 ms
+dense; fig2 125-209 ms against 4.5-7.1 ms dense.  No size wins on every
+preset, so the dense path is the only one.
 
 scipy is imported inside the functions that use it, so it is loaded on
 first use: by the sector LU (`steady_state`, which a sweep calls only for
@@ -648,10 +644,6 @@ class SectorPropagator:
         """Sector coordinates of rho, bordered by an extracted population of 0."""
         return np.append(self.sec.coordinates(rho), 0.0)
 
-    def state(self, x: np.ndarray) -> np.ndarray:
-        """The (d, d) matrix, or stack of them, with sector coordinates x and no vacuum-site coherences."""
-        return self.sec.state(x)
-
     def pulse(self, gammas: np.ndarray, x0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray]:
         """Bordered sector coordinates at t_end from x0, and their integrals over [0, t_end], at each rate.
 
@@ -717,9 +709,9 @@ def propagate(
     The returned trajectory samples n_eval equally spaced times.  One
     `SectorPropagator` forms the bordered sector generator, whose extra
     component carries the cumulative extracted population
-    integral(sum_s gamma_ext rho_ss dt), and the propagator
-    P = expm(G dt) steps the samples by `_samples`, which is exact on the
-    grid up to rounding; T maps each sample back to rho.  Vacuum-site
+    integral(sum_s gamma_ext rho_ss dt), and `_samples` steps the samples
+    by one product each with the propagator P = expm(G dt), which is exact
+    on the grid up to rounding; T maps each sample back to rho.  Vacuum-site
     coherences in rho0 evolve by the exponential of their own 2n-square
     block, formed only when rho0 has one.  A generator that couples them
     to the sector raises NotChargeConserving.
@@ -743,7 +735,7 @@ def propagate(
     times = np.linspace(0.0, t_end, n_eval)
     dt = times[1] - times[0]
     y = _samples(_expm(prop.generator(channels.gamma_deph) * dt), prop.coordinates(rho0), n_eval)
-    states = prop.state(y[:, :-1])
+    states = prop.sec.state(y[:, :-1])
     c0 = _vacuum_coordinates(rho0)
     if np.any(c0):
         c = _samples(_expm(prop.vacuum_block(channels.gamma_deph) * dt), c0, n_eval)
@@ -751,44 +743,12 @@ def propagate(
     return Trajectory(times=times, states=states, extracted=y[:, -1])
 
 
-def _samples_per_product(m: int) -> int:
-    """b, the samples `_samples` advances per product with an m-square propagator.
-
-    The largest power of two up to 8 whose log2(b) extra squarings, m^3
-    multiply-adds each, stay within the m^2 (N_EVAL - 1) of the steps of a
-    trajectory: 8 up to 8 sites (m <= 66), 1 from 15 sites (m = 227) up.
-    """
-    b = 8
-    while b > 1 and (b.bit_length() - 1) * m > N_EVAL - 1:
-        b //= 2
-    return b
-
-
 def _samples(P: np.ndarray, x0: np.ndarray, n_eval: int) -> np.ndarray:
-    """x0, P x0, ..., P^(n_eval-1) x0 for each matrix of P, as an (n_eval, ..., m) array.
-
-    P is one m-square propagator or a stack of them, and x0 an m-vector or
-    one per matrix.  The first b = `_samples_per_product(m)` samples are
-    stepped by P one at a time; P^b, from log2(b) squarings, then advances
-    b samples per batched product, y[j:j+b] = P^b y[j-b:j].  With b = 1
-    every sample is one product by P.
-    """
-    m = P.shape[-1]
-    b = _samples_per_product(m)
-    y = np.empty((n_eval,) + P.shape[:-2] + (m,), dtype=np.result_type(P, x0))
+    """x0, P x0, ..., P^(n_eval-1) x0 as an (n_eval, m) array: one product by the m-square P per sample."""
+    y = np.empty((n_eval, x0.size), dtype=np.result_type(P, x0))
     y[0] = x0
-    # each trajectory's samples as the rows of a matrix, a view into y:
-    # its rows times P^T on the right advance it by one sample
-    rows = np.swapaxes(y, 0, -2)
-    step = np.swapaxes(P, -1, -2)
-    for j in range(1, min(b, n_eval)):
-        np.matmul(rows[..., j - 1:j, :], step, out=rows[..., j:j + 1, :])
-    for _ in range(b.bit_length() - 1):
-        P = P @ P
-    step = np.swapaxes(P, -1, -2)
-    for j in range(b, n_eval, b):
-        r = min(b, n_eval - j)  # the last block may be ragged
-        np.matmul(rows[..., j - b:j - b + r, :], step, out=rows[..., j:j + r, :])
+    for j in range(1, n_eval):
+        np.matmul(P, y[j - 1], out=y[j])
     return y
 
 

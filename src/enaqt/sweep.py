@@ -84,6 +84,11 @@ DEFAULT_POINTS = 60
 DEFAULT_RATE = 5.0  # ps^-1, both injection and extraction
 
 
+def _is_rate(value) -> bool:
+    """A finite real number, and no bool: True is no rate in ps^-1."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     network: NetworkSpec
@@ -108,16 +113,16 @@ class SweepConfig:
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         for name in ("gamma_min", "gamma_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not _is_rate(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.gamma_min < 0:
             raise ValueError(f"gamma_min must be nonnegative, got {self.gamma_min}")
         if self.gamma_inj is None:
             object.__setattr__(self, "gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
         for name in ("gamma_inj", "gamma_ext"):
             rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
+            if not (_is_rate(rate) and rate >= 0):
+                raise ValueError(f"{name} must be a finite nonnegative number, got {rate!r}")
         if self.spacing == "log" and self.gamma_min <= 0:
             raise ValueError("log spacing requires gamma_min > 0")
         if not self.gamma_min < self.gamma_max:
@@ -222,7 +227,7 @@ def _pulse_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.
     except Exception as exc:
         _annotate(exc, float(grid[exc.index]))
         raise
-    rho_int = propagator.state(integral[:, :-1])
+    rho_int = propagator.sec.state(integral[:, :-1])
     avg = np.diagonal(rho_int, axis1=1, axis2=2).real / cfg.t_end
     occ = Occupations(values=avg[:, 1:], vacuum=avg[:, 0])
     return dict(j_p=y[:, -1], **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))

@@ -136,14 +136,34 @@ class TestGeometry:
         assert pairs == {(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5)}
 
     def test_invalid_sizes(self):
-        with pytest.raises(InvalidSize):
-            generate_geometry("chain", 0, Uniform(0), Uniform(1), inject={1}, extract={2})
-        with pytest.raises(InvalidSize):
-            generate_geometry("ring", 2, Uniform(0), Uniform(1), inject={1}, extract={2})
-        with pytest.raises(InvalidSize):
-            generate_geometry("banana", 4, Uniform(0), Uniform(1), inject={1}, extract={2})
+        # a float, string or bool size is rejected, not truncated: int(7.9) is 7
+        cases = [
+            ("chain", 0, "chain length"),
+            ("ring", 2, "ring length"),
+            ("banana", 4, "unknown geometry"),
+            ("chain", 7.9, "chain size must be an integer, got 7.9"),
+            ("chain", True, "chain size must be an integer, got True"),
+            ("ring", 4.0, "ring size must be an integer, got 4.0"),
+            ("grid", (2.9, 2), "grid size must be an integer, got 2.9"),
+            ("grid", (2, False), "grid size must be an integer, got False"),
+            ("grid", 4, "grid size must be a (width, height) pair, got 4"),
+            ("grid", (2, 3, 4), "grid size must be a (width, height) pair, got (2, 3, 4)"),
+            ("full_graph", "3", "full_graph size must be an integer, got '3'"),
+            ("full_graph", np.float64(3.0), "full_graph size must be an integer"),
+        ]
+        for kind, params, match in cases:
+            with pytest.raises(InvalidSize, match=re.escape(match)):
+                generate_geometry(kind, params, Uniform(0), Uniform(1), inject={1}, extract={2})
         with pytest.raises(InvalidSize):
             generate_geometry("chain", 3, RandomUniform(2.0, 1.0), Uniform(1), inject={1}, extract={3})
+
+    @pytest.mark.parametrize("kind, params, n", [
+        ("chain", np.int64(4), 4), ("ring", np.int32(5), 5), ("grid", (np.int64(2), 3), 6),
+        ("full_graph", np.int16(3), 3),
+    ])
+    def test_numpy_integer_sizes(self, kind, params, n):
+        spec = generate_geometry(kind, params, Uniform(0), Uniform(1), inject={1}, extract={2})
+        assert spec.n_sites == n and type(spec.n_sites) is int
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(["chain", "ring", "full_graph"]))

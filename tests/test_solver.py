@@ -31,11 +31,10 @@ from enaqt.reference import (
     dense_propagate,
 )
 from enaqt.solver import (
+    N_EVAL,
     EigenbasisSteadyState,
     SectorPropagator,
     _expm,
-    _samples,
-    _samples_per_product,
     _sector,
     propagate,
     steady_state,
@@ -568,12 +567,16 @@ class TestPropagate:
             propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=1)
 
 
-def assert_matches_dense(H, channels, spec, rho0, t_end, tol=1e-10):
-    traj = propagate(H, channels, spec, rho0, t_end)
-    ref = dense_propagate(H, channels, spec, rho0, t_end)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.max(np.abs(traj.states - ref.states)) <= tol
-    assert np.max(np.abs(traj.extracted - ref.extracted)) <= tol
+# sample counts: the fewest (t = 0 and t_end), two odd ones and the default
+SAMPLE_COUNTS = (2, 3, 11, N_EVAL)
+
+
+def assert_matches_dense(H, channels, spec, rho0, t_end, tol=1e-10, n_eval=N_EVAL):
+    traj = propagate(H, channels, spec, rho0, t_end, n_eval)
+    ref = dense_propagate(H, channels, spec, rho0, t_end, n_eval)
+    assert np.array_equal(traj.times, ref.times), n_eval
+    assert np.max(np.abs(traj.states - ref.states)) <= tol, n_eval
+    assert np.max(np.abs(traj.extracted - ref.extracted)) <= tol, n_eval
     return traj
 
 
@@ -615,13 +618,20 @@ class TestPropagateAgainstDenseOracle:
         spec, H = asymmetric_chain
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho0[0, 0] = 1.0
-        assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 8.0)
+        for n_eval in SAMPLE_COUNTS:
+            assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 8.0, n_eval=n_eval)
 
     def test_vacuum_site_coherences_evolve(self, asymmetric_chain):
         spec, H = asymmetric_chain
         rho0 = random_density_matrix(np.random.default_rng(7), spec.dim)
-        traj = assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 2.0)
-        assert np.max(np.abs(traj.states[1:, 0, 1:])) > 1e-3
+        for n_eval in SAMPLE_COUNTS:
+            traj = assert_matches_dense(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 2.0, n_eval=n_eval)
+            vacuum = np.abs(traj.states[1:, 0, 1:])
+            # they decay to 1.9e-5 by t_end, the only sample after t = 0 at
+            # n_eval = 2: still far above the tolerance of the match
+            assert np.max(vacuum[-1]) > 1e-6
+            if n_eval > 2:
+                assert np.max(vacuum) > 1e-3
 
     def test_vacuum_coupling_is_not_charge_conserving(self, asymmetric_chain):
         spec, H = asymmetric_chain
@@ -726,44 +736,6 @@ class TestExpm:
             want = _expm(matrix)
             assert want.shape == matrix.shape
             assert np.max(np.abs(got - want)) <= np.finfo(float).eps * np.max(np.abs(want))
-
-
-class TestSamples:
-    """Several samples per product against one product per sample."""
-
-    @staticmethod
-    def recurrence(P, x0, n_eval):
-        y = [np.broadcast_to(x0, P.shape[:-1])]
-        for _ in range(n_eval - 1):
-            y.append(np.einsum("...ij,...j->...i", P, y[-1]))
-        return np.array(y)
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_one_product_per_sample(self, kind):
-        cfg, spec, H = preset_system("fig2")
-        prop = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
-        if kind == "real":
-            # a stack of three rates from the bordered sector generator
-            P = _expm(prop.generator(np.array([1e-2, 1.0, 1e2])) * 0.1)
-            x0 = prop.coordinates(pulse_start(spec))
-        else:
-            # the vacuum block, one complex matrix and a complex start
-            P = _expm(prop.vacuum_block(1.0) * 0.1)
-            x0 = np.array([1.0, 1j]) @ np.random.default_rng(3).standard_normal((2, P.shape[0]))
-        b = _samples_per_product(P.shape[-1])
-        assert b == 8
-        # n_eval <= b, no block, a last block of 1 sample and one of 3
-        for n_eval in (2, b, b + 1, 201, 2 * b + 3):
-            got = _samples(P, x0, n_eval)
-            want = self.recurrence(P, x0, n_eval)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n_eval
-
-    @pytest.mark.parametrize("m, b", [(2, 8), (51, 8), (66, 8), (83, 4), (102, 2), (198, 2), (227, 1),
-                                      (627, 1)])
-    def test_samples_per_product(self, m, b):
-        # m = n^2 + 2: up to 8 sites (fig2 has 7) take 8 samples per product, 15 sites and up one
-        assert _samples_per_product(m) == b
 
 
 class TestTransferEfficiency:

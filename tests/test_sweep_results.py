@@ -509,7 +509,8 @@ class TestConfigValidation:
         ("gamma_max", np.inf), ("gamma_max", np.nan),
         ("gamma_inj", np.nan), ("gamma_inj", np.inf), ("gamma_inj", -1.0),
         ("gamma_ext", np.nan), ("gamma_ext", np.inf), ("gamma_ext", -1.0),
-    ])
+    ] + [(field, value) for field in ("gamma_min", "gamma_max", "gamma_inj", "gamma_ext")
+         for value in (True, False, "5")])
     def test_rates_must_be_finite_and_nonnegative(self, chain2_cfg, field, value):
         with pytest.raises(ValueError, match=field):
             replace(chain2_cfg, **{field: value})
