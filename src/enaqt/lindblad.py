@@ -17,8 +17,9 @@ Vectorization convention
 Density matrices are vectorized by column stacking, vec(rho) =
 rho.flatten(order="F"), so entry rho[i, j] sits at vec index i + j*d.
 
-`build_liouvillian` assembles the d^2 x d^2 generator as a CSR matrix
-straight from the closed forms of these jump operators:
+`generator_entries` lists the entries of the d^2 x d^2 generator as COO
+arrays straight from the closed forms of these jump operators, numpy
+alone, no index twice:
 
     commutator  every nonzero H[i, k] off the diagonal gives -i H[i, k] at
                 (i + j d, k + j d) and +i H[i, k] at (j + k d, j + i d)
@@ -32,19 +33,18 @@ straight from the closed forms of these jump operators:
                 site-vacuum coherences at gamma_deph / 2, populations not
                 at all.
 
-It stores at most 2 nnz(H) d + d^2 + |inject| + |extract| entries and no
-explicit zeros, so memory is O(nnz), never d^4.  It imports scipy.sparse
-when first called; nothing else in this module needs scipy.  The package
-calls it only for a row of a steady sweep that the eigenbasis solve
-gates, whose generator the sector LU of `solver.steady_state` then
-solves; the tests also compare against it.
+That is at most 2 nnz(H) d + d^2 + |inject| + |extract| entries, never
+d^4.  `solver.SectorPropagator` projects them onto the charge sector.
+`build_liouvillian`, their CSR matrix with no explicit zeros, imports
+scipy.sparse, which nothing else in this module needs; the package calls
+it only for a steady row that the eigenbasis solve gates, whose sector LU
+projects it the same way.  The tests also compare against it.
 
 `apply_liouvillian` evaluates the generator's action on a state or a
 (k, d, d) stack of them from the same closed forms, assembling nothing.
-The steady-state sweep checks its states with it, and
-`solver.SectorPropagator` forms the dense sector generator of a pulse
-sweep from its action on the sector basis states.  Both share the diagonal
-and its dephasing rates (`unit_dephasing`).  The kron-product form,
+The steady-state sweep checks its states with it, a residual guard that
+shares no code with the entries but the diagonal and its dephasing
+rates (`unit_dephasing`).  The kron-product form,
 
     L = -i (I kron H - H^T kron I)
         + sum_k gamma_k [conj(V_k) kron V_k
@@ -57,6 +57,7 @@ against it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,6 +68,11 @@ from .network import NetworkSpec
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+
+def is_rate(value) -> bool:
+    """A finite real number, and no bool: True is no rate in ps^-1."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class ChannelSet:
     def __post_init__(self) -> None:
         for name in ("gamma_inj", "gamma_ext", "gamma_deph"):
             rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
+            if not (is_rate(rate) and rate >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {rate!r}")
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -108,10 +114,9 @@ def _diagonal(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndar
             - channels.gamma_deph * unit_dephasing(d))
 
 
-def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
-    """Assemble the full generator as a d^2 x d^2 CSR matrix."""
-    import scipy.sparse as sp
-
+def generator_entries(H: np.ndarray, channels: ChannelSet,
+                      spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generator's entries as COO arrays (rows, cols, vals), from the closed forms, no index twice."""
     d = spec.dim
     if H.shape != (d, d):
         raise DimensionMismatch(
@@ -136,15 +141,16 @@ def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) ->
     rows += [src, np.zeros_like(snk)]
     cols += [np.zeros_like(src), snk]
     vals += [np.full(src.size, channels.gamma_inj), np.full(snk.size, channels.gamma_ext)]
+    return tuple(np.concatenate([np.ravel(a) for a in arrays]) for arrays in (rows, cols, vals))
 
-    coo = sp.coo_matrix(
-        (np.concatenate([np.ravel(v) for v in vals]),
-         (np.concatenate([np.ravel(r) for r in rows]),
-          np.concatenate([np.ravel(c) for c in cols]))),
-        shape=(d * d, d * d),
-        dtype=complex,
-    )
-    L = coo.tocsr()
+
+def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
+    """Assemble the full generator as a d^2 x d^2 CSR matrix."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = generator_entries(H, channels, spec)
+    d2 = spec.dim**2
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(d2, d2), dtype=complex).tocsr()
     # zero rates and degenerate on-site energies leave zeros on the diagonal
     L.eliminate_zeros()
     return L

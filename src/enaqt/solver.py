@@ -75,17 +75,16 @@ every row holds a validated state and only a gated row's rcond is NaN.
 sector coordinates are the n + 1 populations and Re, Im of rho_ij for
 1 <= i < j <= n: n^2 + 1 real unknowns in place of (n + 1)^2 complex ones.
 
-  1. the generator is held in CSR, and its index arrays are checked for an
-     entry that couples the sector to a vacuum-site coherence; a generator
-     with one is not charge-conserving and raises NotChargeConserving,
-     naming the entry;
-  2. the real system A = Re(Tp L T) is formed, where T maps the sector
-     coordinates to vec(rho) and Tp is its left inverse, and the trace
-     functional replaces the last (population) row by slicing the CSR
-     arrays;
+  1. the generator's COO entries are projected onto the sector,
+     A = Re(Tp L T), where T maps the sector coordinates to vec(rho) and
+     Tp is its left inverse; both have at most two entries per vec index,
+     so each entry of L gives at most four of A.  The projection raises
+     NotChargeConserving, naming the entry, on an entry that couples the
+     sector to a vacuum-site coherence;
+  2. the trace functional replaces the last (population) row of A;
   3. one real sparse LU factorization (SuperLU via
      scipy.sparse.linalg.splu) serves the solve and two refinement passes,
-     and T maps the solution back to rho.
+     and the solution is mapped back to rho.
 
 Real SuperLU reports an exactly singular system either as "Factor is
 exactly singular" or as "failed to factorize matrix ... dpanel_bmod.c";
@@ -98,12 +97,12 @@ Propagation lives in the same real sector.  G is the real sector
 generator, n^2 + 1 unknowns (rho_00 among them, so an injection channel
 needs nothing extra), bordered by one row that accumulates the extracted
 population (Van Loan, IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns,
-n^4 real memory.  `SectorPropagator` holds G at zero dephasing, formed
-once from the closed-form action `lindblad.apply_liouvillian` on the
-sector basis states, the same definition of the generator with which the
-steady solver checks its states, and checked for charge conservation on
-the way; dephasing is exactly diagonal in the sector (-gamma on the Re and
-Im coordinate of every site-site coherence, 0 on the populations and the
+n^4 real memory.  `SectorPropagator` holds G at zero dephasing: the
+closed-form entries of `lindblad.generator_entries` (whose CSR matrix is
+`build_liouvillian`), projected by the same `_Sector.project` that forms
+the sector LU's system and that is the one charge-conservation check;
+dephasing is exactly diagonal in the sector (-gamma on the Re and Im
+coordinate of every site-site coherence, 0 on the populations and the
 border row, -gamma/2 on the vacuum-site coherences), so G at any rate is
 a shifted copy.
 
@@ -127,7 +126,7 @@ in `_samples`, and every sample is mapped back to rho.  No sweep calls
 it.  The vacuum-site coherences, which rotate at the on-site energy
 (~2.3e3 ps^-1) and which no observable reads, stay out of G; a start
 state that carries them evolves them in their own decoupled 2n-square
-complex block, through the same `_samples`.
+complex block, taken from the same entries, through the same `_samples`.
 
 Every exponential is `_expm`, the degree-30 Taylor approximant with
 scaling and squaring, evaluated by Paterson-Stockmeyer in nine matrix
@@ -152,8 +151,8 @@ preset, so the dense path is the only one.
 
 scipy is imported inside the functions that use it, so it is loaded on
 first use: by the sector LU (`steady_state`, which a sweep calls only for
-a gated row, and the sparse T and Tp it projects with) and by
-`lindblad.build_liouvillian`, which assembles that row's generator.  A
+a gated row, and its sparse system) and by `lindblad.build_liouvillian`,
+which assembles that row's generator.  A
 steady sweep whose rows all pass the eigenbasis gates, every pulse sweep
 and `propagate` run on numpy alone and leave scipy unloaded.
 """
@@ -163,6 +162,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -176,8 +176,8 @@ from .errors import (
     NotChargeConserving,
     SolveFailure,
 )
-from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, hermitize,
-                       unit_dephasing, vec)
+from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, generator_entries,
+                       hermitize, unit_dephasing, vec)
 from .network import NetworkSpec
 
 if TYPE_CHECKING:
@@ -210,10 +210,9 @@ RCOND_MIN = 1e-10
 REFINE_TOL = 1e-8
 SLOW_REFINE_TOL = 1e-12
 MAX_REFINE = 4
-# entries of one stack: complex (block, n, n) in the sweep solver and
-# (block, d, d) basis states in SectorPropagator, 256 kB; real
-# (block, n^2 + 3, n^2 + 3) Van Loan matrices of a pulse sweep, 128 kB,
-# whose exponential works in 11 slabs of that size
+# entries of one stack: complex (block, n, n) in the sweep solver, 256 kB;
+# real (block, n^2 + 3, n^2 + 3) Van Loan matrices of a pulse sweep,
+# 128 kB, whose exponential works in 11 slabs of that size
 BLOCK_ENTRIES = 2**14
 # samples of a propagated trajectory, t = 0 and t_end included
 N_EVAL = 201
@@ -428,19 +427,22 @@ class _Sector:
     itself, and for i < j the index of rho_ij holds Re rho_ij and the
     index of rho_ji holds Im rho_ij.  The last coordinate is the
     population of site n.  `coordinates` and `state` map between them and
-    (d, d) matrices, or stacks of them, by indexing; the sparse T
-    (d^2 x (n^2+1), vec(rho) from the coordinates) and its left inverse
-    Tp = diag(1 or 1/2) T^H are built from the same arrays when the sector
-    LU first asks for them.
+    (d, d) matrices, or stacks of them, by indexing.  The map T from the
+    coordinates to vec(rho) and its left inverse Tp = diag(1 or 1/2) T^H
+    have at most two entries per vec index, which `slots`, `t` and `tp`
+    hold row by row; `project` takes a generator's entries through them.
     """
 
     d: int
-    vac: np.ndarray   # mask of the vacuum-site coherences over vec indices
-    pops: np.ndarray  # sector positions of the populations, site 0 to n
-    re: np.ndarray    # sector positions of Re rho_ij, i < j, in vec order of rho_ij
-    im: np.ndarray    # sector positions of Im rho_ij, pairwise with re
-    i: np.ndarray     # row i of each rho_ij, pairwise with re
-    j: np.ndarray     # column j of each rho_ij, pairwise with re
+    vac: np.ndarray    # mask of the vacuum-site coherences over vec indices
+    pops: np.ndarray   # sector positions of the populations, site 0 to n
+    re: np.ndarray     # sector positions of Re rho_ij, i < j, in vec order of rho_ij
+    im: np.ndarray     # sector positions of Im rho_ij, pairwise with re
+    i: np.ndarray      # row i of each rho_ij, pairwise with re
+    j: np.ndarray      # column j of each rho_ij, pairwise with re
+    slots: np.ndarray  # (d^2, 2) sector positions that each vec index maps to and from
+    t: np.ndarray      # (d^2, 2) entries of T at (vec index, slot): rho_ij = x_re + i x_im
+    tp: np.ndarray     # (d^2, 2) entries of Tp at (slot, vec index): x_im = (rho_ji - rho_ij) i / 2
 
     @property
     def size(self) -> int:
@@ -466,28 +468,28 @@ class _Sector:
         rho[..., sites, sites] = x[..., self.pops]
         return rho
 
-    @functools.cached_property
-    def T(self) -> sp.csr_matrix:
-        """vec(rho) from the sector coordinates: one entry per population column, two per coherence."""
-        import scipy.sparse as sp
+    def project(self, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Re(Tp L T) of the generator L with entries vals at (rows, cols), as real COO arrays.
 
-        d = self.d
-        ij, ji = self.i + self.j * d, self.j + self.i * d  # vec indices of rho_ij and rho_ji
-        # rho_pp = x_p;  rho_ij = x_re + i x_im and rho_ji = x_re - i x_im
-        rows = np.concatenate([np.arange(d) * (d + 1), ij, ji, ij, ji])
-        cols = np.concatenate([self.pops, self.re, self.re, self.im, self.im])
-        vals = np.concatenate([np.ones(d + 2 * self.re.size), np.full(self.re.size, 1j),
-                               np.full(self.re.size, -1j)])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, self.size))
-
-    @functools.cached_property
-    def Tp(self) -> sp.csr_matrix:
-        """The left inverse of T: the sector coordinates of a Hermitian vec(rho)."""
-        import scipy.sparse as sp
-
-        scale = np.full(self.size, 0.5)
-        scale[self.pops] = 1.0
-        return (sp.diags(scale) @ self.T.conj().T).tocsr()
+        Each entry of L gives at most four, summed where they repeat, and
+        none where T and Tp hold nothing: among the vacuum-site coherences,
+        or where the product's real part is zero.  An entry that
+        links the sector to a vacuum-site coherence raises
+        NotChargeConserving, naming the first such entry in row order.
+        """
+        bad = np.flatnonzero(self.vac[rows] != self.vac[cols])
+        if bad.size:
+            first = bad[np.lexsort((cols[bad], rows[bad]))[0]]
+            (i, j), (k, m) = (divmod(int(x), self.d)[::-1] for x in (rows[first], cols[first]))
+            raise NotChargeConserving(
+                f"generator couples rho[{i}, {j}] and rho[{k}, {m}] across the charge sector "
+                "and the vacuum-site coherences"
+            )
+        A = (self.tp[rows, :, None] * vals[:, None, None] * self.t[cols, None, :]).real.ravel()
+        kept = np.flatnonzero(A)
+        entry, (a, b) = kept // 4, np.divmod(kept % 4, 2)  # the entry and its slots in Tp and T
+        return self.slots[rows[entry], a], self.slots[cols[entry], b], A[kept]
 
 
 @functools.lru_cache(maxsize=8)
@@ -495,64 +497,23 @@ def _sector(d: int) -> _Sector:
     col, row = np.divmod(np.arange(d * d), d)  # vec index row + col*d
     vac = (row == 0) != (col == 0)
     k = np.flatnonzero(~vac)
-    row, col = row[k], col[k]
-    re = np.flatnonzero(row < col)
-    im = np.searchsorted(k, col[re] + row[re] * d)  # sector position of rho_ji
-    return _Sector(d=d, vac=vac, pops=np.flatnonzero(row == col), re=re, im=im, i=row[re], j=col[re])
+    pops = np.flatnonzero(row[k] == col[k])
+    re = np.flatnonzero(row[k] < col[k])
+    i, j = row[k][re], col[k][re]
+    im = np.searchsorted(k, j + i * d)  # sector position of rho_ji
+    # rho_pp = x_p;  rho_ij = x_re + i x_im and rho_ji = x_re - i x_im
+    ij, ji = i + j * d, j + i * d
+    slots = np.zeros((d * d, 2), dtype=np.intp)
+    slots[k[pops]], slots[ij], slots[ji] = pops[:, None], np.c_[re, im], np.c_[re, im]
+    t = np.zeros((d * d, 2), dtype=complex)
+    t[k[pops], 0], t[ij], t[ji] = 1.0, (1.0, 1j), (1.0, -1j)
+    tp = t.conj() * np.where(t[:, 1:] != 0, 0.5, 1.0)  # Tp = diag(1 or 1/2) T^H
+    return _Sector(d=d, vac=vac, pops=pops, re=re, im=im, i=i, j=j, slots=slots, t=t, tp=tp)
 
 
 def _vacuum_coordinates(rho: np.ndarray) -> np.ndarray:
     """The vacuum-site coherences of each (d, d) matrix in vec order: rho_s0, then rho_0s."""
     return np.concatenate([rho[..., 1:, 0], rho[..., 0, 1:]], axis=-1)
-
-
-def _check_charge_conserving(L: sp.csr_matrix, sec: _Sector) -> None:
-    """Raise NotChargeConserving on a stored entry linking the sector to a vacuum-site coherence."""
-    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-    bad = np.flatnonzero(sec.vac[rows] != sec.vac[L.indices])
-    if bad.size:
-        d = int(round(np.sqrt(L.shape[0])))
-        (i, j), (k, m) = (divmod(int(x), d)[::-1] for x in (rows[bad[0]], L.indices[bad[0]]))
-        raise NotChargeConserving(
-            f"generator couples rho[{i}, {j}] and rho[{k}, {m}] across the charge sector "
-            "and the vacuum-site coherences"
-        )
-
-
-def _sector_system(L: sp.csr_matrix, sec: _Sector) -> sp.csr_matrix:
-    """Re(Tp L T) with its last (population) row replaced by the trace."""
-    import scipy.sparse as sp
-
-    A = (sec.Tp @ L @ sec.T).real
-    cut = A.indptr[-2]
-    indptr = A.indptr.copy()
-    indptr[-1] = cut + sec.pops.size
-    indices = np.concatenate([A.indices[:cut], sec.pops])
-    data = np.concatenate([A.data[:cut], np.ones(sec.pops.size)])
-    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
-
-
-def _sector_solve(L: sp.csr_matrix, sec: _Sector, d: int) -> np.ndarray:
-    """Steady state from the real sector system."""
-    import scipy.sparse.linalg as spla
-
-    A = _sector_system(L, sec)
-    b = np.zeros(A.shape[0])
-    b[-1] = 1.0
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        # Real SuperLU may report an exactly singular system as "failed to
-        # factorize matrix ... in dpanel_bmod.c" instead of "Factor is
-        # exactly singular".
-        if "singular" not in str(exc) and "failed to factorize" not in str(exc):
-            raise
-        raise NonUniqueSteadyState(f"sector system is singular (SuperLU: {exc})") from exc
-    x = lu.solve(b)
-    # two refinement passes pin the residual near machine precision
-    for _ in range(2):
-        x += lu.solve(b - A @ x)
-    return (sec.T @ x).reshape((d, d), order="F")
 
 
 def steady_state(L) -> SteadyStateSolution:
@@ -566,6 +527,7 @@ def steady_state(L) -> SteadyStateSolution:
     nonsingular, which any injection or dephasing rate guarantees.
     """
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"generator must be square, got {L.shape}")
@@ -575,9 +537,31 @@ def steady_state(L) -> SteadyStateSolution:
     if d * d != d2:
         raise DimensionMismatch(f"generator size {d2} is not a perfect square")
 
+    # Re(Tp L T) with its last (population) row replaced by the trace
     sec = _sector(d)
-    _check_charge_conserving(L, sec)
-    rho = _sector_solve(L, sec, d)
+    coo = L.tocoo()
+    rows, cols, vals = sec.project(coo.row, coo.col, coo.data)
+    m = sec.size
+    kept = rows != m - 1
+    A = sp.csc_matrix((np.concatenate([vals[kept], np.ones(d)]),
+                       (np.concatenate([rows[kept], np.full(d, m - 1)]), np.concatenate([cols[kept], sec.pops]))),
+                      shape=(m, m))
+    b = np.zeros(m)
+    b[-1] = 1.0
+    try:
+        lu = spla.splu(A)
+    except RuntimeError as exc:
+        # Real SuperLU may report an exactly singular system as "failed to
+        # factorize matrix ... in dpanel_bmod.c" instead of "Factor is
+        # exactly singular".
+        if "singular" not in str(exc) and "failed to factorize" not in str(exc):
+            raise
+        raise NonUniqueSteadyState(f"sector system is singular (SuperLU: {exc})") from exc
+    x = lu.solve(b)
+    # two refinement passes pin the residual near machine precision
+    for _ in range(2):
+        x += lu.solve(b - A @ x)
+    rho = sec.state(x)
     res = float(np.max(np.abs(L @ vec(rho))))
     if not res <= RESIDUAL_TOL:
         raise SolveFailure(f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
@@ -589,49 +573,37 @@ class SectorPropagator:
     """Exact propagation in the real charge sector of one network across dephasing rates.
 
     Built once per pulse sweep from the Hamiltonian, the network and the
-    injection and extraction rates.  The constructor forms the dense
-    bordered sector generator G_base at zero dephasing column by column:
-    column j holds the sector coordinates of `apply_liouvillian` on the
-    state with coordinate j set to 1, applied in blocks of at most
-    max(1, BLOCK_ENTRIES // d^2) states, and the border row holds gamma_ext
-    at the sector position of each sink population.  An output with a
-    nonzero vacuum-site coherence means the generator is not charge
-    conserving and raises NotChargeConserving; that covers both
-    directions, since the only coupling the closed form can hold, an H
-    entry between the vacuum and a site, shows on the population of one
-    of the two.  Dephasing is diagonal in
-    the sector, -gamma on the Re and Im coordinate of every site-site
-    coherence and 0 on the populations and the border, so G(gamma) is
-    G_base shifted on those diagonal entries, and `pulse` pays one stacked
-    exponential per block of rates, of the Van Loan matrices to t_end.
+    injection and extraction rates.  The constructor takes the generator's
+    closed-form entries at zero dephasing once, from
+    `lindblad.generator_entries`.  Their projection Re(Tp L T), the one the
+    sector LU solves, fills the dense bordered sector generator G_base,
+    whose border row holds gamma_ext at the sector position of each sink
+    population; the projection raises NotChargeConserving on an entry
+    that links the sector to a vacuum-site coherence.  The entries among
+    the vacuum-site coherences are the block of `vacuum_block`.  Dephasing
+    is diagonal in the sector, -gamma on the Re and Im coordinate of every
+    site-site coherence and 0 on the populations and the border, so
+    G(gamma) is G_base shifted on those diagonal entries, and `pulse` pays
+    one stacked exponential per block of rates, of the Van Loan matrices
+    to t_end.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
         self.d = spec.dim
-        self.H, self.spec = H, spec
-        self.channels = ChannelSet(gamma_inj, gamma_ext, 0.0)
         self.sec = sec = _sector(self.d)
         m = sec.size
+        rows, cols, vals = generator_entries(H, ChannelSet(gamma_inj, gamma_ext, 0.0), spec)
+        r, c, a = sec.project(rows, cols, vals)
         self.G_base = np.zeros((m + 1, m + 1))
-        size = max(1, BLOCK_ENTRIES // self.d**2)
-        for start in range(0, m, size):
-            cols = np.arange(start, min(start + size, m))
-            x = np.zeros((cols.size, m))
-            x[np.arange(cols.size), cols] = 1.0
-            rho = sec.state(x)
-            drho = apply_liouvillian(H, self.channels, spec, rho)
-            leak = np.argwhere(_vacuum_coordinates(drho))
-            if leak.size:
-                k, c = leak[0]
-                i, j = np.argwhere(rho[k])[0]
-                s, t = (c + 1, 0) if c < self.d - 1 else (0, c - self.d + 2)
-                raise NotChargeConserving(
-                    f"generator couples rho[{i}, {j}] and rho[{s}, {t}] across the charge sector "
-                    "and the vacuum-site coherences"
-                )
-            self.G_base[:m, cols] = sec.coordinates(drho).T
+        np.add.at(self.G_base, (r, c), a)
         self.G_base[m, sec.pops[sorted(spec.extract_sites)]] = gamma_ext
         self.coherences = np.setdiff1d(np.arange(m), sec.pops)
+        # the vacuum-site coherences in vec order, rho_s0 then rho_0s; the
+        # closed form holds no index twice, so its entries are the block's
+        vac = np.flatnonzero(sec.vac)
+        inside = sec.vac[rows]
+        self._vacuum_base = np.zeros((vac.size, vac.size), dtype=complex)
+        self._vacuum_base[np.searchsorted(vac, rows[inside]), np.searchsorted(vac, cols[inside])] = vals[inside]
 
     def generator(self, gammas: np.ndarray | float) -> np.ndarray:
         """The bordered sector generator G at each dephasing rate: (k, m, m) for k rates, (m, m) for one scalar."""
@@ -686,12 +658,7 @@ class SectorPropagator:
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
         """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
-        n = self.d - 1
-        E = np.zeros((2 * n, self.d, self.d), dtype=complex)
-        s = np.arange(n)
-        E[s, s + 1, 0] = 1.0
-        E[n + s, 0, s + 1] = 1.0
-        B = _vacuum_coordinates(apply_liouvillian(self.H, self.channels, self.spec, E)).T
+        B = self._vacuum_base.copy()
         B[np.diag_indices_from(B)] -= 0.5 * gamma
         return B
 
@@ -711,7 +678,7 @@ def propagate(
     component carries the cumulative extracted population
     integral(sum_s gamma_ext rho_ss dt), and `_samples` steps the samples
     by one product each with the propagator P = expm(G dt), which is exact
-    on the grid up to rounding; T maps each sample back to rho.  Vacuum-site
+    on the grid up to rounding; each sample is mapped back to rho.  Vacuum-site
     coherences in rho0 evolve by the exponential of their own 2n-square
     block, formed only when rho0 has one.  A generator that couples them
     to the sector raises NotChargeConserving.
@@ -722,8 +689,9 @@ def propagate(
     check_density_matrix(rho0)
     if not (np.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    if n_eval < 2:
-        raise ValueError(f"n_eval must be at least 2, got {n_eval}")
+    # bool is an Integral, but True is no count of samples
+    if isinstance(n_eval, bool) or not isinstance(n_eval, numbers.Integral) or n_eval < 2:
+        raise ValueError(f"n_eval must be an integer of at least 2, got {n_eval!r}")
     if t_end == 0.0:
         return Trajectory(
             times=np.array([0.0]),

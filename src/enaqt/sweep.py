@@ -16,7 +16,8 @@ generator: the solver checks every state with the closed-form action of
 `lindblad.apply_liouvillian`, and a row the eigenbasis solve gates
 (ill-conditioned eigenvectors, a singular population system, stalled
 refinement or a failed residual) is logged and solved inside the solver
-by the sector LU on the generator assembled at its rate; the block's
+by the sector LU on the generator `lindblad.build_liouvillian` assembles
+at its rate; the block's
 gated mask becomes each point's recorded method.  Each
 observable is then evaluated once on the block's (k, d, d) stack, and the
 curve's columns are the blocks' arrays concatenated.  An error raised
@@ -28,10 +29,10 @@ point.
 In pulse mode there is no injection channel: each point propagates a
 single-site excitation for t_end picoseconds exactly.  One
 `solver.SectorPropagator` is built per sweep: it forms the (n^2 + 2)-square
-bordered charge-sector generator G at zero dephasing once, from the
-closed-form action of `lindblad.apply_liouvillian` on the sector basis
-states, and checks charge conservation on the way; the start state x0 is
-validated once.  Dephasing only shifts the diagonal of the coherence
+bordered charge-sector generator G at zero dephasing once, by projecting
+the closed-form entries of `lindblad.generator_entries` onto the sector
+as the sector LU does, and checks charge conservation on the way; the
+start state x0 is validated once.  Dephasing only shifts the diagonal of the coherence
 coordinates.  The grid goes to `SectorPropagator.pulse` whole, which
 walks it in blocks of max(1, BLOCK_ENTRIES // (n^2 + 3)^2) rates (6 on
 fig2, 1 from 10 sites up); each block is one stacked real exponential
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import ChannelSet, check_density_matrix
+from .lindblad import ChannelSet, check_density_matrix, is_rate
 from .network import (
     NetworkSpec,
     assemble_hamiltonian,
@@ -82,11 +83,6 @@ DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e3
 DEFAULT_POINTS = 60
 DEFAULT_RATE = 5.0  # ps^-1, both injection and extraction
-
-
-def _is_rate(value) -> bool:
-    """A finite real number, and no bool: True is no rate in ps^-1."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ class SweepConfig:
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         for name in ("gamma_min", "gamma_max"):
-            if not _is_rate(getattr(self, name)):
+            if not is_rate(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.gamma_min < 0:
             raise ValueError(f"gamma_min must be nonnegative, got {self.gamma_min}")
@@ -121,7 +117,7 @@ class SweepConfig:
             object.__setattr__(self, "gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
         for name in ("gamma_inj", "gamma_ext"):
             rate = getattr(self, name)
-            if not (_is_rate(rate) and rate >= 0):
+            if not (is_rate(rate) and rate >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {rate!r}")
         if self.spacing == "log" and self.gamma_min <= 0:
             raise ValueError("log spacing requires gamma_min > 0")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from enaqt.network import (
     NetworkSpec,
@@ -74,3 +75,30 @@ def spectral_gap(L: np.ndarray) -> float:
     near_zero = rates < 1e-9 * np.max(np.abs(evals))
     assert np.count_nonzero(near_zero) == 1, "steady state is not unique"
     return float(np.min(rates[~near_zero]))
+
+
+@st.composite
+def random_networks(draw):
+    """A connected network of 2-10 sites and its injection and extraction rates (ps^-1).
+
+    On-site energies spread over 0-1000, couplings of either sign with
+    magnitudes 0.1-100 (one shared value in some draws), one or more
+    sources and sinks, and rates 0.1-100.
+    """
+    n = draw(st.integers(2, 10))
+    spread = draw(st.floats(0.0, 1000.0))
+    energies = [spread * draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    # a random spanning tree keeps the network connected; extra edges close loops
+    edges = {(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    magnitude = st.floats(0.1, 100.0)
+    shared = draw(st.none() | magnitude)
+    couplings = [(i, j, draw(st.sampled_from([-1.0, 1.0])) * (shared or draw(magnitude)))
+                 for i, j in sorted(edges)]
+    order = draw(st.permutations(range(1, n + 1)))
+    n_src = draw(st.integers(1, n - 1))
+    n_snk = draw(st.integers(1, n - n_src))
+    spec = NetworkSpec(n, energies, couplings, order[:n_src], order[n_src:n_src + n_snk])
+    rate = st.floats(0.1, 100.0)
+    return spec, draw(rate), draw(rate)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
@@ -135,11 +134,17 @@ ORACLE_RATES = [
 
 
 def assert_sector_is_closed(K, sec):
-    """No entry links the sector to a vacuum-site coherence, and Tp K T is real."""
+    """No entry links the sector to a vacuum-site coherence, and Tp K T is real.
+
+    Tp K T is real when K maps each sector basis state, a Hermitian
+    matrix, to a Hermitian one.
+    """
     assert not np.any(K[np.ix_(sec.vac, ~sec.vac)])
     assert not np.any(K[np.ix_(~sec.vac, sec.vac)])
-    A = (sec.Tp @ sp.csr_matrix(K) @ sec.T).toarray()
-    assert np.max(np.abs(A.imag)) <= 1e-13 * np.max(np.abs(K))
+    d, m = sec.d, sec.size
+    basis = sec.state(np.eye(m)).transpose(0, 2, 1).reshape(m, d * d)  # vec of each, as a row
+    drho = (basis @ K.T).reshape(m, d, d).transpose(0, 2, 1)
+    assert np.max(np.abs(drho - drho.conj().transpose(0, 2, 1))) <= 1e-13 * np.max(np.abs(K))
 
 
 def assert_matches_kron_oracle(H, spec):
@@ -182,10 +187,19 @@ class TestChargeSector:
 
     def test_sector_maps_invert_each_other(self):
         sec = _sector(5)
-        assert sec.T.shape == (25, 17)  # n^2 + 1 real coordinates for n = 4
-        assert np.array_equal((sec.Tp @ sec.T).toarray(), np.eye(17))
-        # every coherence column of T has two entries, every population one
-        assert sorted(set(np.diff(sec.T.tocsc().indptr))) == [1, 2]
+        assert sec.size == 17  # n^2 + 1 real coordinates for n = 4
+        x = np.random.default_rng(0).normal(size=(3, 17))
+        assert np.array_equal(sec.coordinates(sec.state(x)), x)
+        # Tp T = I: the projection of the identity on the sector's vec indices
+        k = np.flatnonzero(~sec.vac)
+        rows, cols, vals = sec.project(k, k, np.ones(k.size))
+        A = np.zeros((17, 17))
+        np.add.at(A, (rows, cols), vals)
+        assert np.array_equal(A, np.eye(17))
+        # T sends every population to one vec index, every coherence
+        # coordinate to two, and nothing to a vacuum-site coherence
+        assert sorted(set(np.bincount(sec.slots[sec.t != 0]))) == [1, 2]
+        assert not np.any(sec.t[sec.vac]) and not np.any(sec.tp[sec.vac])
         assert sec.pops.size == 5 and sec.pops[-1] == 16
 
 
@@ -287,6 +301,16 @@ class TestChannelSet:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             ChannelSet(gamma_deph=float("nan"))
+
+    @pytest.mark.parametrize("value", [True, False, "5"])
+    @pytest.mark.parametrize("name", ["gamma_inj", "gamma_ext", "gamma_deph"])
+    def test_rejects_bools_and_strings(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            ChannelSet(**{name: value})
+
+    def test_takes_python_and_numpy_integers(self):
+        channels = ChannelSet(5, np.int64(5), np.float64(2.0))
+        assert (channels.gamma_inj, channels.gamma_ext, channels.gamma_deph) == (5, 5, 2.0)
 
 
 class TestDensityMatrixChecks:

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
 
 import enaqt.solver
-from conftest import random_density_matrix, slow_refinement_network, spectral_gap
+from conftest import random_density_matrix, random_networks, slow_refinement_network, spectral_gap
 from enaqt.errors import (
     DimensionMismatch,
     NonPhysicalState,
@@ -14,7 +15,7 @@ from enaqt.errors import (
     NotChargeConserving,
     SolveFailure,
 )
-from enaqt.lindblad import ChannelSet, build_liouvillian
+from enaqt.lindblad import ChannelSet, apply_liouvillian, build_liouvillian
 from enaqt.network import (
     NetworkSpec,
     RandomUniform,
@@ -36,6 +37,7 @@ from enaqt.solver import (
     SectorPropagator,
     _expm,
     _sector,
+    _vacuum_coordinates,
     propagate,
     steady_state,
     transfer_efficiency,
@@ -560,11 +562,20 @@ class TestPropagate:
             propagate(H, ChannelSet(1, 1, 1), spec, rho0, t_end)
 
     def test_rejects_single_sample_grid(self, symmetric_chain):
+        # and any count that is not an integer
         spec, H = symmetric_chain
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho0[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=1)
+        for n_eval in (1, 2.5, 3.0, True, "11"):
+            with pytest.raises(ValueError, match="n_eval"):
+                propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=n_eval)
+
+    def test_takes_a_numpy_integer_sample_count(self, symmetric_chain):
+        spec, H = symmetric_chain
+        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho0[1, 1] = 1.0
+        traj = propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0, n_eval=np.int64(3))
+        assert traj.times.shape == (3,)
 
 
 # sample counts: the fewest (t = 0 and t_end), two odd ones and the default
@@ -643,24 +654,70 @@ class TestPropagateAgainstDenseOracle:
             propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 1.0)
 
 
+def sector_generator_by_action(H, spec, channels):
+    """The bordered sector generator and the vacuum block, from `apply_liouvillian` on basis states.
+
+    Column j of the sector block holds the sector coordinates of the action
+    on the state whose coordinate j is 1, and column s of the vacuum block
+    the vacuum-site coherences of the action on the matrix unit of
+    coherence s, in vec order.  Neither assembles an entry.
+    """
+    d, n = spec.dim, spec.n_sites
+    sec = _sector(d)
+    m = sec.size
+    drho = apply_liouvillian(H, channels, spec, sec.state(np.eye(m)))
+    assert not np.any(_vacuum_coordinates(drho))  # the sector is closed
+    G = np.zeros((m + 1, m + 1))
+    G[:m, :m] = sec.coordinates(drho).T
+    G[m, sec.pops[sorted(spec.extract_sites)]] = channels.gamma_ext
+    E = np.zeros((2 * n, d, d), dtype=complex)
+    s = np.arange(n)
+    E[s, s + 1, 0] = 1.0
+    E[n + s, 0, s + 1] = 1.0
+    return G, _vacuum_coordinates(apply_liouvillian(H, channels, spec, E)).T
+
+
 class TestSectorPropagator:
-    """Dephasing as a diagonal shift of the generator built at zero dephasing."""
+    """The sector generator projected from the closed-form entries, and dephasing as its diagonal shift."""
 
     @pytest.mark.parametrize("name", ["fig2", "fig3a"])
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e3])
     def test_shifted_generator_matches_assembly_at_gamma(self, name, gamma):
         cfg, spec, H = preset_system(name)
         prop = SectorPropagator(H, spec, cfg.gamma_inj, cfg.gamma_ext)
-        L = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma), spec)
+        L = build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gamma), spec).tocoo()
         sec = _sector(spec.dim)
-        m = sec.T.shape[1]
+        m = sec.size
         ref = np.zeros((m + 1, m + 1))
-        ref[:m, :m] = (sec.Tp @ L @ sec.T).real.toarray()
+        rows, cols, vals = sec.project(L.row, L.col, L.data)
+        np.add.at(ref, (rows, cols), vals)
         ref[m, sec.pops[sorted(spec.extract_sites)]] = cfg.gamma_ext
         assert np.max(np.abs(prop.generator(gamma) - ref)) <= 1e-13 * np.max(np.abs(ref))
         vac = np.flatnonzero(sec.vac)
-        block = L[vac][:, vac].toarray()
+        block = L.tocsr()[vac][:, vac].toarray()
         assert np.max(np.abs(prop.vacuum_block(gamma) - block)) <= 1e-13 * np.max(np.abs(block))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_networks())
+    def test_matches_the_action_on_the_basis_states(self, drawn):
+        spec, gamma_inj, gamma_ext = drawn
+        H = assemble_hamiltonian(spec)
+        prop = SectorPropagator(H, spec, gamma_inj, gamma_ext)
+        G, _ = sector_generator_by_action(H, spec, ChannelSet(gamma_inj, gamma_ext, 0.0))
+        _, B = sector_generator_by_action(H, spec, ChannelSet(gamma_inj, gamma_ext, 1.0))
+        assert np.max(np.abs(prop.G_base - G)) <= 1e-15 * np.max(np.abs(G))
+        assert np.max(np.abs(prop.vacuum_block(1.0) - B)) <= 1e-15 * np.max(np.abs(B))
+
+    def test_complex_hopping_matches_the_action_on_the_basis_states(self, asymmetric_chain):
+        # a real symmetric H leaves the vacuum block symmetric; complex
+        # hopping phases tell its rows from its columns
+        spec, H = asymmetric_chain
+        H = H * np.exp(1j * np.triu(np.ones_like(H), 1))
+        H = np.triu(H) + np.triu(H, 1).conj().T
+        prop = SectorPropagator(H, spec, RATE, RATE)
+        G, B = sector_generator_by_action(H, spec, ChannelSet(RATE, RATE, 2.0))
+        assert np.max(np.abs(prop.generator(2.0) - G)) <= 1e-15 * np.max(np.abs(G))
+        assert np.max(np.abs(prop.vacuum_block(2.0) - B)) <= 1e-15 * np.max(np.abs(B))
 
 
 class TestExpm:

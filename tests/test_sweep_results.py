@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import enaqt.lindblad
 import enaqt.solver
 import enaqt.sweep
-from conftest import slow_refinement_network
+from conftest import random_networks, slow_refinement_network
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet, build_liouvillian
 from enaqt.network import (
@@ -227,33 +227,6 @@ class TestSweep:
         assert np.allclose(totals, 1.0, atol=1e-8)
 
 
-@st.composite
-def random_networks(draw):
-    """A connected network of 2-10 sites and its injection and extraction rates (ps^-1).
-
-    On-site energies spread over 0-1000, couplings of either sign with
-    magnitudes 0.1-100 (one shared value in some draws), one or more
-    sources and sinks, and rates 0.1-100.
-    """
-    n = draw(st.integers(2, 10))
-    spread = draw(st.floats(0.0, 1000.0))
-    energies = [spread * draw(st.floats(0.0, 1.0)) for _ in range(n)]
-    # a random spanning tree keeps the network connected; extra edges close loops
-    edges = {(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    magnitude = st.floats(0.1, 100.0)
-    shared = draw(st.none() | magnitude)
-    couplings = [(i, j, draw(st.sampled_from([-1.0, 1.0])) * (shared or draw(magnitude)))
-                 for i, j in sorted(edges)]
-    order = draw(st.permutations(range(1, n + 1)))
-    n_src = draw(st.integers(1, n - 1))
-    n_snk = draw(st.integers(1, n - n_src))
-    spec = NetworkSpec(n, energies, couplings, order[:n_src], order[n_src:n_src + n_snk])
-    rate = st.floats(0.1, 100.0)
-    return spec, draw(rate), draw(rate)
-
-
 class TestRandomNetworks:
     @settings(max_examples=60, deadline=None)
     @given(random_networks())
@@ -376,7 +349,7 @@ class TestPulseSweep:
         assert defect.max() <= 1e-9 < enaqt.solver.PULSE_TRACE_TOL
 
     def test_builds_the_generator_and_checks_the_start_state_once(self, monkeypatch):
-        calls = {"build_liouvillian": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
+        calls = {"build_liouvillian": 0, "generator_entries": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -384,17 +357,19 @@ class TestPulseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the sweep resolves only check_density_matrix, the solver all three
+        # the sweep resolves only check_density_matrix, the solver all four
         for module, name in ((enaqt.sweep, "check_density_matrix"),
                              (enaqt.solver, "check_density_matrix"),
                              (enaqt.solver, "build_liouvillian"),
+                             (enaqt.solver, "generator_entries"),
                              (enaqt.solver, "apply_liouvillian")):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
         run_sweep(cfg)
-        # fig2's 50 sector basis states take one block of the closed-form action;
-        # nothing is assembled
-        assert calls == {"build_liouvillian": 0, "apply_liouvillian": 1, "check_density_matrix": 1}
+        # one set of closed-form entries, projected onto the sector; no
+        # sparse matrix is assembled and the action is never applied
+        assert calls == {"build_liouvillian": 0, "generator_entries": 1, "apply_liouvillian": 0,
+                         "check_density_matrix": 1}
 
     def test_error_names_the_first_rate_of_its_block(self, monkeypatch):
         expm = enaqt.solver._expm
