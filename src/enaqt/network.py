@@ -59,9 +59,8 @@ def convert_units(value: float, from_unit: Unit, to_unit: Unit) -> float:
         return value
     if from_unit == Unit.WAVENUMBER and to_unit == Unit.ANGULAR_PS:
         return value * WAVENUMBER_TO_ANGULAR_PS
-    if from_unit == Unit.ANGULAR_PS and to_unit == Unit.WAVENUMBER:
-        return value / WAVENUMBER_TO_ANGULAR_PS
-    raise UnknownUnit(f"no conversion from {from_unit} to {to_unit}")
+    # the one pair left: angular ps^-1 to wavenumber
+    return value / WAVENUMBER_TO_ANGULAR_PS
 
 
 @dataclass(frozen=True)
@@ -98,15 +97,21 @@ class NetworkSpec:
     unit: Unit = Unit.ANGULAR_PS
 
     def __post_init__(self) -> None:
+        # int() would truncate a site 2.7 to 2 and read True as site 1
+        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
+            raise InvalidSize(f"n_sites must be an integer, got {self.n_sites!r}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         # canonical edge order makes equality independent of construction order
         object.__setattr__(
             self,
             "couplings",
-            tuple(sorted((int(i), int(j), float(t)) for i, j, t in self.couplings)),
+            tuple(sorted((_site_index(i, f"couplings[{k}]"), _site_index(j, f"couplings[{k}]"), float(t))
+                         for k, (i, j, t) in enumerate(self.couplings))),
         )
-        object.__setattr__(self, "inject_sites", frozenset(int(s) for s in self.inject_sites))
-        object.__setattr__(self, "extract_sites", frozenset(int(s) for s in self.extract_sites))
+        for name in ("inject_sites", "extract_sites"):
+            sites = frozenset(_site_index(s, f"an entry of {name}") for s in getattr(self, name))
+            object.__setattr__(self, name, sites)
         object.__setattr__(self, "unit", Unit(self.unit))
 
     @property
@@ -300,22 +305,20 @@ def network_to_dict(spec: NetworkSpec) -> dict:
 
 
 def _site_index(value, entry: str) -> int:
-    """A site index as a network file writes it: a JSON integer, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetworkError(
-            f"malformed network file: {entry} must be an integer site index, got {value!r}"
-        )
-    return value
+    """A site index: an integer, numpy ones included, never a bool, float or string that int() would read."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NetworkError(f"{entry} must be an integer site index, got {value!r}")
+    return int(value)
 
 
 def _number(value, entry: str) -> float:
     """An energy or coupling as a network file writes it: a JSON number, never a string or bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkError(f"malformed network file: {entry} must be a number, got {value!r}")
+        raise NetworkError(f"{entry} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise NetworkError(f"malformed network file: {entry} is too large for a float") from None
+        raise NetworkError(f"{entry} is too large for a float") from None
 
 
 def network_from_dict(data: dict) -> NetworkSpec:
@@ -351,8 +354,8 @@ def network_from_dict(data: dict) -> NetworkSpec:
             ),
             unit=unit,
         )
-    except NetworkError:
-        raise
+    except NetworkError as exc:
+        raise NetworkError(f"malformed network file: {exc}") from None
     except KeyError as exc:
         raise NetworkError(f"malformed network file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

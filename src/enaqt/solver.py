@@ -125,8 +125,9 @@ carries the state from each sample to the next, one product per sample
 in `_samples`, and every sample is mapped back to rho.  No sweep calls
 it.  The vacuum-site coherences, which rotate at the on-site energy
 (~2.3e3 ps^-1) and which no observable reads, stay out of G; a start
-state that carries them evolves them in their own decoupled 2n-square
-complex block, taken from the same entries, through the same `_samples`.
+state that carries them evolves its rho_s0 in their own decoupled
+n-square complex block, taken from the same entries, through the same
+`_samples`, and takes rho_0s = conj(rho_s0), the Hermitian part.
 
 Every exponential is `_expm`, the degree-30 Taylor approximant with
 scaling and squaring, evaluated by Paterson-Stockmeyer in nine matrix
@@ -177,7 +178,7 @@ from .errors import (
     SolveFailure,
 )
 from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, generator_entries,
-                       hermitize, unit_dephasing, vec)
+                       hermitize, is_rate, unit_dephasing, vec)
 from .network import NetworkSpec
 
 if TYPE_CHECKING:
@@ -426,20 +427,16 @@ class _Sector:
     vacuum-site coherences, in vec order: a population rho_pp stands for
     itself, and for i < j the index of rho_ij holds Re rho_ij and the
     index of rho_ji holds Im rho_ij.  The last coordinate is the
-    population of site n.  `coordinates` and `state` map between them and
-    (d, d) matrices, or stacks of them, by indexing.  The map T from the
-    coordinates to vec(rho) and its left inverse Tp = diag(1 or 1/2) T^H
-    have at most two entries per vec index, which `slots`, `t` and `tp`
-    hold row by row; `project` takes a generator's entries through them.
+    population of site n.  The map T from the coordinates to vec(rho) and
+    its left inverse Tp = diag(1 or 1/2) T^H have at most two entries per
+    vec index, which `slots`, `t` and `tp` hold row by row, and every map
+    reads them: `state` is T, `coordinates` is Re Tp, and `project` takes
+    a generator's entries to Re(Tp L T).
     """
 
     d: int
     vac: np.ndarray    # mask of the vacuum-site coherences over vec indices
     pops: np.ndarray   # sector positions of the populations, site 0 to n
-    re: np.ndarray     # sector positions of Re rho_ij, i < j, in vec order of rho_ij
-    im: np.ndarray     # sector positions of Im rho_ij, pairwise with re
-    i: np.ndarray      # row i of each rho_ij, pairwise with re
-    j: np.ndarray      # column j of each rho_ij, pairwise with re
     slots: np.ndarray  # (d^2, 2) sector positions that each vec index maps to and from
     t: np.ndarray      # (d^2, 2) entries of T at (vec index, slot): rho_ij = x_re + i x_im
     tp: np.ndarray     # (d^2, 2) entries of Tp at (slot, vec index): x_im = (rho_ji - rho_ij) i / 2
@@ -447,26 +444,19 @@ class _Sector:
     @property
     def size(self) -> int:
         """Number of sector coordinates, n^2 + 1."""
-        return self.pops.size + 2 * self.re.size
+        return int(np.count_nonzero(~self.vac))
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """Sector coordinates, (..., n^2 + 1), of the Hermitian part of each (d, d) matrix of rho."""
-        a, b = rho[..., self.i, self.j], rho[..., self.j, self.i]
-        x = np.empty(rho.shape[:-2] + (self.size,))
-        x[..., self.pops] = np.diagonal(rho, axis1=-2, axis2=-1).real
-        x[..., self.re] = 0.5 * (a.real + b.real)
-        x[..., self.im] = 0.5 * (a.imag - b.imag)
+        v = np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (self.d * self.d, 1))  # vec of each
+        x = np.zeros(rho.shape[:-2] + (self.size,))
+        np.add.at(x, (..., self.slots), (self.tp * v).real)
         return x
 
     def state(self, x: np.ndarray) -> np.ndarray:
         """The (d, d) matrices with sector coordinates x and no vacuum-site coherences."""
-        rho = np.zeros(x.shape[:-1] + (self.d, self.d), dtype=complex)
-        z = x[..., self.re] + 1j * x[..., self.im]
-        rho[..., self.i, self.j] = z
-        rho[..., self.j, self.i] = z.conj()
-        sites = np.arange(self.d)
-        rho[..., sites, sites] = x[..., self.pops]
-        return rho
+        v = (self.t * x[..., self.slots]).sum(axis=-1)  # vec of each, columns stacked
+        return np.ascontiguousarray(np.swapaxes(v.reshape(x.shape[:-1] + (self.d, self.d)), -1, -2))
 
     def project(self, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -496,24 +486,17 @@ class _Sector:
 def _sector(d: int) -> _Sector:
     col, row = np.divmod(np.arange(d * d), d)  # vec index row + col*d
     vac = (row == 0) != (col == 0)
-    k = np.flatnonzero(~vac)
-    pops = np.flatnonzero(row[k] == col[k])
-    re = np.flatnonzero(row[k] < col[k])
-    i, j = row[k][re], col[k][re]
-    im = np.searchsorted(k, j + i * d)  # sector position of rho_ji
+    pos = np.cumsum(~vac) - 1  # the sector position of each vec index outside vac
+    diag = np.flatnonzero(row == col)
+    ij = np.flatnonzero(~vac & (row < col))
+    ji = col[ij] + row[ij] * d
     # rho_pp = x_p;  rho_ij = x_re + i x_im and rho_ji = x_re - i x_im
-    ij, ji = i + j * d, j + i * d
     slots = np.zeros((d * d, 2), dtype=np.intp)
-    slots[k[pops]], slots[ij], slots[ji] = pops[:, None], np.c_[re, im], np.c_[re, im]
+    slots[diag, 0], slots[ij], slots[ji] = pos[diag], np.c_[pos[ij], pos[ji]], np.c_[pos[ij], pos[ji]]
     t = np.zeros((d * d, 2), dtype=complex)
-    t[k[pops], 0], t[ij], t[ji] = 1.0, (1.0, 1j), (1.0, -1j)
+    t[diag, 0], t[ij], t[ji] = 1.0, (1.0, 1j), (1.0, -1j)
     tp = t.conj() * np.where(t[:, 1:] != 0, 0.5, 1.0)  # Tp = diag(1 or 1/2) T^H
-    return _Sector(d=d, vac=vac, pops=pops, re=re, im=im, i=i, j=j, slots=slots, t=t, tp=tp)
-
-
-def _vacuum_coordinates(rho: np.ndarray) -> np.ndarray:
-    """The vacuum-site coherences of each (d, d) matrix in vec order: rho_s0, then rho_0s."""
-    return np.concatenate([rho[..., 1:, 0], rho[..., 0, 1:]], axis=-1)
+    return _Sector(d=d, vac=vac, pops=pos[diag], slots=slots, t=t, tp=tp)
 
 
 def steady_state(L) -> SteadyStateSolution:
@@ -580,12 +563,12 @@ class SectorPropagator:
     whose border row holds gamma_ext at the sector position of each sink
     population; the projection raises NotChargeConserving on an entry
     that links the sector to a vacuum-site coherence.  The entries among
-    the vacuum-site coherences are the block of `vacuum_block`.  Dephasing
-    is diagonal in the sector, -gamma on the Re and Im coordinate of every
-    site-site coherence and 0 on the populations and the border, so
-    G(gamma) is G_base shifted on those diagonal entries, and `pulse` pays
-    one stacked exponential per block of rates, of the Van Loan matrices
-    to t_end.
+    the coherences rho_s0 (vec indices 1..n) are the block of
+    `vacuum_block`.  Dephasing is diagonal in the sector, -gamma on the
+    Re and Im coordinate of every site-site coherence and 0 on the
+    populations and the border, so G(gamma) is G_base shifted on those
+    diagonal entries, and `pulse` pays one stacked exponential per block
+    of rates, of the Van Loan matrices to t_end.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -598,12 +581,11 @@ class SectorPropagator:
         np.add.at(self.G_base, (r, c), a)
         self.G_base[m, sec.pops[sorted(spec.extract_sites)]] = gamma_ext
         self.coherences = np.setdiff1d(np.arange(m), sec.pops)
-        # the vacuum-site coherences in vec order, rho_s0 then rho_0s; the
-        # closed form holds no index twice, so its entries are the block's
-        vac = np.flatnonzero(sec.vac)
-        inside = sec.vac[rows]
-        self._vacuum_base = np.zeros((vac.size, vac.size), dtype=complex)
-        self._vacuum_base[np.searchsorted(vac, rows[inside]), np.searchsorted(vac, cols[inside])] = vals[inside]
+        # rho_s0 is vec index s = 1..n; the closed form holds no index twice,
+        # so its entries in those rows are the block's
+        on = (rows > 0) & (rows < self.d)
+        self._vacuum_base = np.zeros((self.d - 1, self.d - 1), dtype=complex)
+        self._vacuum_base[rows[on] - 1, cols[on] - 1] = vals[on]
 
     def generator(self, gammas: np.ndarray | float) -> np.ndarray:
         """The bordered sector generator G at each dephasing rate: (k, m, m) for k rates, (m, m) for one scalar."""
@@ -657,7 +639,7 @@ class SectorPropagator:
         return y, integral
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
-        """The decoupled generator of the vacuum-site coherences at dephasing rate gamma."""
+        """The decoupled generator of the n coherences rho_s0 at dephasing rate gamma; rho_0s is their conjugate."""
         B = self._vacuum_base.copy()
         B[np.diag_indices_from(B)] -= 0.5 * gamma
         return B
@@ -678,16 +660,17 @@ def propagate(
     component carries the cumulative extracted population
     integral(sum_s gamma_ext rho_ss dt), and `_samples` steps the samples
     by one product each with the propagator P = expm(G dt), which is exact
-    on the grid up to rounding; each sample is mapped back to rho.  Vacuum-site
-    coherences in rho0 evolve by the exponential of their own 2n-square
-    block, formed only when rho0 has one.  A generator that couples them
-    to the sector raises NotChargeConserving.
+    on the grid up to rounding; each sample is mapped back to rho.  The
+    vacuum-site coherences rho_s0 of rho0 evolve by the exponential of
+    their own n-square block, formed only when rho0 has one, and rho_0s =
+    conj(rho_s0): both parts take the Hermitian part of rho0.  A
+    generator that couples them to the sector raises NotChargeConserving.
     """
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")
     check_density_matrix(rho0)
-    if not (np.isfinite(t_end) and t_end >= 0):
+    if not (is_rate(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     # bool is an Integral, but True is no count of samples
     if isinstance(n_eval, bool) or not isinstance(n_eval, numbers.Integral) or n_eval < 2:
@@ -704,10 +687,9 @@ def propagate(
     dt = times[1] - times[0]
     y = _samples(_expm(prop.generator(channels.gamma_deph) * dt), prop.coordinates(rho0), n_eval)
     states = prop.sec.state(y[:, :-1])
-    c0 = _vacuum_coordinates(rho0)
-    if np.any(c0):
-        c = _samples(_expm(prop.vacuum_block(channels.gamma_deph) * dt), c0, n_eval)
-        states[:, 1:, 0], states[:, 0, 1:] = c[:, :d - 1], c[:, d - 1:]
+    if np.any(rho0[1:, 0]):
+        c = _samples(_expm(prop.vacuum_block(channels.gamma_deph) * dt), rho0[1:, 0], n_eval)
+        states[:, 1:, 0], states[:, 0, 1:] = c, c.conj()
     return Trajectory(times=times, states=states, extracted=y[:, -1])
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
@@ -201,6 +203,35 @@ class TestChargeSector:
         assert sorted(set(np.bincount(sec.slots[sec.t != 0]))) == [1, 2]
         assert not np.any(sec.t[sec.vac]) and not np.any(sec.tp[sec.vac])
         assert sec.pops.size == 5 and sec.pops[-1] == 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 7), stack=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2**32 - 1))
+    def test_maps_match_the_coordinates_written_out_pair_by_pair(self, d, stack, seed):
+        sec = _sector(d)
+        # the sector coordinates are the vec indices outside the vacuum-site
+        # coherences, in vec order (column by column)
+        order = [(r, c) for c in range(d) for r in range(d) if (r == 0) == (c == 0)]
+        assert sec.size == len(order) == (d - 1) ** 2 + 1
+        shape = tuple(stack)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape + (sec.size,))
+        rho = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+        want_rho = np.zeros(shape + (d, d), dtype=complex)
+        want_x = np.zeros(shape + (sec.size,))
+        for p in range(d):
+            want_rho[..., p, p] = x[..., order.index((p, p))]
+            want_x[..., order.index((p, p))] = rho[..., p, p].real
+        for i in range(1, d):
+            for j in range(i + 1, d):
+                re, im = order.index((i, j)), order.index((j, i))
+                want_rho[..., i, j] = x[..., re] + 1j * x[..., im]
+                want_rho[..., j, i] = x[..., re] - 1j * x[..., im]
+                want_x[..., re] = 0.5 * (rho[..., i, j].real + rho[..., j, i].real)
+                want_x[..., im] = 0.5 * (rho[..., i, j].imag - rho[..., j, i].imag)
+        got = sec.state(x)
+        assert got.shape == want_rho.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want_rho)
+        assert np.array_equal(sec.coordinates(rho), want_x)
 
 
 class TestApply:

@@ -89,6 +89,42 @@ class TestValidation:
         with pytest.raises(IndexOutOfRange):
             validate_network(two_site(couplings=((2, 1, 1.0),)))
 
+    def test_needs_a_site(self):
+        with pytest.raises(InvalidSize, match="n_sites must be positive, got 0"):
+            validate_network(NetworkSpec(0, (), (), {1}, {2}))
+
+    def test_energy_count_must_match_the_sites(self):
+        with pytest.raises(InvalidSize, match="expected 2 energies, got 3"):
+            validate_network(two_site(energies=(0.0, 1.0, 2.0)))
+
+    @pytest.mark.parametrize("field, value, match", [
+        # int() would read these as the edges (1, 2), (2, 3) and sink 2
+        ("couplings", ((1.9, 2, 1.0), (2, 3, 1.0)), "couplings[0] must be an integer site index, got 1.9"),
+        ("couplings", ((1, 2, 1.0), (2, 3.2, 1.0)), "couplings[1] must be an integer site index, got 3.2"),
+        ("couplings", ((1, "2", 1.0),), "couplings[0] must be an integer site index, got '2'"),
+        ("couplings", ((True, 2, 1.0),), "couplings[0] must be an integer site index, got True"),
+        ("extract_sites", {2.7}, "an entry of extract_sites must be an integer site index, got 2.7"),
+        ("extract_sites", {3.0}, "an entry of extract_sites must be an integer site index, got 3.0"),
+        ("inject_sites", {True}, "an entry of inject_sites must be an integer site index, got True"),
+        ("inject_sites", {"1"}, "an entry of inject_sites must be an integer site index, got '1'"),
+        ("n_sites", 3.0, "n_sites must be an integer, got 3.0"),
+        ("n_sites", True, "n_sites must be an integer, got True"),
+        ("n_sites", "3", "n_sites must be an integer, got '3'"),
+    ])
+    def test_site_indices_and_size_are_never_truncated(self, field, value, match):
+        base = dict(n_sites=3, energies=(0.0, 0.0, 0.0), couplings=((1, 2, 1.0), (2, 3, 1.0)),
+                    inject_sites={1}, extract_sites={3})
+        with pytest.raises(NetworkError, match=re.escape(match)):
+            NetworkSpec(**{**base, field: value})
+
+    def test_numpy_integer_site_indices(self):
+        spec = NetworkSpec(np.int64(3), (0.0, 0.0, 0.0), ((np.int32(1), np.int64(2), 1.0), (2, np.int16(3), 1.0)),
+                           {np.int64(1)}, {np.uint8(3)})
+        assert spec == NetworkSpec(3, (0.0, 0.0, 0.0), ((1, 2, 1.0), (2, 3, 1.0)), {1}, {3})
+        assert type(spec.n_sites) is int
+        assert all(type(s) is int for s in spec.inject_sites | spec.extract_sites)
+        assert all(type(i) is int and type(j) is int for i, j, _ in spec.couplings)
+
 
 class TestGeometry:
     def test_chain(self):
@@ -150,12 +186,19 @@ class TestGeometry:
             ("grid", (2, 3, 4), "grid size must be a (width, height) pair, got (2, 3, 4)"),
             ("full_graph", "3", "full_graph size must be an integer, got '3'"),
             ("full_graph", np.float64(3.0), "full_graph size must be an integer"),
+            ("full_graph", 1, "full graph needs >= 2 sites, got 1"),
+            ("grid", (0, 3), "grid dimensions must be positive, got 0x3"),
+            ("grid", (2, -1), "grid dimensions must be positive, got 2x-1"),
         ]
         for kind, params, match in cases:
             with pytest.raises(InvalidSize, match=re.escape(match)):
                 generate_geometry(kind, params, Uniform(0), Uniform(1), inject={1}, extract={2})
         with pytest.raises(InvalidSize):
             generate_geometry("chain", 3, RandomUniform(2.0, 1.0), Uniform(1), inject={1}, extract={3})
+
+    def test_unsupported_value_spec(self):
+        with pytest.raises(TypeError, match=r"unsupported value spec 1\.0"):
+            generate_geometry("chain", 3, 1.0, Uniform(1), inject={1}, extract={3})
 
     @pytest.mark.parametrize("kind, params, n", [
         ("chain", np.int64(4), 4), ("ring", np.int32(5), 5), ("grid", (np.int64(2), 3), 6),
@@ -241,6 +284,9 @@ class TestUnits:
 
     def test_dimensionless_passthrough(self):
         assert convert_units(3.5, Unit.DIMENSIONLESS, Unit.ANGULAR_PS) == 3.5
+        for unit in Unit:
+            assert convert_units(3.5, unit, unit) == 3.5
+            assert convert_units(3.5, unit, Unit.DIMENSIONLESS) == 3.5
 
     def test_unknown_unit(self):
         with pytest.raises((UnknownUnit, ValueError)):

@@ -65,6 +65,12 @@ class TestAnalyticOccupations:
         assert occ.values.sum() + occ.vacuum == pytest.approx(1.0, abs=1e-14)
 
 
+    @pytest.mark.parametrize("L", [1, 0])
+    def test_chain_needs_two_sites(self, L):
+        with pytest.raises(ValueError, match=f"chain length must be >= 2, got {L}"):
+            ChainParams(L, 1.0, 1.0, 1.0, 0.0)
+
+
 class TestAnalyticCurrent:
     def test_two_site_value(self):
         assert analytic_chain_current(ChainParams(2, 1.0, 1.0, 1.0, 0.0)) == pytest.approx(

@@ -37,7 +37,6 @@ from enaqt.solver import (
     SectorPropagator,
     _expm,
     _sector,
-    _vacuum_coordinates,
     propagate,
     steady_state,
     transfer_efficiency,
@@ -118,6 +117,8 @@ class TestSteadyState:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             steady_state(np.zeros((4, 5)))
+        with pytest.raises(DimensionMismatch, match="generator size 5 is not a perfect square"):
+            steady_state(np.eye(5))
 
     def test_traceless_null_vector_is_a_solve_failure(self):
         # not a Lindblad generator: unique null vector reshapes to a
@@ -545,6 +546,13 @@ class TestPropagate:
         traj = propagate(H, ChannelSet(0.0, RATE, 2.0), spec, rho0, 10.0)
         assert np.all(np.diff(traj.extracted) >= -1e-12)
 
+    def test_rejects_a_start_state_of_the_wrong_shape(self, symmetric_chain):
+        spec, H = symmetric_chain
+        rho0 = np.zeros((spec.dim - 1, spec.dim - 1), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(DimensionMismatch, match=rf"expected {spec.dim}x{spec.dim} initial state"):
+            propagate(H, ChannelSet(1, 1, 1), spec, rho0, 1.0)
+
     def test_rejects_invalid_initial_state(self, symmetric_chain):
         from enaqt.errors import NonPhysicalState
         spec, H = symmetric_chain
@@ -553,7 +561,7 @@ class TestPropagate:
         with pytest.raises(NonPhysicalState):
             propagate(H, ChannelSet(1, 1, 1), spec, bad, 1.0)
 
-    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, True, False, "20"])
     def test_rejects_a_horizon_that_is_not_finite_and_nonnegative(self, symmetric_chain, t_end):
         spec, H = symmetric_chain
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
@@ -644,6 +652,14 @@ class TestPropagateAgainstDenseOracle:
             if n_eval > 2:
                 assert np.max(vacuum) > 1e-3
 
+    def test_vacuum_coherences_are_hermitian_bit_for_bit(self, asymmetric_chain):
+        # rho_s0 is propagated, and rho_0s is its conjugate at every sample
+        spec, H = asymmetric_chain
+        rho0 = random_density_matrix(np.random.default_rng(3), spec.dim)
+        traj = propagate(H, ChannelSet(RATE, RATE, 3.0), spec, rho0, 2.0, n_eval=11)
+        assert np.any(traj.states[1:, 1:, 0])
+        assert np.array_equal(traj.states[:, 0, 1:], traj.states[:, 1:, 0].conj())
+
     def test_vacuum_coupling_is_not_charge_conserving(self, asymmetric_chain):
         spec, H = asymmetric_chain
         H = H.copy()
@@ -659,22 +675,23 @@ def sector_generator_by_action(H, spec, channels):
 
     Column j of the sector block holds the sector coordinates of the action
     on the state whose coordinate j is 1, and column s of the vacuum block
-    the vacuum-site coherences of the action on the matrix unit of
-    coherence s, in vec order.  Neither assembles an entry.
+    the coherences rho_s0 of the action on the matrix unit of rho_s0, for
+    s = 1..n.  Neither assembles an entry.
     """
     d, n = spec.dim, spec.n_sites
     sec = _sector(d)
     m = sec.size
     drho = apply_liouvillian(H, channels, spec, sec.state(np.eye(m)))
-    assert not np.any(_vacuum_coordinates(drho))  # the sector is closed
+    assert not np.any(drho[:, 1:, 0]) and not np.any(drho[:, 0, 1:])  # the sector is closed
     G = np.zeros((m + 1, m + 1))
     G[:m, :m] = sec.coordinates(drho).T
     G[m, sec.pops[sorted(spec.extract_sites)]] = channels.gamma_ext
-    E = np.zeros((2 * n, d, d), dtype=complex)
+    E = np.zeros((n, d, d), dtype=complex)
     s = np.arange(n)
     E[s, s + 1, 0] = 1.0
-    E[n + s, 0, s + 1] = 1.0
-    return G, _vacuum_coordinates(apply_liouvillian(H, channels, spec, E)).T
+    drho = apply_liouvillian(H, channels, spec, E)
+    assert not np.any(drho[:, 0, 1:])  # rho_s0 does not reach rho_0s
+    return G, drho[:, 1:, 0].T
 
 
 class TestSectorPropagator:
@@ -693,8 +710,7 @@ class TestSectorPropagator:
         np.add.at(ref, (rows, cols), vals)
         ref[m, sec.pops[sorted(spec.extract_sites)]] = cfg.gamma_ext
         assert np.max(np.abs(prop.generator(gamma) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        vac = np.flatnonzero(sec.vac)
-        block = L.tocsr()[vac][:, vac].toarray()
+        block = L.tocsr()[1:spec.dim, 1:spec.dim].toarray()  # rho_s0 is vec index s
         assert np.max(np.abs(prop.vacuum_block(gamma) - block)) <= 1e-13 * np.max(np.abs(block))
 
     @settings(max_examples=60, deadline=None)

@@ -479,6 +479,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(network=chain2_cfg.network, spacing="cubic")
 
+    @pytest.mark.parametrize("gamma_min, gamma_max", [(1e2, 1e2), (1e3, 1e2)])
+    def test_grid_must_increase(self, chain2_cfg, gamma_min, gamma_max):
+        with pytest.raises(ValueError, match="gamma_min must be below gamma_max"):
+            SweepConfig(network=chain2_cfg.network, gamma_min=gamma_min, gamma_max=gamma_max)
+
+    def test_unknown_mode(self, chain2_cfg):
+        with pytest.raises(ValueError, match="mode must be 'steady' or 'pulse', got 'transient'"):
+            SweepConfig(network=chain2_cfg.network, mode="transient")
+
+    def test_unknown_preset(self):
+        with pytest.raises(KeyError, match="unknown preset 'fig4'"):
+            build_preset("fig4")
+
     @pytest.mark.parametrize("field,value", [
         ("gamma_min", np.nan), ("gamma_min", -np.inf),
         ("gamma_max", np.inf), ("gamma_max", np.nan),

@@ -70,6 +70,7 @@ def test_offset_sink_chain_is_not_symmetric():
     report = detect_inversion_symmetry(uniform_chain(7, {1}, {5}))
     assert not report.symmetric
     assert report.permutation is None
+    assert report.mapping() == {}
 
 
 def test_uniform_ring_matches_brute_force():
