@@ -171,7 +171,7 @@ def apply_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec,
             f"expected {d}x{d} operators, got H {H.shape} and rho {rho.shape}"
         )
     H_off = H - np.diag(np.diag(H))
-    drho = -1j * (H_off @ rho - rho @ H_off) + _diagonal(H, channels, spec) * rho
+    drho = -1j * (H_off @ rho - right_product(rho, H_off)) + _diagonal(H, channels, spec) * rho
     src = sorted(spec.inject_sites)
     snk = sorted(spec.extract_sites)
     drho[..., src, src] += channels.gamma_inj * rho[..., 0, 0, None]
@@ -186,6 +186,17 @@ def apply_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec,
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+
+
+def right_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for one (r, c) matrix or a (k, r, c) stack A and one (c, s) matrix B.
+
+    The stack is multiplied as one (k r, c) matrix, one 2-D GEMM, where
+    numpy's stacked matmul calls one small GEMM per layer.  A left product
+    B @ A has no such form without a transposed copy of the stack, which
+    costs about what it saves, so left products stay stacked.
+    """
+    return (A.reshape(-1, A.shape[-1]) @ B).reshape(A.shape[:-1] + B.shape[-1:])
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:

@@ -101,12 +101,15 @@ class NetworkSpec:
         if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
             raise InvalidSize(f"n_sites must be an integer, got {self.n_sites!r}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
+        # float() would read True as 1.0 and "1e3" as 1000.0
+        object.__setattr__(self, "energies",
+                           tuple(_number(e, f"energies[{k}]") for k, e in enumerate(self.energies)))
         # canonical edge order makes equality independent of construction order
         object.__setattr__(
             self,
             "couplings",
-            tuple(sorted((_site_index(i, f"couplings[{k}]"), _site_index(j, f"couplings[{k}]"), float(t))
+            tuple(sorted((_site_index(i, f"couplings[{k}]"), _site_index(j, f"couplings[{k}]"),
+                          _number(t, f"couplings[{k}]"))
                          for k, (i, j, t) in enumerate(self.couplings))),
         )
         for name in ("inject_sites", "extract_sites"):
@@ -312,8 +315,8 @@ def _site_index(value, entry: str) -> int:
 
 
 def _number(value, entry: str) -> float:
-    """An energy or coupling as a network file writes it: a JSON number, never a string or bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """An energy or coupling: a real number, numpy scalars included, never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NetworkError(f"{entry} must be a number, got {value!r}")
     try:
         return float(value)

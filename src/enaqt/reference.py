@@ -34,6 +34,7 @@ only scipy this module uses, imported when an oracle is called.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,9 @@ class ChainParams:
     gamma_deph: float
 
     def __post_init__(self) -> None:
+        # a float L would give a chain of ceil(L) sites
+        if isinstance(self.L, bool) or not isinstance(self.L, numbers.Integral):
+            raise ValueError(f"chain length L must be an integer, got {self.L!r}")
         if self.L < 2:
             raise ValueError(f"chain length must be >= 2, got {self.L}")
 

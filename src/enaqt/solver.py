@@ -56,17 +56,27 @@ fails; every gate is logged.
 The rates of a sweep are solved in blocks of at most
 max(1, BLOCK_ENTRIES // n^2), so no complex (block, n, n) stack exceeds
 256 kB: a whole 60-point grid is one block up to 16 sites, and a 40-site
-chain takes 10 rates per block.  A block is whole arrays: one batched GEMM
-forms its stack of N_gamma (through a complex temporary of at most
+chain takes 10 rates per block.  A block is whole arrays: one 2-D GEMM
+forms its stack of N_gamma, the float views of its k rates flattened to
+(k n, 2m) times Q_int (through a complex temporary of at most
 2^13 (n + 1) entries up to 128 sites, 5.2 MB at 40), one stacked 1-norm
-condition number gates it, each site-block pass is stacked products and
+condition number gates it, each site-block pass is matrix products and
 one stacked solve, and the residual guard is one `apply_liouvillian` call
 at zero dephasing on the stack of its states, plus gamma times the
 unit-rate dephasing of `lindblad.unit_dephasing` for each rate: no
-generator is assembled.  It is validated by one `check_density_matrix`
-call on the stack of its states (one stacked eigvalsh) and handed out
-whole as a `SteadyStateBlock`: rho as a (k, d, d) array, the residual,
-rcond and smallest eigenvalue per rate, and a mask of the gated rows.
+generator is assembled.  Every product of the whole (k, n, .) stack by
+one fixed matrix from the right (the N_gamma product, the site-block
+products by W^+ and V^+, X H_eff^+ in the refinement, rho H_off in the
+guard) goes through `lindblad.right_product` as one GEMM over the stack
+flattened to (k n, .): numpy's stacked matmul would make one small GEMM
+per rate, and on a 40-site chain those ran at about a quarter of the
+rate of one large GEMM (2-core OpenBLAS host).  A left product stays
+stacked, because flattening it needs a transposed copy of the stack,
+which costs about what it saves.  A block is validated by one
+`check_density_matrix` call on the stack of its states (one stacked
+eigvalsh) and handed out whole as a `SteadyStateBlock`: rho as a
+(k, d, d) array, the residual, rcond and smallest eigenvalue per rate,
+and a mask of the gated rows.
 Before a block is handed out, each gated row is solved by the sector LU
 below on the generator `build_liouvillian` assembles at its rate, so
 every row holds a validated state and only a gated row's rcond is NaN.
@@ -178,7 +188,7 @@ from .errors import (
     SolveFailure,
 )
 from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, generator_entries,
-                       hermitize, is_rate, unit_dephasing, vec)
+                       hermitize, is_rate, right_product, unit_dephasing, vec)
 from .network import NetworkSpec
 
 if TYPE_CHECKING:
@@ -335,9 +345,13 @@ class EigenbasisSteadyState:
             yield out
 
     def _population_matrix(self, s_u: np.ndarray) -> np.ndarray:
-        """N_gamma for each row of s = delta / (gamma + delta) at the pairs a <= b: one real GEMM."""
+        """N_gamma for each row of s = delta / (gamma + delta) at the pairs a <= b: one real 2-D GEMM.
+
+        The float views of all rows, (k, n, 2m), are flattened to (k n, 2m)
+        rows and multiplied by Q_int at once, not as k stacked products.
+        """
         # the product must be C-contiguous for its float view
-        return np.multiply(self.P_u, s_u[..., None, :], order="C").view(float) @ self.Q_int
+        return right_product(np.multiply(self.P_u, s_u[..., None, :], order="C").view(float), self.Q_int)
 
     def _solve_block(self, gammas: np.ndarray) -> SteadyStateBlock:
         """The states at the rates of one block; the gated rows are logged and left for `solve`."""
@@ -364,17 +378,17 @@ class EigenbasisSteadyState:
 
         def site_block(M: np.ndarray) -> np.ndarray:
             """X solving (gamma - K) X - gamma diag(X) = M, one rate per layer."""
-            Y = c * (self.W @ M @ self.Wh)
+            Y = c * right_product(self.W @ M, self.Wh)
             q = np.einsum("kib,bi->ki", self.V @ Y, self.Vh).real
             p = np.linalg.solve(N, q[..., None])
-            Y += g * c * ((self.W * p.transpose(0, 2, 1)) @ self.Wh)
-            return self.V @ Y @ self.Vh
+            Y += g * c * right_product(self.W * p.transpose(0, 2, 1), self.Wh)
+            return right_product(self.V @ Y, self.Vh)
 
         X = site_block(self.B)
         off = ~np.eye(n, dtype=bool)
         tol = REFINE_TOL
         for _ in range(MAX_REFINE):
-            KX = -1j * (self.H_eff @ X - X @ self.H_eff.conj().T)
+            KX = -1j * (self.H_eff @ X - right_product(X, self.H_eff.conj().T))
             dX = site_block(self.B - (g * (X * off) - KX))
             X += dX
             # relative to 1 + tr X, the trace of rho before it is normalized

@@ -117,6 +117,31 @@ class TestValidation:
         with pytest.raises(NetworkError, match=re.escape(match)):
             NetworkSpec(**{**base, field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        # float() would read these as the energies (1.0, 2.5) and a coupling of 1000
+        ("energies", (True, 0.0, 0.0), "energies[0] must be a number, got True"),
+        ("energies", (0.0, "2.5", 0.0), "energies[1] must be a number, got '2.5'"),
+        ("energies", (0.0, 0.0, None), "energies[2] must be a number, got None"),
+        ("energies", (0.0, 1j, 0.0), "energies[1] must be a number, got 1j"),
+        ("energies", (0.0, 0.0, 10**400), "energies[2] is too large for a float"),
+        ("couplings", ((1, 2, 1.0), (2, 3, "1e3")), "couplings[1] must be a number, got '1e3'"),
+        ("couplings", ((1, 2, False), (2, 3, 1.0)), "couplings[0] must be a number, got False"),
+        ("couplings", ((1, 2, np.bool_(True)),), f"couplings[0] must be a number, got {np.bool_(True)!r}"),
+    ])
+    def test_energies_and_couplings_must_be_real_numbers(self, field, value, match):
+        base = dict(n_sites=3, energies=(0.0, 0.0, 0.0), couplings=((1, 2, 1.0), (2, 3, 1.0)),
+                    inject_sites={1}, extract_sites={3})
+        with pytest.raises(NetworkError, match=re.escape(match)) as info:
+            NetworkSpec(**{**base, field: value})
+        assert type(info.value) is NetworkError
+
+    def test_numpy_real_energies_and_couplings(self):
+        from fractions import Fraction
+        spec = NetworkSpec(3, (np.float32(0.5), np.int64(2), Fraction(3, 4)),
+                           ((1, 2, np.float64(1.5)), (2, 3, np.uint8(3))), {1}, {3})
+        assert spec == NetworkSpec(3, (0.5, 2.0, 0.75), ((1, 2, 1.5), (2, 3, 3.0)), {1}, {3})
+        assert all(type(x) is float for x in spec.energies + tuple(t for _, _, t in spec.couplings))
+
     def test_numpy_integer_site_indices(self):
         spec = NetworkSpec(np.int64(3), (0.0, 0.0, 0.0), ((np.int32(1), np.int64(2), 1.0), (2, np.int16(3), 1.0)),
                            {np.int64(1)}, {np.uint8(3)})

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestAnalyticOccupations:
     def test_chain_needs_two_sites(self, L):
         with pytest.raises(ValueError, match=f"chain length must be >= 2, got {L}"):
             ChainParams(L, 1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("L", [2.5, 3.0, True, "3", None])
+    def test_chain_length_must_be_an_integer(self, L):
+        # L = 2.5 would give three occupations
+        with pytest.raises(ValueError, match=f"chain length L must be an integer, got {re.escape(repr(L))}"):
+            ChainParams(L, 1.0, 1.0, 1.0, 0.0)
+
+    def test_numpy_integer_chain_length(self):
+        occ = analytic_chain_occupations(ChainParams(np.int64(3), 1.0, 1.0, 1.0, 0.0))
+        assert occ.values.shape == (3,)
 
 
 class TestAnalyticCurrent:

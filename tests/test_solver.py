@@ -332,6 +332,22 @@ class TestEigenbasis:
             one = solver._population_matrix(row)
             assert np.max(np.abs(half - one)) <= 1e-13 * np.max(np.abs(one)), gamma
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_population_matrix_matches_einsum_over_all_pairs(self, n, k):
+        # the stack of k rates runs as one GEMM of k n rows; the oracle is
+        # Re(P diag(s) Q) summed term by term over all n^2 pairs (a, b).  A
+        # one-site network is both source and sink, which the product allows
+        rng = np.random.default_rng(n)
+        spec = NetworkSpec(n, tuple(rng.uniform(0.0, 50.0, n)),
+                           tuple((i, i + 1, rng.uniform(1.0, 10.0)) for i in range(1, n)), {1}, {n})
+        solver = EigenbasisSteadyState(assemble_hamiltonian(spec), spec, 2.0, 3.0)
+        s = solver.delta / (np.geomspace(1e-2, 1e5, k)[:, None, None] + solver.delta)
+        N = solver._population_matrix(s[:, solver.upper[0], solver.upper[1]])
+        ref = np.einsum("ia,ib,kab,aj,bj->kij", solver.V, solver.V.conj(), s, solver.W, solver.W.conj()).real
+        assert N.shape == (k, n, n)
+        assert np.all(np.abs(N - ref).max(axis=(1, 2)) <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+
     def test_block_gated_whole_by_the_resolvent(self, caplog):
         # at gamma_deph = 0 the 4-ring's dark mode (0, 1, 0, -1)/sqrt(2), which
         # vanishes on the sink, makes gamma + delta vanish: the block's one
