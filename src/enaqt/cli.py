@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
+from .errors import _seed
 from .network import load_network
 from .presets import PRESET_NAMES, build_preset
 from .results import emit_results
@@ -63,7 +64,9 @@ def _build_config(args) -> SweepConfig:
     if args.preset:
         return build_preset(args.preset, fmo_file=args.fmo_file, seed=args.seed, **overrides)
     spec = load_network(args.network)
-    # a network file draws nothing, so no seed is echoed
+    # a network file draws nothing, so no seed is echoed, but a bad one is refused as for a preset
+    if args.seed is not None:
+        _seed(args.seed)
     return SweepConfig(network=spec, label=Path(args.network).stem, **overrides)
 
 

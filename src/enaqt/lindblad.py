@@ -57,22 +57,16 @@ against it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPhysicalState
+from .errors import DimensionMismatch, NonPhysicalState, _real
 from .network import NetworkSpec
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-
-def is_rate(value) -> bool:
-    """A finite real number, and no bool: True is no rate in ps^-1."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -85,9 +79,10 @@ class ChannelSet:
 
     def __post_init__(self) -> None:
         for name in ("gamma_inj", "gamma_ext", "gamma_deph"):
-            rate = getattr(self, name)
-            if not (is_rate(rate) and rate >= 0.0):
+            rate = _real(getattr(self, name), name, what="finite and nonnegative")
+            if not (math.isfinite(rate) and rate >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {rate!r}")
+            object.__setattr__(self, name, rate)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

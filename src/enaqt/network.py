@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -31,6 +30,10 @@ from .errors import (
     OverlappingSourceSink,
     SelfCoupling,
     UnknownUnit,
+    _count,
+    _real,
+    _seed,
+    _site,
 )
 
 # speed of light in cm/ps; energies E (cm^-1) enter the dynamics as angular
@@ -69,6 +72,9 @@ class Uniform:
 
     value: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", _real(self.value, "Uniform.value", NetworkError))
+
 
 @dataclass(frozen=True)
 class RandomUniform:
@@ -76,6 +82,10 @@ class RandomUniform:
 
     lo: float
     hi: float
+
+    def __post_init__(self) -> None:
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"RandomUniform.{name}", NetworkError))
 
 
 ValueSpec = Uniform | RandomUniform
@@ -97,23 +107,20 @@ class NetworkSpec:
     unit: Unit = Unit.ANGULAR_PS
 
     def __post_init__(self) -> None:
-        # int() would truncate a site 2.7 to 2 and read True as site 1
-        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
-            raise InvalidSize(f"n_sites must be an integer, got {self.n_sites!r}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
-        # float() would read True as 1.0 and "1e3" as 1000.0
+        # int() would truncate a site 2.7 to 2, and float() read True as 1.0 and "1e3" as 1000.0
+        object.__setattr__(self, "n_sites", _count(self.n_sites, "n_sites", InvalidSize))
         object.__setattr__(self, "energies",
-                           tuple(_number(e, f"energies[{k}]") for k, e in enumerate(self.energies)))
+                           tuple(_real(e, f"energies[{k}]", NetworkError) for k, e in enumerate(self.energies)))
         # canonical edge order makes equality independent of construction order
         object.__setattr__(
             self,
             "couplings",
-            tuple(sorted((_site_index(i, f"couplings[{k}]"), _site_index(j, f"couplings[{k}]"),
-                          _number(t, f"couplings[{k}]"))
+            tuple(sorted((_site(i, f"couplings[{k}]"), _site(j, f"couplings[{k}]"),
+                          _real(t, f"couplings[{k}]", NetworkError))
                          for k, (i, j, t) in enumerate(self.couplings))),
         )
         for name in ("inject_sites", "extract_sites"):
-            sites = frozenset(_site_index(s, f"an entry of {name}") for s in getattr(self, name))
+            sites = frozenset(_site(s, f"an entry of {name}") for s in getattr(self, name))
             object.__setattr__(self, name, sites)
         object.__setattr__(self, "unit", Unit(self.unit))
 
@@ -177,37 +184,31 @@ def to_internal_units(spec: NetworkSpec) -> NetworkSpec:
 
 def _draw(spec: ValueSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(spec, Uniform):
-        return np.full(count, float(spec.value))
+        return np.full(count, spec.value)
     if isinstance(spec, RandomUniform):
-        if not spec.lo < spec.hi:
-            raise InvalidSize(f"random interval requires lo < hi, got [{spec.lo}, {spec.hi}]")
+        # numpy's own OverflowError for an infinite width names no field
+        if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
+            raise InvalidSize(f"random interval requires finite lo < hi, got [{spec.lo}, {spec.hi}]")
         return rng.uniform(spec.lo, spec.hi, size=count)
     raise TypeError(f"unsupported value spec {spec!r}")
-
-
-def _size(kind: str, value) -> int:
-    """A size parameter of a geometry: an integer, never a truncated float, string or bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSize(f"{kind} size must be an integer, got {value!r}")
-    return int(value)
 
 
 def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
     """Site count and edge list (i < j) for a named geometry."""
     if kind == "chain":
-        length = _size(kind, params)
+        length = _count(params, f"{kind} size", InvalidSize)
         if length < 1:
             raise InvalidSize(f"chain length must be >= 1, got {length}")
         return length, [(i, i + 1) for i in range(1, length)]
     if kind == "ring":
-        length = _size(kind, params)
+        length = _count(params, f"{kind} size", InvalidSize)
         if length < 3:
             raise InvalidSize(f"ring length must be >= 3, got {length}")
         return length, [(i, i + 1) for i in range(1, length)] + [(1, length)]
     if kind == "grid":
         if not (isinstance(params, (tuple, list)) and len(params) == 2):
             raise InvalidSize(f"grid size must be a (width, height) pair, got {params!r}")
-        w, h = (_size(kind, p) for p in params)
+        w, h = (_count(p, f"{kind} size", InvalidSize) for p in params)
         if w < 1 or h < 1:
             raise InvalidSize(f"grid dimensions must be positive, got {w}x{h}")
         edges = []
@@ -230,7 +231,7 @@ def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
                     edges.append((v + 1, u + 1))
         return 8, edges
     if kind == "full_graph":
-        n = _size(kind, params)
+        n = _count(params, f"{kind} size", InvalidSize)
         if n < 2:
             raise InvalidSize(f"full graph needs >= 2 sites, got {n}")
         return n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -260,7 +261,7 @@ def generate_geometry(
     always produce identical networks.
     """
     n, edges = _edges_for(kind, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, NetworkError))
     energies = _draw(energy_spec, n, rng)
     ts = _draw(coupling_spec, len(edges), rng)
     spec = NetworkSpec(
@@ -307,23 +308,6 @@ def network_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
-def _site_index(value, entry: str) -> int:
-    """A site index: an integer, numpy ones included, never a bool, float or string that int() would read."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise NetworkError(f"{entry} must be an integer site index, got {value!r}")
-    return int(value)
-
-
-def _number(value, entry: str) -> float:
-    """An energy or coupling: a real number, numpy scalars included, never a bool or string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise NetworkError(f"{entry} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise NetworkError(f"{entry} is too large for a float") from None
-
-
 def network_from_dict(data: dict) -> NetworkSpec:
     """Network from the JSON object of a network file.
 
@@ -343,25 +327,23 @@ def network_from_dict(data: dict) -> NetworkSpec:
         sites = data["sites"]
         spec = NetworkSpec(
             n_sites=len(sites),
-            energies=tuple(_number(s["energy"], f"sites[{k}].energy") for k, s in enumerate(sites)),
+            energies=tuple(_real(s["energy"], f"sites[{k}].energy", NetworkError) for k, s in enumerate(sites)),
             couplings=tuple(
-                (_site_index(e["i"], f"edges[{k}].i"), _site_index(e["j"], f"edges[{k}].j"),
-                 _number(e["t"], f"edges[{k}].t"))
+                (_site(e["i"], f"edges[{k}].i"), _site(e["j"], f"edges[{k}].j"),
+                 _real(e["t"], f"edges[{k}].t", NetworkError))
                 for k, e in enumerate(data["edges"])
             ),
             inject_sites=frozenset(
-                _site_index(s, f"inject[{k}]") for k, s in enumerate(data["inject"])
+                _site(s, f"inject[{k}]") for k, s in enumerate(data["inject"])
             ),
             extract_sites=frozenset(
-                _site_index(s, f"extract[{k}]") for k, s in enumerate(data["extract"])
+                _site(s, f"extract[{k}]") for k, s in enumerate(data["extract"])
             ),
             unit=unit,
         )
-    except NetworkError as exc:
-        raise NetworkError(f"malformed network file: {exc}") from None
     except KeyError as exc:
         raise NetworkError(f"malformed network file: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a NetworkError of the number rules among them
         raise NetworkError(f"malformed network file: {exc}") from exc
     return validate_network(spec)
 

@@ -36,7 +36,7 @@ when one is passed.
 
 from __future__ import annotations
 
-from .errors import MissingExternalData
+from .errors import MissingExternalData, _seed
 from .network import (
     NetworkSpec,
     RandomUniform,
@@ -89,6 +89,8 @@ def preset_network(
     name: str, *, fmo_file=None, seed: int | None = None
 ) -> tuple[NetworkSpec, int | None]:
     """Network for a named preset, plus the seed of its random draw (None if it draws nothing)."""
+    if seed is not None:
+        seed = _seed(seed)
     if name == "fig3h":
         if fmo_file is None:
             raise MissingExternalData(

@@ -34,12 +34,11 @@ only scipy this module uses, imported when an oracle is called.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUniqueSteadyState
+from .errors import DimensionMismatch, NonUniqueSteadyState, _count, _real
 from .lindblad import ChannelSet, hermitize, vec
 from .network import NetworkSpec
 from .observables import Occupations
@@ -64,8 +63,9 @@ class ChainParams:
 
     def __post_init__(self) -> None:
         # a float L would give a chain of ceil(L) sites
-        if isinstance(self.L, bool) or not isinstance(self.L, numbers.Integral):
-            raise ValueError(f"chain length L must be an integer, got {self.L!r}")
+        object.__setattr__(self, "L", _count(self.L, "chain length L"))
+        for name in ("t", "gamma_inj", "gamma_ext", "gamma_deph"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.L < 2:
             raise ValueError(f"chain length must be >= 2, got {self.L}")
 

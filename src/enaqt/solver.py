@@ -173,7 +173,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -186,9 +185,11 @@ from .errors import (
     NonUniqueSteadyState,
     NotChargeConserving,
     SolveFailure,
+    _count,
+    _real,
 )
 from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, generator_entries,
-                       hermitize, is_rate, right_product, unit_dephasing, vec)
+                       hermitize, right_product, unit_dephasing, vec)
 from .network import NetworkSpec
 
 if TYPE_CHECKING:
@@ -684,11 +685,10 @@ def propagate(
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")
     check_density_matrix(rho0)
-    if not (is_rate(t_end) and t_end >= 0):
+    t_end = _real(t_end, "t_end", what="finite and nonnegative")
+    if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    # bool is an Integral, but True is no count of samples
-    if isinstance(n_eval, bool) or not isinstance(n_eval, numbers.Integral) or n_eval < 2:
-        raise ValueError(f"n_eval must be an integer of at least 2, got {n_eval!r}")
+    n_eval = _count(n_eval, "n_eval", what="an integer of at least 2", least=2)
     if t_end == 0.0:
         return Trajectory(
             times=np.array([0.0]),

@@ -54,12 +54,12 @@ stack.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lindblad import ChannelSet, check_density_matrix, is_rate
+from .errors import _count, _real, _seed
+from .lindblad import ChannelSet, check_density_matrix
 from .network import (
     NetworkSpec,
     assemble_hamiltonian,
@@ -101,23 +101,19 @@ class SweepConfig:
     seed: int | None = None         # the seed of a random network's draw, echoed; None if none
 
     def __post_init__(self) -> None:
-        # bool is an Integral, but True is no count of points, site index or horizon
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise ValueError(f"points must be an integer, got {self.points!r}")
-        if self.points < 5:
-            raise ValueError(f"need at least 5 grid points, got {self.points}")
+        # every number is stored as the Python int or float it equals, so the JSON echo takes numpy scalars
+        def put(name, value):
+            object.__setattr__(self, name, value)
+            return value
+
+        put("points", _count(self.points, "points", what="an integer of at least 5", least=5))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        for name in ("gamma_min", "gamma_max"):
-            if not is_rate(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.gamma_min < 0:
-            raise ValueError(f"gamma_min must be nonnegative, got {self.gamma_min}")
         if self.gamma_inj is None:
-            object.__setattr__(self, "gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
-        for name in ("gamma_inj", "gamma_ext"):
-            rate = getattr(self, name)
-            if not (is_rate(rate) and rate >= 0):
+            put("gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
+        for name in ("gamma_min", "gamma_max", "gamma_inj", "gamma_ext"):
+            rate = put(name, _real(getattr(self, name), name, what="a finite nonnegative number"))
+            if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {rate!r}")
         if self.spacing == "log" and self.gamma_min <= 0:
             raise ValueError("log spacing requires gamma_min > 0")
@@ -125,10 +121,10 @@ class SweepConfig:
             raise ValueError("gamma_min must be below gamma_max")
         if self.mode not in ("steady", "pulse"):
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
-        if self.t_end is not None and (isinstance(self.t_end, bool) or not isinstance(self.t_end, numbers.Real)):
-            raise ValueError(f"t_end must be a number of picoseconds, got {self.t_end!r}")
-        if self.t_end is not None and not math.isfinite(self.t_end):
-            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if self.t_end is not None:
+            t_end = put("t_end", _real(self.t_end, "t_end", what="a number of picoseconds"))
+            if not math.isfinite(t_end):
+                raise ValueError(f"t_end must be finite, got {t_end}")
         if self.mode == "steady" and (self.t_end, self.pulse_site) != (None, None):
             raise ValueError("a steady sweep takes no t_end or pulse_site, "
                              f"got {self.t_end!r} and {self.pulse_site!r}")
@@ -137,11 +133,12 @@ class SweepConfig:
         if self.mode == "pulse" and self.gamma_inj != 0:
             raise ValueError(f"pulse mode injects nothing: gamma_inj must be 0, got {self.gamma_inj}")
         n = self.network.n_sites
-        if self.pulse_site is not None and not (
-            isinstance(self.pulse_site, numbers.Integral) and not isinstance(self.pulse_site, bool)
-            and 1 <= self.pulse_site <= n
-        ):
-            raise ValueError(f"pulse_site must be a site in 1..{n}, got {self.pulse_site!r}")
+        if self.pulse_site is not None:
+            site = put("pulse_site", _count(self.pulse_site, "pulse_site", what=f"a site in 1..{n}", least=1))
+            if site > n:
+                raise ValueError(f"pulse_site must be a site in 1..{n}, got {site}")
+        if self.seed is not None:
+            put("seed", _seed(self.seed))
 
     def gamma_grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -150,21 +147,8 @@ class SweepConfig:
 
 
 def config_to_dict(cfg: SweepConfig) -> dict:
-    """JSON-serializable echo of a sweep configuration."""
-    return {
-        "network": network_to_dict(cfg.network),
-        "gamma_min": cfg.gamma_min,
-        "gamma_max": cfg.gamma_max,
-        "points": cfg.points,
-        "spacing": cfg.spacing,
-        "gamma_inj": cfg.gamma_inj,
-        "gamma_ext": cfg.gamma_ext,
-        "mode": cfg.mode,
-        "t_end": cfg.t_end,
-        "pulse_site": cfg.pulse_site,
-        "label": cfg.label,
-        "seed": cfg.seed,
-    }
+    """JSON-serializable echo of a sweep configuration: its fields in order, the network as a file's object."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)} | {"network": network_to_dict(cfg.network)}
 
 
 def _annotate(exc: Exception, gamma: float) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, _count
 from .network import NetworkSpec
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def detect_inversion_symmetry(spec: NetworkSpec, site_limit: int = 16) -> Symmet
     `site_limit` (default 16; raise it explicitly for larger networks).
     """
     n = spec.n_sites
-    if n > site_limit:
+    if n > _count(site_limit, "site_limit"):
         raise SearchBudgetExceeded(
             f"network has {n} sites, above the search limit {site_limit}"
         )

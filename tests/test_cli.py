@@ -264,6 +264,15 @@ def test_figure_echoes_a_seed_only_for_a_random_draw(tmp_path, preset, echo):
     assert config["seed"] == echo
 
 
+@pytest.mark.parametrize("source", [["figure", "--preset", "fig3d"], ["figure", "--preset", "fig1"],
+                                    ["sweep", "--network", "{net}"]])
+def test_a_negative_seed_is_refused_by_name(network_file, tmp_path, capsys, source):
+    # numpy's own error named no field, and a preset or file that draws nothing ignored the seed
+    argv = [a.format(net=network_file) for a in source] + ["--seed", "-1", "--output", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: ValueError: seed must be a nonnegative integer, got -1\n"
+
+
 def test_sweep_of_a_network_file_echoes_no_seed(network_file, tmp_path):
     out = tmp_path / "sweep.json"
     rc = main(["sweep", "--network", str(network_file), "--seed", "7", "--points", "5",

@@ -127,12 +127,20 @@ class TestValidation:
         ("couplings", ((1, 2, 1.0), (2, 3, "1e3")), "couplings[1] must be a number, got '1e3'"),
         ("couplings", ((1, 2, False), (2, 3, 1.0)), "couplings[0] must be a number, got False"),
         ("couplings", ((1, 2, np.bool_(True)),), f"couplings[0] must be a number, got {np.bool_(True)!r}"),
+        # the value specs of generate_geometry read their numbers by the same rule
+        (Uniform, ("3",), "Uniform.value must be a number, got '3'"),
+        (Uniform, (True,), "Uniform.value must be a number, got True"),
+        (RandomUniform, ("0", "1"), "RandomUniform.lo must be a number, got '0'"),
+        (RandomUniform, (0.0, np.bool_(True)), f"RandomUniform.hi must be a number, got {np.bool_(True)!r}"),
     ])
     def test_energies_and_couplings_must_be_real_numbers(self, field, value, match):
         base = dict(n_sites=3, energies=(0.0, 0.0, 0.0), couplings=((1, 2, 1.0), (2, 3, 1.0)),
                     inject_sites={1}, extract_sites={3})
         with pytest.raises(NetworkError, match=re.escape(match)) as info:
-            NetworkSpec(**{**base, field: value})
+            if field in (Uniform, RandomUniform):
+                generate_geometry("chain", 3, field(*value), Uniform(1.0), inject={1}, extract={3})
+            else:
+                NetworkSpec(**{**base, field: value})
         assert type(info.value) is NetworkError
 
     def test_numpy_real_energies_and_couplings(self):
@@ -141,6 +149,9 @@ class TestValidation:
                            ((1, 2, np.float64(1.5)), (2, 3, np.uint8(3))), {1}, {3})
         assert spec == NetworkSpec(3, (0.5, 2.0, 0.75), ((1, 2, 1.5), (2, 3, 3.0)), {1}, {3})
         assert all(type(x) is float for x in spec.energies + tuple(t for _, _, t in spec.couplings))
+        specs = Uniform(np.int64(3)), RandomUniform(Fraction(1, 2), np.float32(2.0))
+        assert (specs[0].value, specs[1].lo, specs[1].hi) == (3.0, 0.5, 2.0)
+        assert all(type(x) is float for x in (specs[0].value, specs[1].lo, specs[1].hi))
 
     def test_numpy_integer_site_indices(self):
         spec = NetworkSpec(np.int64(3), (0.0, 0.0, 0.0), ((np.int32(1), np.int64(2), 1.0), (2, np.int16(3), 1.0)),
@@ -218,8 +229,9 @@ class TestGeometry:
         for kind, params, match in cases:
             with pytest.raises(InvalidSize, match=re.escape(match)):
                 generate_geometry(kind, params, Uniform(0), Uniform(1), inject={1}, extract={2})
-        with pytest.raises(InvalidSize):
-            generate_geometry("chain", 3, RandomUniform(2.0, 1.0), Uniform(1), inject={1}, extract={3})
+        for lo, hi in ((2.0, 1.0), (0.0, np.inf), (-1e308, 1e308)):
+            with pytest.raises(InvalidSize, match=re.escape(f"requires finite lo < hi, got [{lo}, {hi}]")):
+                generate_geometry("chain", 3, RandomUniform(lo, hi), Uniform(1), inject={1}, extract={3})
 
     def test_unsupported_value_spec(self):
         with pytest.raises(TypeError, match=r"unsupported value spec 1\.0"):
@@ -240,6 +252,17 @@ class TestGeometry:
         a = generate_geometry(kind, 5, RandomUniform(0.0, 10.0), RandomUniform(0.5, 2.0), **kw)
         b = generate_geometry(kind, 5, RandomUniform(0.0, 10.0), RandomUniform(0.5, 2.0), **kw)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "3", None, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # True drew with seed 1; numpy named no field for the others
+        with pytest.raises(NetworkError, match=f"seed must be a nonnegative integer, got {re.escape(repr(seed))}"):
+            generate_geometry("chain", 3, RandomUniform(0.0, 1.0), Uniform(1.0), inject={1}, extract={3}, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_the_python_one(self):
+        kw = dict(inject={1}, extract={3})
+        assert (generate_geometry("chain", 3, RandomUniform(0.0, 1.0), Uniform(1.0), seed=np.uint16(9), **kw)
+                == generate_geometry("chain", 3, RandomUniform(0.0, 1.0), Uniform(1.0), seed=9, **kw))
 
 
 class TestHamiltonian:

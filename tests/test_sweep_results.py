@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -515,6 +516,13 @@ class TestConfigValidation:
     def test_integer_like_points_are_accepted(self, chain2_cfg):
         assert replace(chain2_cfg, points=np.int64(7)).gamma_grid().size == 7
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "3", -1])
+    @pytest.mark.parametrize("make", ["SweepConfig", "fig3d", "fig1"])
+    def test_seed_must_be_a_nonnegative_integer(self, chain2_cfg, make, seed):
+        # True drew fig3d with seed 1 and was echoed; fig1 draws nothing but takes no bad seed either
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {re.escape(repr(seed))}"):
+            replace(chain2_cfg, seed=seed) if make == "SweepConfig" else build_preset(make, seed=seed)
+
 
 # floats whose shortest repr is easy to get wrong: signed zeros, the
 # smallest subnormal, the largest finite double, a sum that is not 0.3
@@ -645,6 +653,25 @@ class TestEmission:
         assert np.array_equal(back.occupations, curve.occupations)
         assert back_cls == cls
         assert config == config_to_dict(chain2_cfg)
+
+    @pytest.mark.parametrize("changes, plain", [
+        (dict(points=np.int64(10)), dict(points=10)),
+        (dict(seed=np.int64(3)), dict(seed=3)),
+        (dict(gamma_min=np.float32(0.1)), dict(gamma_min=float(np.float32(0.1)))),
+        (dict(gamma_min=Fraction(1, 10)), dict(gamma_min=0.1)),
+        (dict(t_end=np.float32(5.0), pulse_site=np.int64(1)), dict(t_end=5.0, pulse_site=1)),
+    ])
+    def test_json_of_numpy_and_fraction_fields_equals_the_plain_one(self, tmp_path, chain2_cfg, changes, plain):
+        # these ran the whole sweep and then failed in json.dumps (or, for the Fraction, in np.log10)
+        pulse = dict(mode="pulse", gamma_inj=0.0) if "t_end" in changes else {}
+        paths = tmp_path / "given.json", tmp_path / "plain.json"
+        for fields, path in zip((changes, plain), paths):
+            cfg = replace(chain2_cfg, **pulse, **fields)
+            emit_results(*run_sweep(cfg), "json", path, config=cfg)
+        given_doc, plain_doc = (json.loads(path.read_text()) for path in paths)
+        assert given_doc["config"] == plain_doc["config"]
+        assert given_doc["config_hash"] == plain_doc["config_hash"]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_json_diagnostics_round_trip(self, tmp_path, chain2_result):
         curve, cls = chain2_result

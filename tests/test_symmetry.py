@@ -1,5 +1,7 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,14 @@ def test_site_limit():
         detect_inversion_symmetry(spec)
     report = detect_inversion_symmetry(spec, site_limit=17)
     check_report(spec, report)
+    assert detect_inversion_symmetry(spec, site_limit=np.int64(17)) == report
+
+
+@pytest.mark.parametrize("limit", [True, 2.5, 17.0, "9", None])
+def test_site_limit_must_be_an_integer(limit):
+    # True was compared as 1, 2.5 taken as a limit and "9" failed inside `>`
+    with pytest.raises(ValueError, match=f"site_limit must be an integer, got {re.escape(repr(limit))}"):
+        detect_inversion_symmetry(uniform_chain(3, {1}, {3}), site_limit=limit)
 
 
 def test_detuned_chain_breaks_symmetry():
