@@ -9,7 +9,7 @@ the spread of the site occupations.
 """
 
 from ._version import __version__
-from .lindblad import ChannelSet, build_liouvillian, check_density_matrix
+from .lindblad import ChannelSet, check_density_matrix
 from .network import (
     NetworkSpec,
     RandomUniform,
@@ -61,7 +61,6 @@ __all__ = [
     "Unit",
     "apply_permutation",
     "assemble_hamiltonian",
-    "build_liouvillian",
     "build_preset",
     "check_density_matrix",
     "classify_sweep",

@@ -34,11 +34,10 @@ alone, no index twice:
                 at all.
 
 That is at most 2 nnz(H) d + d^2 + |inject| + |extract| entries, never
-d^4.  `solver.SectorPropagator` projects them onto the charge sector.
-`build_liouvillian`, their CSR matrix with no explicit zeros, imports
-scipy.sparse, which nothing else in this module needs; the package calls
-it only for a steady row that the eigenbasis solve gates, whose sector LU
-projects it the same way.  The tests also compare against it.
+d^4.  They are the only form of the generator a solver materializes:
+`solver.SectorPropagator` and the sector LU `solver.steady_state` both
+project them onto the charge sector.  Their CSR matrix,
+`reference.build_liouvillian`, is a test oracle.
 
 `apply_liouvillian` evaluates the generator's action on a state or a
 (k, d, d) stack of them from the same closed forms, assembling nothing.
@@ -58,15 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonPhysicalState, _real
 from .network import NetworkSpec
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -139,24 +134,12 @@ def generator_entries(H: np.ndarray, channels: ChannelSet,
     return tuple(np.concatenate([np.ravel(a) for a in arrays]) for arrays in (rows, cols, vals))
 
 
-def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
-    """Assemble the full generator as a d^2 x d^2 CSR matrix."""
-    import scipy.sparse as sp
-
-    rows, cols, vals = generator_entries(H, channels, spec)
-    d2 = spec.dim**2
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(d2, d2), dtype=complex).tocsr()
-    # zero rates and degenerate on-site energies leave zeros on the diagonal
-    L.eliminate_zeros()
-    return L
-
-
 def apply_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec,
                       rho: np.ndarray) -> np.ndarray:
     """Action of the generator on rho, one (d, d) state or each of a (k, d, d) stack.
 
     Nothing is assembled: the off-diagonal part of H acts by two matrix
-    products, and the diagonal of `build_liouvillian` and the two
+    products, and the generator's diagonal and the two
     population transfers (vacuum to the sources at gamma_inj, the sinks to
     the vacuum at gamma_ext) act entrywise.
     """

@@ -2,21 +2,25 @@
 
 Two routes are provided: the closed-form occupations of a uniform chain
 driven end to end, and a brute-force steady state obtained from a full
-singular value decomposition of the materialized generator.  Neither path
-shares factorization code with the production solver (sparse LU / eig),
-so agreement between all three is evidence rather than tautology.
+singular value decomposition of a materialized generator.  Neither path
+shares factorization code with the production solvers (eig and sparse
+LU), so agreement between all three is evidence rather than tautology.
+No runtime path imports this module.
 
-Two further oracles check the generator itself.  `kron_liouvillian`
-materializes it as dense kron products of the jump operators,
+Two further oracles check the generator itself.  `build_liouvillian` is
+the CSR matrix of the closed-form entries `lindblad.generator_entries`,
+which the production solvers project onto the charge sector and never
+assemble; it imports scipy.sparse when it is called.  `kron_liouvillian`
+materializes the generator as dense kron products of the jump operators,
 
     L = -i (I kron H - H^T kron I)
         + sum_k gamma_k [conj(V_k) kron V_k
                          - (I kron V_k+ V_k)/2 - (V_k^T conj(V_k) kron I)/2],
 
 at d^4 memory.  The tests check both closed forms of the generator
-against it: the sparse assembly of `lindblad.build_liouvillian` and the
-action of `lindblad.apply_liouvillian`, with which the sweep solver checks
-its states.
+against it: the entries, through `build_liouvillian`, and the action of
+`lindblad.apply_liouvillian`, with which both steady-state solvers check
+their states.
 
 `classical_hopping_steady_state` is the strong-dephasing oracle for the
 sweep: the populations of the Haken-Strobl rate equation, with no
@@ -28,21 +32,25 @@ bordered by the extracted-population row, at (d^2+1)^2 complex memory.
 `dense_pulse` is the oracle for a pulse sweep's point: the same bordered
 generator, bordered once more by the start state as a Van Loan column, so
 that one exponential to t_end gives the state there and the exact time
-integral of the trajectory.  Their exponential is scipy.linalg.expm, the
-only scipy this module uses, imported when an oracle is called.
+integral of the trajectory.  Their exponential is scipy.linalg.expm,
+imported when an oracle is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonUniqueSteadyState, _count, _real
-from .lindblad import ChannelSet, hermitize, vec
+from .lindblad import ChannelSet, generator_entries, hermitize, vec
 from .network import NetworkSpec
 from .observables import Occupations
 from .solver import Trajectory
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NULLSPACE_RTOL = 1e-12
 
@@ -177,6 +185,18 @@ def dissipator(V: np.ndarray, gamma: float) -> np.ndarray:
         - 0.5 * np.kron(eye, VdV)
         - 0.5 * np.kron(VdV.T, eye)
     )
+
+
+def build_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> sp.csr_matrix:
+    """The full generator as a d^2 x d^2 CSR matrix of `lindblad.generator_entries`, no explicit zeros."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = generator_entries(H, channels, spec)
+    d2 = spec.dim**2
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(d2, d2), dtype=complex).tocsr()
+    # zero rates and degenerate on-site energies leave zeros on the diagonal
+    L.eliminate_zeros()
+    return L
 
 
 def kron_liouvillian(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> np.ndarray:

@@ -5,12 +5,11 @@ operator changes the excitation number by -1, 0 or +1 and H conserves it
 (the weak U(1) symmetry of Buca & Prosen, New J. Phys. 14, 073007 (2012)),
 so the vacuum-site coherences never couple to the populations or to the
 site-site coherences, and they vanish in the steady state.  Two solvers
-work there, and both end with the same guards: the residual against the
-untouched full generator (at most RESIDUAL_TOL; the sweep solver takes it
-from the closed-form action `lindblad.apply_liouvillian`, which shares no
-code with the eigenbasis derivation, and `steady_state` from the CSR
-matrix it is given) and `check_density_matrix`, whose smallest eigenvalue
-of rho is recorded with the solution.
+work there, both on the network itself, (H, channels, spec), and both end
+with the same guards: the residual of the full generator's closed-form
+action `lindblad.apply_liouvillian`, which shares no code with either
+solve (at most RESIDUAL_TOL), and `check_density_matrix`, whose smallest
+eigenvalue of rho is recorded with the solution.
 
 `EigenbasisSteadyState` serves the points of a dephasing sweep.  The site
 block X = rho_S of every generator this package builds has Haken-Strobl
@@ -78,19 +77,20 @@ eigvalsh) and handed out whole as a `SteadyStateBlock`: rho as a
 (k, d, d) array, the residual, rcond and smallest eigenvalue per rate,
 and a mask of the gated rows.
 Before a block is handed out, each gated row is solved by the sector LU
-below on the generator `build_liouvillian` assembles at its rate, so
-every row holds a validated state and only a gated row's rcond is NaN.
+below at its rate, so every row holds a validated state and only a gated
+row's rcond is NaN.
 
-`steady_state(L)` solves any single generator by one real sparse LU.  The
-sector coordinates are the n + 1 populations and Re, Im of rho_ij for
-1 <= i < j <= n: n^2 + 1 real unknowns in place of (n + 1)^2 complex ones.
+`steady_state(H, channels, spec)` solves one network at one set of rates
+by one real sparse LU.  The sector coordinates are the n + 1 populations
+and Re, Im of rho_ij for 1 <= i < j <= n: n^2 + 1 real unknowns in place
+of (n + 1)^2 complex ones.
 
-  1. the generator's COO entries are projected onto the sector,
-     A = Re(Tp L T), where T maps the sector coordinates to vec(rho) and
-     Tp is its left inverse; both have at most two entries per vec index,
-     so each entry of L gives at most four of A.  The projection raises
-     NotChargeConserving, naming the entry, on an entry that couples the
-     sector to a vacuum-site coherence;
+  1. the closed-form COO entries of `lindblad.generator_entries` are
+     projected onto the sector, A = Re(Tp L T), where T maps the sector
+     coordinates to vec(rho) and Tp is its left inverse; both have at most
+     two entries per vec index, so each entry of L gives at most four of
+     A.  The projection raises NotChargeConserving, naming the entry, on
+     an entry that couples the sector to a vacuum-site coherence;
   2. the trace functional replaces the last (population) row of A;
   3. one real sparse LU factorization (SuperLU via
      scipy.sparse.linalg.splu) serves the solve and two refinement passes,
@@ -108,9 +108,9 @@ generator, n^2 + 1 unknowns (rho_00 among them, so an injection channel
 needs nothing extra), bordered by one row that accumulates the extracted
 population (Van Loan, IEEE TAC 23, 395 (1978)): n^2 + 2 real unknowns,
 n^4 real memory.  `SectorPropagator` holds G at zero dephasing: the
-closed-form entries of `lindblad.generator_entries` (whose CSR matrix is
-`build_liouvillian`), projected by the same `_Sector.project` that forms
-the sector LU's system and that is the one charge-conservation check;
+closed-form entries of `lindblad.generator_entries`, projected by the
+same `_Sector.project` that forms the sector LU's system and that is the
+one charge-conservation check;
 dephasing is exactly diagonal in the sector (-gamma on the Re and Im
 coordinate of every site-site coherence, 0 on the populations and the
 border row, -gamma/2 on the vacuum-site coherences), so G at any rate is
@@ -160,12 +160,11 @@ gamma = 1e3; fig3g (16 strongly coupled sites) 24-43 s against 19-27 ms
 dense; fig2 125-209 ms against 4.5-7.1 ms dense.  No size wins on every
 preset, so the dense path is the only one.
 
-scipy is imported inside the functions that use it, so it is loaded on
-first use: by the sector LU (`steady_state`, which a sweep calls only for
-a gated row, and its sparse system) and by `lindblad.build_liouvillian`,
-which assembles that row's generator.  A
-steady sweep whose rows all pass the eigenbasis gates, every pulse sweep
-and `propagate` run on numpy alone and leave scipy unloaded.
+scipy is imported inside `steady_state`, the only function that uses it,
+so it is loaded by the sector LU's first solve, which a sweep makes only
+for a gated row.  A steady sweep whose rows all pass the eigenbasis gates,
+every pulse sweep and `propagate` run on numpy alone and leave scipy
+unloaded.
 """
 
 from __future__ import annotations
@@ -175,7 +174,6 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -188,12 +186,9 @@ from .errors import (
     _count,
     _real,
 )
-from .lindblad import (ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, generator_entries,
-                       hermitize, right_product, unit_dephasing, vec)
+from .lindblad import (ChannelSet, apply_liouvillian, check_density_matrix, generator_entries, hermitize,
+                       right_product, unit_dephasing)
 from .network import NetworkSpec
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +233,7 @@ PULSE_TRACE_TOL = 1e-8
 @dataclass(frozen=True)
 class SteadyStateSolution:
     rho: np.ndarray
-    residual: float         # max |L vec(rho)| in internal units
+    residual: float         # max |L(rho)| of the closed-form action, internal units
     min_eigenvalue: float   # smallest eigenvalue of rho
 
 
@@ -251,7 +246,7 @@ class SteadyStateBlock:
     """
 
     rho: np.ndarray             # (k, d, d)
-    residual: np.ndarray        # max |L vec(rho)| in internal units
+    residual: np.ndarray        # max |L(rho)| of the closed-form action, internal units
     rcond: np.ndarray           # reciprocal condition of N_gamma
     min_eigenvalue: np.ndarray  # smallest eigenvalue of rho
     gated: np.ndarray           # bool
@@ -277,8 +272,8 @@ class EigenbasisSteadyState:
     form N_gamma and n x n real solves, all stacked over the block.  The
     residual guard applies the generator without assembling it: the
     rate-free action of `apply_liouvillian` once per block, plus each
-    rate times the unit-rate dephasing.  Only a gated row assembles its
-    generator, for the sector LU.
+    rate times the unit-rate dephasing.  Only a gated row takes the
+    generator's entries, which the sector LU projects.
     """
 
     def __init__(self, H: np.ndarray, spec: NetworkSpec, gamma_inj: float, gamma_ext: float):
@@ -320,10 +315,9 @@ class EigenbasisSteadyState:
         """The steady states at the rates of gammas, one block of rates at a time, in order.
 
         A block is solved when it is asked for.  Each gated row has been
-        logged and then solved by the sector LU, `steady_state` on the
-        generator that `build_liouvillian` assembles at its rate.  A state
-        that fails `check_density_matrix`, and any error of the sector LU,
-        is raised with `index` set to its row in the block.
+        logged and then solved by the sector LU, `steady_state` at its
+        rate.  A state that fails `check_density_matrix`, and any error of
+        the sector LU, is raised with `index` set to its row in the block.
         """
         gammas = np.asarray(gammas, dtype=float)
         n = self.B.shape[0]
@@ -335,9 +329,8 @@ class EigenbasisSteadyState:
             else:
                 out = self._solve_block(block)
             for k in np.flatnonzero(out.gated):
-                channels = replace(self.channels, gamma_deph=float(block[k]))
                 try:
-                    sol = steady_state(build_liouvillian(self.H, channels, self.spec))
+                    sol = steady_state(self.H, replace(self.channels, gamma_deph=float(block[k])), self.spec)
                 except Exception as exc:
                     exc.index = int(k)
                     raise
@@ -514,31 +507,23 @@ def _sector(d: int) -> _Sector:
     return _Sector(d=d, vac=vac, pops=pos[diag], slots=slots, t=t, tp=tp)
 
 
-def steady_state(L) -> SteadyStateSolution:
-    """Unique steady state of a materialized generator (dense or sparse).
+def steady_state(H: np.ndarray, channels: ChannelSet, spec: NetworkSpec) -> SteadyStateSolution:
+    """Unique steady state of the network at one set of rates, by the sector LU.
 
-    The generator must include at least one nonzero dissipative rate;
-    otherwise the sector system is singular and NonUniqueSteadyState is
-    raised.  The generator must be charge-conserving (NotChargeConserving
-    otherwise), and the returned vacuum-site coherences are exactly zero;
-    that state is the unique one whenever the vacuum-coherence block is
-    nonsingular, which any injection or dephasing rate guarantees.
+    A singular sector system, as without injection and extraction, raises
+    NonUniqueSteadyState.  A Hamiltonian that does not conserve the
+    excitation number raises NotChargeConserving, and the returned
+    vacuum-site coherences are exactly zero; that state is the unique one
+    whenever the vacuum-coherence block is nonsingular, which any injection
+    or dephasing rate guarantees.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionMismatch(f"generator must be square, got {L.shape}")
-    L = sp.csr_matrix(L, dtype=complex)
-    d2 = L.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise DimensionMismatch(f"generator size {d2} is not a perfect square")
-
     # Re(Tp L T) with its last (population) row replaced by the trace
+    d = spec.dim
     sec = _sector(d)
-    coo = L.tocoo()
-    rows, cols, vals = sec.project(coo.row, coo.col, coo.data)
+    rows, cols, vals = sec.project(*generator_entries(H, channels, spec))
     m = sec.size
     kept = rows != m - 1
     A = sp.csc_matrix((np.concatenate([vals[kept], np.ones(d)]),
@@ -560,7 +545,7 @@ def steady_state(L) -> SteadyStateSolution:
     for _ in range(2):
         x += lu.solve(b - A @ x)
     rho = sec.state(x)
-    res = float(np.max(np.abs(L @ vec(rho))))
+    res = float(np.max(np.abs(apply_liouvillian(H, channels, spec, rho))))
     if not res <= RESIDUAL_TOL:
         raise SolveFailure(f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     lo = check_density_matrix(rho)

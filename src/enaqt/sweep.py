@@ -11,14 +11,15 @@ In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
 grid goes to the solver whole, and it hands back finished blocks of
-rates whose stacks it bounds by n alone.  The sweep assembles no
-generator: the solver checks every state with the closed-form action of
+rates whose stacks it bounds by n alone.  No generator is assembled: the
+solver checks every state with the closed-form action of
 `lindblad.apply_liouvillian`, and a row the eigenbasis solve gates
 (ill-conditioned eigenvectors, a singular population system, stalled
 refinement or a failed residual) is logged and solved inside the solver
-by the sector LU on the generator `lindblad.build_liouvillian` assembles
-at its rate; the block's
-gated mask becomes each point's recorded method.  Each
+by the sector LU, `solver.steady_state` on the network at its rate, which
+projects the closed-form entries of `lindblad.generator_entries` onto the
+charge sector and checks its state the same way; the block's gated mask
+becomes each point's recorded method.  Each
 observable is then evaluated once on the block's (k, d, d) stack, and the
 curve's columns are the blocks' arrays concatenated.  An error raised
 while solving or evaluating carries the gamma_deph of its point: an error
@@ -106,6 +107,8 @@ class SweepConfig:
             object.__setattr__(self, name, value)
             return value
 
+        if not isinstance(self.network, NetworkSpec):
+            raise ValueError(f"network must be a NetworkSpec, got {type(self.network).__name__}")
         put("points", _count(self.points, "points", what="an integer of at least 5", least=5))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import RATE, random_density_matrix, spectral_gap
-from enaqt.lindblad import ChannelSet, build_liouvillian, vec
+from enaqt.lindblad import ChannelSet, vec
 from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
 from enaqt.observables import ENAQT, MONOTONIC, exciton_current, heat_current, occupations
 from enaqt.presets import build_preset
@@ -25,6 +25,7 @@ from enaqt.reference import (
     analytic_chain_occupations,
     annihilation_op,
     brute_force_steady_state,
+    build_liouvillian,
     dissipator,
 )
 from enaqt.solver import propagate, steady_state
@@ -59,11 +60,9 @@ def test_criterion_1_triple_consistency():
             spec = generate_geometry(
                 "chain", L_sites, Uniform(0.0), Uniform(t), inject={1}, extract={L_sites}
             )
-            L = build_liouvillian(
-                assemble_hamiltonian(spec), ChannelSet(gi, ge, gd), spec
-            )
-            sol = steady_state(L)
-            rho_bf = brute_force_steady_state(L)
+            H, channels = assemble_hamiltonian(spec), ChannelSet(gi, ge, gd)
+            sol = steady_state(H, channels, spec)
+            rho_bf = brute_force_steady_state(build_liouvillian(H, channels, spec))
             ana = analytic_chain_occupations(ChainParams(L_sites, t, gi, ge, gd))
             err_methods = np.max(np.abs(sol.rho - rho_bf))
             err_formula = np.max(
@@ -106,7 +105,7 @@ def test_criterion_3_asymmetric_chain_enaqt(preset_results):
     from enaqt.network import to_internal_units
     spec_i = to_internal_units(spec)
     H = assemble_hamiltonian(spec_i)
-    sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 100.0), spec_i))
+    sol = steady_state(H, ChannelSet(RATE, RATE, 100.0), spec_i)
     occ = occupations(sol.rho).values
     assert np.all(np.diff(occ[:5]) < 0)
     report(3, "asymmetric chain enhancement", f"(gamma* = {cls.gamma_star:.3g} ps^-1)")
@@ -146,7 +145,7 @@ def test_criterion_5_flux_balance_and_state_invariants(preset_results):
         H = assemble_hamiltonian(spec)
         for gd in (curve.gamma_grid[0], curve.gamma_grid[len(curve.gamma_grid) // 2],
                    curve.gamma_grid[-1]):
-            sol = steady_state(build_liouvillian(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gd), spec))
+            sol = steady_state(H, ChannelSet(cfg.gamma_inj, cfg.gamma_ext, gd), spec)
             evals = np.linalg.eigvalsh(sol.rho)
             assert evals.min() >= -1e-10
             assert abs(np.trace(sol.rho).real - 1.0) < 1e-10
@@ -167,9 +166,8 @@ def test_criterion_6_cross_method_steady_state(asymmetric_chain):
     failures = []
     for gd in (0.0, 5.0, 100.0):
         channels = ChannelSet(RATE, RATE, gd)
-        L = build_liouvillian(H, channels, spec)
-        target = steady_state(L).rho
-        gap = spectral_gap(L.toarray())
+        target = steady_state(H, channels, spec).rho
+        gap = spectral_gap(build_liouvillian(H, channels, spec).toarray())
         t_end = max(50.0 / min(RATE, RATE), np.log(1e8) / gap)
         traj = propagate(H, channels, spec, rho0, t_end)
         err = float(np.max(np.abs(traj.states[-1] - target)))

@@ -1,5 +1,6 @@
 """scipy is loaded on first use: steady and pulse sweeps, their JSON files and the
-analytic oracles need none of it.
+analytic oracles need none of it.  No runtime path loads the oracles of
+`enaqt.reference` either.
 
 Each test runs in a fresh interpreter, since this one has loaded scipy.
 """
@@ -38,18 +39,22 @@ def emit(cfg, path):
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 loaded = emit(build_preset("fig1"), "fig1.json")
+oracles = ["enaqt.reference" in sys.modules]
 # H_eff of this dimer is defective: every row goes to the sector LU
 dimer = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
 emit(SweepConfig(network=dimer, gamma_min=0.1, gamma_max=10.0, points=5, gamma_inj=1.0,
                  gamma_ext=4.0), "dimer.json")
+oracles.append("enaqt.reference" in sys.modules)
 import scipy
-print(json.dumps({"loaded": loaded, "scipy": scipy.__version__}))
+print(json.dumps({"loaded": loaded, "oracles": oracles, "scipy": scipy.__version__}))
 """
 
 
 def test_steady_sweep_and_json_emit_load_no_scipy(tmp_path):
     out = json.loads(run_python(["-c", STEADY_THEN_GATED], tmp_path).stdout)
     assert out["loaded"] == []
+    # neither the eigenbasis sweep nor the gated one, solved by the sector LU, loads the oracles
+    assert out["oracles"] == [False, False]
     # each file records scipy as it was when the file was written
     fig1 = json.loads((tmp_path / "fig1.json").read_text())
     dimer = json.loads((tmp_path / "dimer.json").read_text())
@@ -65,6 +70,7 @@ def test_figure_command_loads_no_scipy(tmp_path):
                                  "--output", str(tmp_path), "--format", "json"], tmp_path))
     assert "enaqt.results" in names and "numpy" in names
     assert [name for name in names if name.split(".")[0] == "scipy"] == []
+    assert "enaqt.reference" not in names
     assert json.loads((tmp_path / "fig1.json").read_text())["environment"]["scipy"] is None
 
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_hermitian
 from enaqt.errors import DimensionMismatch, NonPhysicalState
-from enaqt.lindblad import ChannelSet, apply_liouvillian, build_liouvillian, check_density_matrix, vec
+from enaqt.lindblad import ChannelSet, apply_liouvillian, check_density_matrix, vec
 from enaqt.network import RandomUniform, Uniform, assemble_hamiltonian, generate_geometry, to_internal_units
 from enaqt.presets import PRESET_NAMES, preset_network
-from enaqt.reference import annihilation_op, dissipator, kron_liouvillian, number_op
+from enaqt.reference import annihilation_op, build_liouvillian, dissipator, kron_liouvillian, number_op
 from enaqt.solver import _sector
 
 
@@ -51,6 +51,8 @@ def chain2():
 
 
 class TestBuild:
+    """The CSR matrix of the closed-form entries, the oracle `reference.build_liouvillian`."""
+
     def test_closed_system_spectrum_is_imaginary(self, symmetric_chain):
         spec, H = symmetric_chain
         L = build_liouvillian(H, ChannelSet(0, 0, 0), spec)
@@ -271,7 +273,7 @@ class TestApply:
         from enaqt.solver import steady_state
         spec, H = asymmetric_chain
         channels = ChannelSet(5.0, 5.0, 3.0)
-        sol = steady_state(build_liouvillian(H, channels, spec))
+        sol = steady_state(H, channels, spec)
         assert np.max(np.abs(apply_liouvillian(H, channels, spec, sol.rho))) < 1e-9
 
     def test_pure_dephasing_decay_rates(self, symmetric_chain):

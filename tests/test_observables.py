@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import RATE, random_density_matrix
 from enaqt.errors import GridTooCoarse, NonPhysicalState
-from enaqt.lindblad import ChannelSet, build_liouvillian, vec
+from enaqt.lindblad import ChannelSet, vec
 from enaqt.network import Uniform, assemble_hamiltonian, generate_geometry
 from enaqt.observables import (
     ENAQT,
@@ -65,7 +65,7 @@ class TestOccupations:
 
     def test_strong_dephasing_builds_linear_gradient(self, symmetric_chain):
         spec, H = symmetric_chain
-        sol = steady_state(build_liouvillian(H, ChannelSet(RATE, RATE, 100.0), spec))
+        sol = steady_state(H, ChannelSet(RATE, RATE, 100.0), spec)
         occ = occupations(sol.rho).values
         drops = np.diff(occ)
         assert np.all(drops < 0)
@@ -114,14 +114,13 @@ class TestExcitonCurrent:
 
     def test_two_site_value(self):
         spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
-        L = build_liouvillian(assemble_hamiltonian(spec), ChannelSet(1, 1, 0), spec)
-        rho = steady_state(L).rho
+        rho = steady_state(assemble_hamiltonian(spec), ChannelSet(1, 1, 0), spec).rho
         assert exciton_current(rho, ChannelSet(1, 1, 0), spec) == pytest.approx(4 / 13, abs=1e-10)
 
     def test_equals_injection_flux_at_steady_state(self, asymmetric_chain):
         spec, H = asymmetric_chain
         channels = ChannelSet(RATE, RATE, 11.0)
-        rho = steady_state(build_liouvillian(H, channels, spec)).rho
+        rho = steady_state(H, channels, spec).rho
         influx = len(spec.inject_sites) * channels.gamma_inj * rho[0, 0].real
         assert exciton_current(rho, channels, spec) == pytest.approx(influx, rel=1e-9)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt.errors import NonUniqueSteadyState
-from enaqt.lindblad import ChannelSet, build_liouvillian
+from enaqt.lindblad import ChannelSet
 from enaqt.network import Uniform, Unit, assemble_hamiltonian, generate_geometry, to_internal_units
 from enaqt.presets import build_preset
 from enaqt.reference import (
@@ -16,6 +16,7 @@ from enaqt.reference import (
     analytic_chain_occupations,
     annihilation_op,
     brute_force_steady_state,
+    build_liouvillian,
     classical_hopping_steady_state,
     creation_op,
     dissipator,
@@ -25,9 +26,9 @@ from enaqt.sweep import SweepConfig, run_sweep
 
 
 def end_to_end_chain(L, t, gi, ge, gd):
+    """A uniform L-site chain driven end to end: its spec, Hamiltonian and channels."""
     spec = generate_geometry("chain", L, Uniform(0.0), Uniform(t), inject={1}, extract={L})
-    Lmat = build_liouvillian(assemble_hamiltonian(spec), ChannelSet(gi, ge, gd), spec)
-    return spec, Lmat
+    return spec, assemble_hamiltonian(spec), ChannelSet(gi, ge, gd)
 
 
 class TestAnalyticOccupations:
@@ -109,9 +110,9 @@ class TestBruteForce:
         for _ in range(12):
             L_sites = int(rng.integers(2, 8))
             t, gi, ge, gd = rng.uniform(0.1, 100.0, size=4)
-            _, Lmat = end_to_end_chain(L_sites, t, gi, ge, gd)
-            rho_bf = brute_force_steady_state(Lmat)
-            rho_ls = steady_state(Lmat).rho
+            spec, H, channels = end_to_end_chain(L_sites, t, gi, ge, gd)
+            rho_bf = brute_force_steady_state(build_liouvillian(H, channels, spec))
+            rho_ls = steady_state(H, channels, spec).rho
             assert np.max(np.abs(rho_bf - rho_ls)) < 1e-8
             ana = analytic_chain_occupations(ChainParams(L_sites, t, gi, ge, gd))
             assert np.max(np.abs(np.diag(rho_bf).real[1:] - ana.values)) < 1e-8

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import enaqt.lindblad
 import enaqt.solver
 import enaqt.sweep
 from conftest import random_networks, slow_refinement_network
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
-from enaqt.lindblad import ChannelSet, build_liouvillian
+from enaqt.lindblad import ChannelSet
 from enaqt.network import (
     NetworkSpec,
     Uniform,
@@ -34,7 +33,7 @@ from enaqt.observables import (
     heat_current,
 )
 from enaqt.presets import build_preset
-from enaqt.reference import brute_force_steady_state, dense_pulse
+from enaqt.reference import brute_force_steady_state, dense_pulse, kron_liouvillian
 from enaqt.results import emit_results, read_results_csv, read_results_json
 from enaqt.solver import SectorPropagator, SteadyStateSolution, propagate, steady_state, transfer_efficiency
 from enaqt.sweep import SweepConfig, config_to_dict, run_sweep
@@ -91,7 +90,7 @@ class TestSweep:
         spec = to_internal_units(spec)
         H = assemble_hamiltonian(spec)
         for k, gamma in enumerate(curve.gamma_grid):
-            rho = brute_force_steady_state(build_liouvillian(H, ChannelSet(1.0, 4.0, gamma), spec))
+            rho = brute_force_steady_state(kron_liouvillian(H, ChannelSet(1.0, 4.0, gamma), spec))
             assert np.max(np.abs(curve.occupations[k] - np.diag(rho).real[1:])) < 1e-10
 
     def test_sweep_without_injection_stays_in_the_eigenbasis(self):
@@ -147,15 +146,15 @@ class TestSweep:
         monkeypatch.setattr(enaqt.solver, "RCOND_MIN", 0.25)
         solved = []
 
-        def fails(L):
-            solved.append(L)
+        def fails(H, channels, spec):
+            solved.append(channels.gamma_deph)
             raise NonUniqueSteadyState("singular")
 
         monkeypatch.setattr(enaqt.solver, "steady_state", fails)
         with caplog.at_level(logging.WARNING, logger="enaqt.solver"):
             with pytest.raises(NonUniqueSteadyState, match=r"^\[gamma_deph=3\.16228\] singular"):
                 run_sweep(chain2_cfg)
-        assert len(solved) == 1 and len(caplog.records) == 2
+        assert solved == [pytest.approx(10**0.5, rel=1e-14)] and len(caplog.records) == 2
 
     def test_failing_fallback_in_a_later_block_names_its_point(self, monkeypatch):
         # a 40-site chain holds 10 rates per block: with every point sent to
@@ -167,8 +166,8 @@ class TestSweep:
         vacuum[0, 0] = 1.0
         solved = []
 
-        def fails_at_the_thirteenth(L):
-            solved.append(L)
+        def fails_at_the_thirteenth(H, channels, spec):
+            solved.append(channels.gamma_deph)
             if len(solved) == 13:
                 raise NonUniqueSteadyState("singular")
             return SteadyStateSolution(rho=vacuum, residual=0.0, min_eigenvalue=1.0)
@@ -178,7 +177,7 @@ class TestSweep:
         point = f"{cfg.gamma_grid()[12]:g}"
         with pytest.raises(NonUniqueSteadyState, match=rf"^\[gamma_deph={re.escape(point)}\] singular"):
             run_sweep(cfg)
-        assert len(solved) == 13
+        assert solved == list(cfg.gamma_grid()[:13])
 
     def test_methods_are_the_two_shared_literals(self, chain2_result):
         # a curve kept per sweep holds one reference per point to one of two
@@ -250,7 +249,7 @@ class TestRandomNetworks:
         curve, _ = run_sweep(cfg)
         H = assemble_hamiltonian(spec)
         for k, gamma in enumerate(curve.gamma_grid):
-            ref = steady_state(build_liouvillian(H, ChannelSet(gamma_inj, gamma_ext, gamma), spec))
+            ref = steady_state(H, ChannelSet(gamma_inj, gamma_ext, gamma), spec)
             j_p = gamma_ext * sum(ref.rho[s, s].real for s in spec.extract_sites)
             occ = np.diag(ref.rho).real[1:]
             assert abs(curve.j_p[k] - j_p) <= 1e-10 * j_p, gamma
@@ -350,7 +349,7 @@ class TestPulseSweep:
         assert defect.max() <= 1e-9 < enaqt.solver.PULSE_TRACE_TOL
 
     def test_builds_the_generator_and_checks_the_start_state_once(self, monkeypatch):
-        calls = {"build_liouvillian": 0, "generator_entries": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
+        calls = {"generator_entries": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -358,19 +357,17 @@ class TestPulseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the sweep resolves only check_density_matrix, the solver all four
+        # the sweep resolves only check_density_matrix, the solver all three
         for module, name in ((enaqt.sweep, "check_density_matrix"),
                              (enaqt.solver, "check_density_matrix"),
-                             (enaqt.solver, "build_liouvillian"),
                              (enaqt.solver, "generator_entries"),
                              (enaqt.solver, "apply_liouvillian")):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
         run_sweep(cfg)
-        # one set of closed-form entries, projected onto the sector; no
-        # sparse matrix is assembled and the action is never applied
-        assert calls == {"build_liouvillian": 0, "generator_entries": 1, "apply_liouvillian": 0,
-                         "check_density_matrix": 1}
+        # one set of closed-form entries, projected onto the sector; the
+        # action is never applied
+        assert calls == {"generator_entries": 1, "apply_liouvillian": 0, "check_density_matrix": 1}
 
     def test_error_names_the_first_rate_of_its_block(self, monkeypatch):
         expm = enaqt.solver._expm
@@ -394,36 +391,40 @@ class TestPulseSweep:
 
 
 class TestSteadyGenerators:
-    """A steady sweep assembles a generator only for a point the eigenbasis solve gates."""
+    """A steady sweep assembles no generator; only a point the eigenbasis solve gates takes its entries."""
 
     @staticmethod
-    def count_assemblies(monkeypatch, cfg) -> tuple[int, SweepCurve]:
-        """Generators assembled by a sweep of cfg, wherever the package resolves the builder."""
+    def count_projections(monkeypatch, cfg) -> tuple[list[str], SweepCurve]:
+        """The closed-form entries taken, and the projections made, by a sweep of cfg, in call order."""
         calls = []
-        build = enaqt.lindblad.build_liouvillian
+        entries, project = enaqt.solver.generator_entries, enaqt.solver._Sector.project
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted_entries(*args):
+            calls.append("entries")
+            return entries(*args)
 
-        for module in (enaqt.sweep, enaqt.solver):
-            if hasattr(module, "build_liouvillian"):
-                monkeypatch.setattr(module, "build_liouvillian", counted)
+        def counted_project(*args):
+            calls.append("project")
+            return project(*args)
+
+        monkeypatch.setattr(enaqt.solver, "generator_entries", counted_entries)
+        monkeypatch.setattr(enaqt.solver._Sector, "project", counted_project)
         curve, _ = run_sweep(cfg)
-        return len(calls), curve
+        return calls, curve
 
     def test_eigenbasis_sweep_assembles_none(self, monkeypatch):
-        n, curve = self.count_assemblies(monkeypatch, build_preset("fig1"))
-        assert n == 0 and set(curve.method) == {"eigenbasis"}
+        calls, curve = self.count_projections(monkeypatch, build_preset("fig1"))
+        assert calls == [] and set(curve.method) == {"eigenbasis"}
 
-    def test_each_gated_point_assembles_one(self, monkeypatch):
+    def test_each_gated_point_projects_its_entries_once(self, monkeypatch):
         # H_eff of a dimer with its trap at gamma_ext = 4t is defective:
-        # cond(V) gates all 5 points
+        # cond(V) gates all 5 points, and the sector LU of each takes the
+        # generator's entries at its rate and projects them once
         spec = generate_geometry("chain", 2, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
         cfg = SweepConfig(network=spec, gamma_inj=1.0, gamma_ext=4.0, gamma_min=0.1, gamma_max=10.0,
                           points=5)
-        n, curve = self.count_assemblies(monkeypatch, cfg)
-        assert n == 5 and set(curve.method) == {"sector_lu"}
+        calls, curve = self.count_projections(monkeypatch, cfg)
+        assert calls == ["entries", "project"] * 5 and set(curve.method) == {"sector_lu"}
 
 
 class TestConfigValidation:
@@ -463,6 +464,12 @@ class TestConfigValidation:
     def test_pulse_rejects_an_injection_rate(self, rate):
         with pytest.raises(ValueError, match=r"pulse mode injects nothing: gamma_inj must be 0"):
             build_preset("fig2", mode="pulse", t_end=5.0, points=5, gamma_inj=rate)
+
+    @pytest.mark.parametrize("network", ["x", None, 3, {"sites": []}])
+    def test_network_must_be_a_network_spec(self, network):
+        # a string once failed only at its n_sites, with an AttributeError
+        with pytest.raises(ValueError, match=f"network must be a NetworkSpec, got {type(network).__name__}"):
+            SweepConfig(network=network)
 
     def test_too_few_points(self, chain2_cfg):
         with pytest.raises(ValueError):
