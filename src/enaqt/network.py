@@ -6,9 +6,9 @@ are 1-based; index 0 is reserved for the vacuum state of the
 single-excitation Hilbert space, so the Hamiltonian of an n-site network
 is an (n+1) x (n+1) Hermitian matrix whose vacuum row and column are zero.
 
-Internally all energies and rates are angular frequencies in ps^-1 with
-hbar = 1.  Wavenumber inputs (cm^-1) are converted on ingestion via
-2*pi*c = 0.18836515673088532 ps^-1 per cm^-1.
+A NetworkSpec checks its invariants when built and keeps the unit it was
+given in; assemble_hamiltonian converts to angular ps^-1 (hbar = 1), with
+2*pi*c = 0.18836515673088532 ps^-1 per cm^-1 for wavenumbers.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ ValueSpec = Uniform | RandomUniform
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Immutable description of an exciton network.
+    """Immutable description of an exciton network, checked by validate_network when built.
 
     couplings holds (i, j, t_ij) with 1 <= i < j <= n_sites; the
     Hamiltonian hopping element is -t_ij (see assemble_hamiltonian).
@@ -123,6 +123,7 @@ class NetworkSpec:
             sites = frozenset(_site(s, f"an entry of {name}") for s in getattr(self, name))
             object.__setattr__(self, name, sites)
         object.__setattr__(self, "unit", Unit(self.unit))
+        validate_network(self)
 
     @property
     def dim(self) -> int:
@@ -131,7 +132,7 @@ class NetworkSpec:
 
 
 def validate_network(spec: NetworkSpec) -> NetworkSpec:
-    """Check all NetworkSpec invariants, returning the spec unchanged."""
+    """Check all NetworkSpec invariants, returning the spec unchanged; NetworkSpec runs it when built."""
     n = spec.n_sites
     if n < 1:
         raise InvalidSize(f"n_sites must be positive, got {n}")
@@ -254,7 +255,7 @@ def generate_geometry(
     seed: int = 0,
     unit: Unit = Unit.ANGULAR_PS,
 ) -> NetworkSpec:
-    """Build a validated NetworkSpec for a named geometry.
+    """The NetworkSpec of a named geometry.
 
     Random energies/couplings are drawn from a generator seeded by `seed`
     (energies first, then couplings in edge order), so identical arguments
@@ -264,7 +265,7 @@ def generate_geometry(
     rng = np.random.default_rng(_seed(seed, NetworkError))
     energies = _draw(energy_spec, n, rng)
     ts = _draw(coupling_spec, len(edges), rng)
-    spec = NetworkSpec(
+    return NetworkSpec(
         n_sites=n,
         energies=tuple(energies),
         couplings=tuple((i, j, t) for (i, j), t in zip(edges, ts)),
@@ -272,25 +273,21 @@ def generate_geometry(
         extract_sites=frozenset(extract),
         unit=unit,
     )
-    return validate_network(spec)
 
 
 def assemble_hamiltonian(spec: NetworkSpec) -> np.ndarray:
     """Tight-binding Hamiltonian on the vacuum + single-excitation space.
 
     Entry (i, i) = eps_i for sites i >= 1, entry (i, j) = -t_ij for coupled
-    pairs, and the vacuum row/column (index 0) is identically zero.  The
-    spec must already be in internal units.
+    pairs, and the vacuum row/column (index 0) is identically zero, in
+    angular ps^-1 whatever the spec's unit (the product to_internal_units takes).
     """
-    if spec.unit == Unit.WAVENUMBER:
-        raise UnknownUnit("convert the spec with to_internal_units() before assembly")
     d = spec.dim
     H = np.zeros((d, d), dtype=complex)
     for i, e in enumerate(spec.energies, start=1):
-        H[i, i] = e
+        H[i, i] = convert_units(e, spec.unit, Unit.ANGULAR_PS)
     for i, j, t in spec.couplings:
-        H[i, j] = -t
-        H[j, i] = -t
+        H[i, j] = H[j, i] = -convert_units(t, spec.unit, Unit.ANGULAR_PS)
     return H
 
 
@@ -312,7 +309,7 @@ def network_from_dict(data: dict) -> NetworkSpec:
     """Network from the JSON object of a network file.
 
     A missing key or a wrongly typed value raises NetworkError naming it;
-    only an index outside 1..n raises IndexOutOfRange.
+    a broken invariant raises its own class, such as SelfCoupling.
     """
     if not isinstance(data, dict):
         raise NetworkError(
@@ -325,7 +322,7 @@ def network_from_dict(data: dict) -> NetworkSpec:
         raise UnknownUnit(f"unknown unit {raw_unit!r}") from None
     try:
         sites = data["sites"]
-        spec = NetworkSpec(
+        fields = dict(
             n_sites=len(sites),
             energies=tuple(_real(s["energy"], f"sites[{k}].energy", NetworkError) for k, s in enumerate(sites)),
             couplings=tuple(
@@ -339,13 +336,13 @@ def network_from_dict(data: dict) -> NetworkSpec:
             extract_sites=frozenset(
                 _site(s, f"extract[{k}]") for k, s in enumerate(data["extract"])
             ),
-            unit=unit,
         )
     except KeyError as exc:
         raise NetworkError(f"malformed network file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # a NetworkError of the number rules among them
         raise NetworkError(f"malformed network file: {exc}") from exc
-    return validate_network(spec)
+    # outside the try: an invariant's error keeps its class
+    return NetworkSpec(**fields, unit=unit)
 
 
 def load_network(path) -> NetworkSpec:

@@ -24,7 +24,7 @@ their states.
 
 `classical_hopping_steady_state` is the strong-dephasing oracle for the
 sweep: the populations of the Haken-Strobl rate equation, with no
-coherences at all.
+coherences at all.  Like a sweep, it takes a spec in any unit.
 
 `dense_propagate` is the oracle for `solver.propagate`: the exponential of
 the whole dense complex kron generator, vacuum-site coherences included,
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUniqueSteadyState, _count, _real
 from .lindblad import ChannelSet, generator_entries, hermitize, vec
-from .network import NetworkSpec
+from .network import NetworkSpec, to_internal_units
 from .observables import Occupations
 from .solver import Trajectory
 
@@ -133,8 +133,9 @@ def classical_hopping_steady_state(spec: NetworkSpec, channels: ChannelSet) -> O
 
     with p_0 = 1 - sum_i p_i.  This is exact for an end-to-end uniform
     chain at every rate; otherwise it differs from the full steady state by
-    O(gamma_deph^-2).  spec must be in internal units (angular ps^-1).
+    O(gamma_deph^-2).
     """
+    spec = to_internal_units(spec)
     n = spec.n_sites
     eps = np.array(spec.energies)
     sink = np.zeros(n)

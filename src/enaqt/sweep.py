@@ -7,6 +7,9 @@ the eigenbasis system and the smallest eigenvalue of rho).  A failing
 point re-raises its error with the point's gamma_deph prefixed to the
 message.
 
+A sweep takes cfg.network as given: it was checked when built, and only H,
+which `assemble_hamiltonian` forms in angular ps^-1, depends on its unit.
+
 In steady mode one `solver.EigenbasisSteadyState` is built per sweep from
 (H, spec, gamma_inj, gamma_ext): one eigendecomposition of the
 non-Hermitian H_eff, after which each point is a real n x n solve.  The
@@ -61,13 +64,7 @@ import numpy as np
 
 from .errors import _count, _real, _seed
 from .lindblad import ChannelSet, check_density_matrix
-from .network import (
-    NetworkSpec,
-    assemble_hamiltonian,
-    network_to_dict,
-    to_internal_units,
-    validate_network,
-)
+from .network import NetworkSpec, assemble_hamiltonian, network_to_dict
 from .observables import (
     Occupations,
     SweepClassification,
@@ -161,11 +158,10 @@ def _annotate(exc: Exception, gamma: float) -> None:
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepCurve, SweepClassification]:
     """Run a full dephasing sweep and classify the resulting curve."""
-    spec = to_internal_units(validate_network(cfg.network))
-    H = assemble_hamiltonian(spec)
+    H = assemble_hamiltonian(cfg.network)
     grid = cfg.gamma_grid()
     columns = _steady_columns if cfg.mode == "steady" else _pulse_columns
-    curve = SweepCurve(gamma_grid=grid, **columns(cfg, spec, H, grid))
+    curve = SweepCurve(gamma_grid=grid, **columns(cfg, cfg.network, H, grid))
     return curve, classify_sweep(curve)
 
 

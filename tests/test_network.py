@@ -32,6 +32,7 @@ from enaqt.network import (
     to_internal_units,
     validate_network,
 )
+from enaqt.presets import PRESET_NAMES, preset_network
 
 
 def two_site(**kw):
@@ -53,49 +54,61 @@ class TestValidation:
 
     def test_self_coupling(self):
         with pytest.raises(SelfCoupling):
-            validate_network(two_site(couplings=((1, 1, 1.0),)))
+            two_site(couplings=((1, 1, 1.0),))
 
     def test_inject_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            validate_network(two_site(inject_sites={3}))
+            two_site(inject_sites={3})
 
     def test_edge_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            validate_network(two_site(couplings=((1, 5, 1.0),)))
+            two_site(couplings=((1, 5, 1.0),))
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
-            validate_network(two_site(couplings=((1, 2, 1.0), (1, 2, 2.0))))
+            two_site(couplings=((1, 2, 1.0), (1, 2, 2.0)))
 
     def test_overlapping_source_sink(self):
         with pytest.raises(OverlappingSourceSink):
-            validate_network(two_site(extract_sites={1, 2}))
+            two_site(extract_sites={1, 2})
 
     def test_empty_extract(self):
         with pytest.raises(IndexOutOfRange):
-            validate_network(two_site(extract_sites=set()))
+            two_site(extract_sites=set())
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_energy_names_its_site(self, value):
         with pytest.raises(NonFiniteValue, match="site 2"):
-            validate_network(two_site(energies=(0.0, value)))
+            two_site(energies=(0.0, value))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_coupling_names_its_edge(self, value):
         with pytest.raises(NonFiniteValue, match=r"edge \(1, 2\)"):
-            validate_network(two_site(couplings=((1, 2, value),)))
+            two_site(couplings=((1, 2, value),))
+
+    @pytest.mark.parametrize("fields, error", [
+        (dict(energies=(0.0,)), InvalidSize),
+        (dict(inject_sites={1}, extract_sites={1}), OverlappingSourceSink),
+        (dict(extract_sites=()), IndexOutOfRange),
+        (dict(couplings=((1, 3, 1.0),)), IndexOutOfRange),
+        (dict(energies=(0.0, np.nan)), NonFiniteValue),
+        (dict(n_sites=1, energies=(2.0,), couplings=(), extract_sites=()), IndexOutOfRange),
+    ], ids=["one_energy", "source_is_sink", "no_sink", "edge_past_the_sites", "nan_energy", "lone_site"])
+    def test_broken_invariant_raises_at_construction(self, fields, error):
+        with pytest.raises(error):
+            two_site(**fields)
 
     def test_unsorted_edge_rejected(self):
         with pytest.raises(IndexOutOfRange):
-            validate_network(two_site(couplings=((2, 1, 1.0),)))
+            two_site(couplings=((2, 1, 1.0),))
 
     def test_needs_a_site(self):
         with pytest.raises(InvalidSize, match="n_sites must be positive, got 0"):
-            validate_network(NetworkSpec(0, (), (), {1}, {2}))
+            NetworkSpec(0, (), (), {1}, {2})
 
     def test_energy_count_must_match_the_sites(self):
         with pytest.raises(InvalidSize, match="expected 2 energies, got 3"):
-            validate_network(two_site(energies=(0.0, 1.0, 2.0)))
+            two_site(energies=(0.0, 1.0, 2.0))
 
     @pytest.mark.parametrize("field, value, match", [
         # int() would read these as the edges (1, 2), (2, 3) and sink 2
@@ -274,13 +287,6 @@ class TestHamiltonian:
         expected[2, 3] = expected[3, 2] = -1.0
         assert np.array_equal(H, expected)
 
-    def test_single_site(self):
-        spec = NetworkSpec(1, (2.0,), (), {1}, set())
-        # bypass validation: a lone site cannot have disjoint inject/extract,
-        # but its Hamiltonian is still well defined
-        H = assemble_hamiltonian(spec)
-        assert np.array_equal(H, np.diag([0.0, 2.0]).astype(complex))
-
     def test_paper_chain_units(self):
         u = WAVENUMBER_TO_ANGULAR_PS
         spec = to_internal_units(
@@ -302,13 +308,14 @@ class TestHamiltonian:
         H = assemble_hamiltonian(spec)
         assert np.array_equal(H, H.conj().T)
 
-    def test_rejects_unconverted_units(self):
-        spec = generate_geometry(
-            "chain", 2, Uniform(1.0), Uniform(1.0),
-            inject={1}, extract={2}, unit=Unit.WAVENUMBER,
-        )
-        with pytest.raises(UnknownUnit):
-            assemble_hamiltonian(spec)
+    def test_applies_the_unit_as_to_internal_units_does(self):
+        # every preset is in wavenumbers; a sweep assembles H from its spec as given
+        for name in PRESET_NAMES:
+            if name != "fig3h":
+                spec, _ = preset_network(name)
+                assert spec.unit == Unit.WAVENUMBER
+                H = assemble_hamiltonian(spec)
+                assert H.tobytes() == assemble_hamiltonian(to_internal_units(spec)).tobytes(), name
 
 
 class TestUnits:

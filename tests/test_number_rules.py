@@ -35,7 +35,6 @@ from enaqt import (
     detect_inversion_symmetry,
     generate_geometry,
     propagate,
-    validate_network,
 )
 from enaqt.cli import main
 from enaqt.lindblad import apply_liouvillian
@@ -89,7 +88,7 @@ def spec_case(field, kind, names, **changes):
                       inject_sites={1}, extract_sites={3})
         fields.update({k: make(v) for k, make in changes.items()})
         spec = NetworkSpec(**fields)
-        return spec, assemble_hamiltonian(validate_network(spec))
+        return spec, assemble_hamiltonian(spec)
     return field, kind, names, build
 
 

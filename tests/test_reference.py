@@ -127,7 +127,7 @@ class TestBruteForce:
 def hopping_gap(cfg):
     """The grid and the relative gap of the sweep's J_p to the classical hopping current."""
     curve, _ = run_sweep(cfg)
-    spec = to_internal_units(cfg.network)
+    spec = cfg.network
     sinks = [s - 1 for s in sorted(spec.extract_sites)]
     ref = np.array([
         cfg.gamma_ext * classical_hopping_steady_state(
@@ -145,6 +145,15 @@ class TestClassicalHopping:
         occ = classical_hopping_steady_state(spec, ChannelSet(1.0, 1.0, 0.0))
         assert occ.values == pytest.approx([5 / 13, 4 / 13], abs=1e-15)
         assert occ.vacuum == pytest.approx(4 / 13, abs=1e-15)
+
+    def test_applies_the_spec_unit(self):
+        # a sweep's spec keeps its file unit; the oracle converts it on entry
+        spec = build_preset("fig3a").network
+        assert spec.unit == Unit.WAVENUMBER
+        channels = ChannelSet(5.0, 5.0, 1e3)
+        given = classical_hopping_steady_state(spec, channels)
+        converted = classical_hopping_steady_state(to_internal_units(spec), channels)
+        assert np.array_equal(given.values, converted.values) and given.vacuum == converted.vacuum
 
     @pytest.mark.parametrize("name", ["fig1", "chain12"])
     def test_exact_on_uniform_end_to_end_chains(self, name):

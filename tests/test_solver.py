@@ -15,7 +15,7 @@ from enaqt.errors import (
     NotChargeConserving,
     SolveFailure,
 )
-from enaqt.lindblad import ChannelSet, apply_liouvillian
+from enaqt.lindblad import TRACE_TOL, ChannelSet, apply_liouvillian, check_density_matrix
 from enaqt.network import (
     NetworkSpec,
     RandomUniform,
@@ -54,12 +54,6 @@ def chain_network(n, t, gi, ge, gd):
 
 
 class TestSteadyState:
-    def test_single_site_balance(self):
-        spec = NetworkSpec(1, (0.0,), (), {1}, {1})
-        # balance condition: one site pumped and drained at the same rate
-        sol = steady_state(assemble_hamiltonian(spec), ChannelSet(2.0, 2.0, 0.0), spec)
-        assert np.allclose(sol.rho, np.diag([0.5, 0.5]), atol=1e-12)
-
     def test_two_site_chain_fractions(self):
         spec, H, channels = chain_network(2, 1.0, 1.0, 1.0, 0.0)
         sol = steady_state(H, channels, spec)
@@ -287,10 +281,9 @@ class TestChargeSector:
 
 
 def preset_system(name):
-    """Config, internal-units spec and Hamiltonian of a preset, as in run_sweep."""
+    """Config, spec and Hamiltonian of a preset, as in run_sweep."""
     cfg = build_preset(name)
-    spec = to_internal_units(cfg.network)
-    return cfg, spec, assemble_hamiltonian(spec)
+    return cfg, cfg.network, assemble_hamiltonian(cfg.network)
 
 
 def perturbed_rows(monkeypatch, rows):
@@ -367,11 +360,10 @@ class TestEigenbasis:
             assert np.max(np.abs(half - one)) <= 1e-13 * np.max(np.abs(one)), gamma
 
     @pytest.mark.parametrize("k", [1, 3, 10])
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
     def test_population_matrix_matches_einsum_over_all_pairs(self, n, k):
         # the stack of k rates runs as one GEMM of k n rows; the oracle is
-        # Re(P diag(s) Q) summed term by term over all n^2 pairs (a, b).  A
-        # one-site network is both source and sink, which the product allows
+        # Re(P diag(s) Q) summed term by term over all n^2 pairs (a, b)
         rng = np.random.default_rng(n)
         spec = NetworkSpec(n, tuple(rng.uniform(0.0, 50.0, n)),
                            tuple((i, i + 1, rng.uniform(1.0, 10.0)) for i in range(1, n)), {1}, {n})
@@ -563,6 +555,17 @@ class TestPropagate:
         traj = propagate(H, ChannelSet(RATE, RATE, 20.0), spec, rho0, 5.0)
         traces = np.einsum("tii->t", traj.states).real
         assert np.max(np.abs(traces - 1.0)) < 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=NonPhysicalState, reason=(
+        "ROADMAP item 5: propagate's sample traces drift with ||G dt||; on fig3g at gamma = 1e5 "
+        "111 of 201 samples are off 1 by more than TRACE_TOL (the worst by 1.89e-10), and "
+        "check_density_matrix rejects sample 90"))
+    def test_stiff_samples_are_density_matrices(self):
+        _, spec, H = preset_system("fig3g")
+        traj = propagate(H, ChannelSet(0.0, 5.0, 1e5), spec, pulse_start(spec), 20.0)
+        check_density_matrix(traj.states)
+        traces = np.einsum("tii->t", traj.states).real
+        assert np.max(np.abs(traces - 1.0)) <= TRACE_TOL
 
     def test_coarse_and_fine_grids_agree(self, asymmetric_chain):
         spec, H = asymmetric_chain

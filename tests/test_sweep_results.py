@@ -19,10 +19,10 @@ from enaqt.lindblad import ChannelSet
 from enaqt.network import (
     NetworkSpec,
     Uniform,
+    Unit,
     assemble_hamiltonian,
     generate_geometry,
     to_internal_units,
-    validate_network,
 )
 from enaqt.observables import (
     Occupations,
@@ -57,6 +57,22 @@ class TestSweep:
         assert curve.n_points == 5
         assert curve.occupations.shape == (5, 2)
         assert np.allclose(curve.gamma_grid, np.logspace(-1, 1, 5))
+
+    def test_builds_no_network(self, monkeypatch):
+        # fig3a is in wavenumbers: the sweep assembles H from its spec as
+        # given, with no converted or re-checked copy of the network
+        cfg = build_preset("fig3a", points=5)
+        assert cfg.network.unit == Unit.WAVENUMBER
+        built = []
+        post_init = NetworkSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec)
+            post_init(spec)
+
+        monkeypatch.setattr(NetworkSpec, "__post_init__", counted)
+        run_sweep(cfg)
+        assert built == []
 
     def test_linear_spacing(self, chain2_cfg):
         from dataclasses import replace
@@ -257,8 +273,8 @@ class TestRandomNetworks:
 
 
 def pulse_start(cfg):
-    """The internal-unit network, its Hamiltonian and the start state of a pulse sweep."""
-    spec = to_internal_units(validate_network(cfg.network))
+    """The network, its Hamiltonian and the start state of a pulse sweep."""
+    spec = cfg.network
     site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
     rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho0[site, site] = 1.0
