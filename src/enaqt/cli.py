@@ -92,9 +92,7 @@ def _cmd_figure(args) -> int:
             print("fig3h: skipped (no --fmo-file supplied)")
             continue
         cfg = build_preset(name, fmo_file=args.fmo_file, seed=args.seed)
-        net = cfg.network
-        symmetric = detect_inversion_symmetry(net, site_limit=net.n_sites).symmetric
-        verdict = "symmetric, " if symmetric else "asymmetric, "
+        verdict = "symmetric, " if detect_inversion_symmetry(cfg.network).symmetric else "asymmetric, "
         _run(cfg, args.format, outdir / f"{name}.{args.format}", verdict)
     return 0
 
@@ -111,7 +109,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     spec = load_network(args.network)
-    report = detect_inversion_symmetry(spec, site_limit=args.site_limit)
+    report = detect_inversion_symmetry(spec)
     print(json.dumps({
         "symmetric": report.symmetric,
         "permutation": list(report.permutation) if report.permutation else None,
@@ -158,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetry", help="inversion-symmetry report for a network")
     p.add_argument("--network", required=True)
-    p.add_argument("--site-limit", type=int, default=16,
-                   help="refuse networks larger than this many sites")
     p.set_defaults(func=_cmd_symmetry)
 
     return parser

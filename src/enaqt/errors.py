@@ -43,7 +43,11 @@ class NonFiniteValue(NetworkError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Symmetry search refused: network larger than the configured site limit."""
+    """Symmetry search refused: network larger than the site limit its caller set.
+
+    The search takes no limit by default; `detect_inversion_symmetry` raises
+    this only for a `site_limit` passed to it.
+    """
 
 
 class DimensionMismatch(ValueError):

@@ -38,6 +38,7 @@ imported when an oracle is called.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -72,8 +73,14 @@ class ChainParams:
     def __post_init__(self) -> None:
         # a float L would give a chain of ceil(L) sites
         object.__setattr__(self, "L", _count(self.L, "chain length L"))
+        # an infinite value makes the closed form divide inf by inf, and a
+        # negative rate gives negative occupations
         for name in ("t", "gamma_inj", "gamma_ext", "gamma_deph"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            what = "finite" if name == "t" else "finite and nonnegative"
+            value = _real(getattr(self, name), name, what=what)
+            if not math.isfinite(value) or (name != "t" and value < 0.0):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.L < 2:
             raise ValueError(f"chain length must be >= 2, got {self.L}")
 

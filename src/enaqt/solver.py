@@ -225,8 +225,9 @@ BLOCK_ENTRIES = 2**14
 N_EVAL = 201
 # largest |tr rho(t_end) - 1| a pulse point may have: rounding in
 # exp(G t_end) grows like eps ||G||_1 t_end, and the shipped presets'
-# 20 ps grids read at most 2.5e-11 (fig3g at gamma = 1e5); a horizon of
-# 1e12 ps or more on fig2 reads 1e-2 to 1
+# 20 ps grids read at most 1.9e-10 (fig3g at gamma = 5.79e4; fig3d
+# reads 1.4e-10 at gamma = 1e5); fig2 sweeps at horizons of 1e12 to
+# 1e20 ps deliver eta within 3e-14 of 1
 PULSE_TRACE_TOL = 1e-8
 
 

@@ -102,3 +102,13 @@ def random_networks(draw):
     spec = NetworkSpec(n, energies, couplings, order[:n_src], order[n_src:n_src + n_snk])
     rate = st.floats(0.1, 100.0)
     return spec, draw(rate), draw(rate)
+
+
+def random_cubic(n, seed):
+    """A uniform random 3-regular network of `n` sites, inject {1} and extract {2}, by the pairing model."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(1, n + 1), 3)).reshape(-1, 2).tolist()
+        edges = {(min(a, b), max(a, b)) for a, b in pairs}
+        if len(edges) == len(pairs) and all(a != b for a, b in edges):
+            return NetworkSpec(n, (0.0,) * n, tuple((a, b, 1.0) for a, b in sorted(edges)), {1}, {2})

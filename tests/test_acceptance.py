@@ -116,7 +116,7 @@ def test_criterion_4_geometry_suite(preset_results):
     lines = []
     for name in FIG3_PRESETS:
         cfg, curve, cls = preset_results[name]
-        symmetric = detect_inversion_symmetry(cfg.network, site_limit=25).symmetric
+        symmetric = detect_inversion_symmetry(cfg.network).symmetric
         if symmetric:
             assert cls.kind == MONOTONIC, f"{name}: symmetric but classified {cls.kind}"
         if cls.kind == ENAQT:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_cubic
 from enaqt.cli import main
 from enaqt.network import Uniform, generate_geometry, save_network
 from enaqt.results import read_results_csv, read_results_json
@@ -131,6 +132,22 @@ def test_symmetry_output(network_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["symmetric"] is True
     assert report["permutation"] == [3, 2, 1]
+
+
+def test_symmetry_decides_a_large_irregular_network(tmp_path, capsys):
+    # the command used to refuse any network above 16 sites, and the
+    # backtracking search it ran took more than 20 s on this one
+    path = tmp_path / "cubic40.json"
+    save_network(random_cubic(40, 0), path)
+    assert main(["symmetry", "--network", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"symmetric": False, "permutation": None}
+
+
+def test_symmetry_takes_no_site_limit(network_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetry", "--network", str(network_file), "--site-limit", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --site-limit" in capsys.readouterr().err
 
 
 def test_sweep_to_csv(network_file, tmp_path):

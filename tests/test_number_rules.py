@@ -227,7 +227,6 @@ CLI_CASES = {
     "--seed": (int, ["sweep", "--preset", "fig3d", "--points", "5", "--seed={}"]),
     "--t-end": (float, ["pulse", "--network", "{net}", "--points", "5", "--t-end={}"]),
     "--pulse-site": (int, ["pulse", "--network", "{net}", "--points", "5", "--t-end", "1", "--pulse-site={}"]),
-    "--site-limit": (int, ["symmetry", "--network", "{net}", "--site-limit={}"]),
 }
 
 
@@ -236,9 +235,7 @@ def run_cli(line, value):
     with tempfile.TemporaryDirectory() as tmp:
         net, out = Path(tmp, "chain2.json"), Path(tmp, "out.csv")
         net.write_text(json.dumps(network_to_dict(CHAIN2)))
-        argv = [a.format(value, net=net) for a in line]
-        if argv[0] != "symmetry":
-            argv += ["--output", str(out)]
+        argv = [a.format(value, net=net) for a in line] + ["--output", str(out)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:

@@ -78,6 +78,18 @@ class TestAnalyticOccupations:
         with pytest.raises(ValueError, match=f"chain length L must be an integer, got {re.escape(repr(L))}"):
             ChainParams(L, 1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("t", np.inf, "finite"),
+        ("gamma_inj", np.inf, "finite and nonnegative"),
+        ("gamma_ext", -1.0, "finite and nonnegative"),
+    ])
+    def test_refuses_values_the_closed_form_cannot_take(self, field, value, rule):
+        # t = inf gave NaN occupations, gamma_inj = inf finite ones and
+        # gamma_ext = -1 the occupations (-0.33, 0.33, 1.0, 1.33)
+        args = dict(L=4, t=1.0, gamma_inj=1.0, gamma_ext=1.0, gamma_deph=1.0)
+        with pytest.raises(ValueError, match=f"{field} must be {rule}, got {value!r}"):
+            ChainParams(**{**args, field: value})
+
     def test_numpy_integer_chain_length(self):
         occ = analytic_chain_occupations(ChainParams(np.int64(3), 1.0, 1.0, 1.0, 0.0))
         assert occ.values.shape == (3,)

@@ -1,11 +1,14 @@
 import itertools
 import re
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_cubic
 from enaqt.errors import SearchBudgetExceeded
 from enaqt.network import NetworkSpec, Uniform, generate_geometry
 from enaqt.symmetry import apply_permutation, detect_inversion_symmetry
@@ -47,6 +50,51 @@ def brute_force_symmetric(spec):
         if ok:
             return True
     return False
+
+
+def backtracking_symmetric(spec):
+    """Oracle: the site-by-site backtracking search that preceded partition refinement.
+
+    It pairs the lowest unassigned site with each compatible site in turn,
+    pruned by per-site signatures and by the couplings among the sites
+    paired so far; exponential on random regular graphs of 32 or more sites.
+    """
+    n = spec.n_sites
+    if len(spec.inject_sites) != len(spec.extract_sites):
+        return False
+    adj = {}
+    for i, j, t in spec.couplings:
+        adj.setdefault(i, {})[j] = t
+        adj.setdefault(j, {})[i] = t
+    sigs = {s: (spec.energies[s - 1], tuple(sorted(adj.get(s, {}).values()))) for s in range(1, n + 1)}
+
+    def role(s):
+        return 1 if s in spec.inject_sites else 2 if s in spec.extract_sites else 0
+
+    perm = {}
+
+    def compatible(i, j):
+        return sigs[i] == sigs[j] and role(j) == {0: 0, 1: 2, 2: 1}[role(i)]
+
+    def consistent(i, j):
+        return all(adj.get(i, {}).get(k) == adj.get(j, {}).get(pk) for k, pk in perm.items())
+
+    def search(unassigned):
+        if not unassigned:
+            return True
+        i = min(unassigned)
+        for j in sorted(unassigned):
+            if not compatible(i, j):
+                continue
+            perm[i] = j
+            perm[j] = i
+            if consistent(i, j) and (i == j or consistent(j, i)) and search(unassigned - {i, j}):
+                return True
+            del perm[i]
+            perm.pop(j, None)
+        return False
+
+    return search(frozenset(range(1, n + 1)))
 
 
 def check_report(spec, report):
@@ -96,15 +144,17 @@ def test_mismatched_source_sink_counts():
 
 
 def test_site_limit():
+    # there is no limit unless the caller sets one
     spec = uniform_chain(17, {1}, {17})
-    with pytest.raises(SearchBudgetExceeded):
-        detect_inversion_symmetry(spec)
+    with pytest.raises(SearchBudgetExceeded, match="17 sites, above the search limit 16"):
+        detect_inversion_symmetry(spec, site_limit=16)
     report = detect_inversion_symmetry(spec, site_limit=17)
     check_report(spec, report)
     assert detect_inversion_symmetry(spec, site_limit=np.int64(17)) == report
+    assert detect_inversion_symmetry(spec) == detect_inversion_symmetry(spec, site_limit=None) == report
 
 
-@pytest.mark.parametrize("limit", [True, 2.5, 17.0, "9", None])
+@pytest.mark.parametrize("limit", [True, 2.5, 17.0, "9"])
 def test_site_limit_must_be_an_integer(limit):
     # True was compared as 1, 2.5 taken as a limit and "9" failed inside `>`
     with pytest.raises(ValueError, match=f"site_limit must be an integer, got {re.escape(repr(limit))}"):
@@ -152,3 +202,56 @@ def test_report_invariant_under_relabeling(case):
     if a.symmetric:
         check_report(spec, a)
         check_report(relabeled, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_cubic_network_of_40_sites_is_decided_quickly(seed):
+    # the backtracking oracle takes 11 s on seed 2 and more than 25 s on
+    # seeds 0 and 1; refinement takes under 1 ms, and the loose bound keeps
+    # CI stable
+    spec = random_cubic(40, seed)
+    start = time.perf_counter()
+    report = detect_inversion_symmetry(spec)
+    assert time.perf_counter() - start < 1.0
+    assert not report.symmetric
+
+
+SHAPES = [
+    generate_geometry(kind, size, Uniform(0.0), Uniform(1.0), inject={1}, extract={2})
+    for kind, size in [("chain", n) for n in range(3, 13)]
+    + [("ring", n) for n in range(3, 13)]
+    + [("grid", (w, h)) for w in range(2, 5) for h in range(2, 5)]
+    + [("cube", None), ("pyramid", None)]
+    + [("full_graph", n) for n in range(3, 13)]
+]
+
+
+@st.composite
+def family_network(draw, min_sites, max_sites):
+    """A uniform geometry with a random source and sink and at most one detuned site."""
+    spec = draw(st.sampled_from([s for s in SHAPES if min_sites <= s.n_sites <= max_sites]))
+    sites = st.integers(1, spec.n_sites)
+    source = draw(sites)
+    sink = draw(sites.filter(lambda s: s != source))
+    energies = list(spec.energies)
+    if (detuned := draw(st.none() | sites)) is not None:
+        energies[detuned - 1] = 1.0
+    return replace(spec, energies=tuple(energies), inject_sites={source}, extract_sites={sink})
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_network(3, 7))
+def test_verdict_matches_brute_force_up_to_7_sites(spec):
+    report = detect_inversion_symmetry(spec)
+    assert report.symmetric == brute_force_symmetric(spec)
+    if report.symmetric:
+        check_report(spec, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_network(8, 12))
+def test_verdict_matches_backtracking_on_8_to_12_sites(spec):
+    report = detect_inversion_symmetry(spec)
+    assert report.symmetric == backtracking_symmetric(spec)
+    if report.symmetric:
+        check_report(spec, report)
