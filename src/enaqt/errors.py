@@ -3,10 +3,18 @@
 `_real`, `_count`, `_site` and `_seed` read the numbers of every public
 entry point.  Each returns the plain Python float or int a value equals, numpy
 scalars and Fractions included, or raises the caller's error class naming
-the field for a bool, a string or a number of the wrong kind.  Range
-checks stay with the callers.
+the field for a bool, a string or a number of the wrong kind.  The rules
+also own the range of a single number: `_real` takes `least` and `finite`,
+`_count` takes `least` and `most`, and a number outside its range raises
+the same error in the same words, "<field> must be <what>, got <value>",
+with the plain number it read.  Checks that relate two numbers stay with
+their callers: gamma_min < gamma_max and gamma_min > 0 for log spacing,
+the pulse-mode rules of a sweep, lo < hi of a random interval, and the
+network invariants with their own error classes (`NonFiniteValue`,
+`IndexOutOfRange` and the rest).
 """
 
+import math
 import numbers
 
 
@@ -87,26 +95,38 @@ class MissingExternalData(FileNotFoundError):
     """A preset needs an externally supplied data file."""
 
 
-def _real(value, field: str, error: type[ValueError] = ValueError, what: str = "a number") -> float:
-    """`value` as a float: any numbers.Real but a bool; `what` is the rule's name in the error."""
+def _real(value, field: str, error: type[ValueError] = ValueError, what: str = "a number",
+          least: float | None = None, finite: bool = False) -> float:
+    """`value` as a float: any numbers.Real but a bool, finite if `finite` and at least `least` if given.
+
+    `what` is the rule's name in the error, for a value of the wrong type or range.
+    """
     # float and numpy.float64 skip the numbers.Real check, which costs about 0.5 us
     if isinstance(value, float):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        x = float(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{field} must be {what}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{field} is too large for a float") from None
+    else:
+        try:
+            x = float(value)
+        except OverflowError:
+            raise error(f"{field} is too large for a float") from None
+    # NaN fails both range tests
+    if (finite and not math.isfinite(x)) or (least is not None and not x >= least):
+        raise error(f"{field} must be {what}, got {x!r}")
+    return x
 
 
 def _count(value, field: str, error: type[ValueError] = ValueError, what: str = "an integer",
-           least: int | None = None) -> int:
-    """`value` as an int: any numbers.Integral but a bool, and at least `least` when one is given."""
+           least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int: any numbers.Integral but a bool, within [least, most] where they are given."""
     integral = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
-    if not integral or (least is not None and value < least):
+    if not integral:
         raise error(f"{field} must be {what}, got {value!r}")
-    return int(value)
+    n = int(value)
+    if (least is not None and n < least) or (most is not None and n > most):
+        raise error(f"{field} must be {what}, got {n!r}")
+    return n
 
 
 def _site(value, field: str) -> int:

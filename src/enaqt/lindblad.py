@@ -55,7 +55,6 @@ against it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +73,7 @@ class ChannelSet:
 
     def __post_init__(self) -> None:
         for name in ("gamma_inj", "gamma_ext", "gamma_deph"):
-            rate = _real(getattr(self, name), name, what="finite and nonnegative")
-            if not (math.isfinite(rate) and rate >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {rate!r}")
+            rate = _real(getattr(self, name), name, what="finite and nonnegative", least=0.0, finite=True)
             object.__setattr__(self, name, rate)
 
 

@@ -133,9 +133,7 @@ class NetworkSpec:
 
 def validate_network(spec: NetworkSpec) -> NetworkSpec:
     """Check all NetworkSpec invariants, returning the spec unchanged; NetworkSpec runs it when built."""
-    n = spec.n_sites
-    if n < 1:
-        raise InvalidSize(f"n_sites must be positive, got {n}")
+    n = _count(spec.n_sites, "n_sites", InvalidSize, "a positive integer", least=1)
     if len(spec.energies) != n:
         raise InvalidSize(f"expected {n} energies, got {len(spec.energies)}")
     for site, e in enumerate(spec.energies, start=1):
@@ -196,22 +194,20 @@ def _draw(spec: ValueSpec, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
     """Site count and edge list (i < j) for a named geometry."""
+
+    def size(value, least: int) -> int:
+        return _count(value, f"{kind} size", InvalidSize, f"an integer of at least {least}", least=least)
+
     if kind == "chain":
-        length = _count(params, f"{kind} size", InvalidSize)
-        if length < 1:
-            raise InvalidSize(f"chain length must be >= 1, got {length}")
+        length = size(params, 1)
         return length, [(i, i + 1) for i in range(1, length)]
     if kind == "ring":
-        length = _count(params, f"{kind} size", InvalidSize)
-        if length < 3:
-            raise InvalidSize(f"ring length must be >= 3, got {length}")
+        length = size(params, 3)
         return length, [(i, i + 1) for i in range(1, length)] + [(1, length)]
     if kind == "grid":
         if not (isinstance(params, (tuple, list)) and len(params) == 2):
             raise InvalidSize(f"grid size must be a (width, height) pair, got {params!r}")
-        w, h = (_count(p, f"{kind} size", InvalidSize) for p in params)
-        if w < 1 or h < 1:
-            raise InvalidSize(f"grid dimensions must be positive, got {w}x{h}")
+        w, h = (size(p, 1) for p in params)
         edges = []
         for r in range(h):
             for c in range(w):
@@ -232,9 +228,7 @@ def _edges_for(kind: str, params) -> tuple[int, list[tuple[int, int]]]:
                     edges.append((v + 1, u + 1))
         return 8, edges
     if kind == "full_graph":
-        n = _count(params, f"{kind} size", InvalidSize)
-        if n < 2:
-            raise InvalidSize(f"full graph needs >= 2 sites, got {n}")
+        n = size(params, 2)
         return n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if kind == "pyramid":
         # square base 1-2-3-4 plus apex 5 coupled to every base site

@@ -120,20 +120,28 @@ A pulse point needs the state at t_end and the time integral of the
 trajectory, and one exponential gives both: the (n^2 + 3)-square Van Loan
 matrix [[G, x0], [0, 0]] t_end has exp(G t_end) as its leading block and
 the integral of exp(G s) x0 over [0, t_end] as its last column, exact up
-to rounding.  `SectorPropagator.pulse` takes its rates in blocks of
-max(1, BLOCK_ENTRIES // (n^2 + 3)^2), 6 on fig2 (7 sites) and 1 from 10
-sites up: one stacked exponential per block, no samples and no
-quadrature.  It checks the trace of every state at t_end against
-PULSE_TRACE_TOL; the rounding of exp(G t_end) grows like
-eps ||G||_1 t_end, and on the shipped presets' 20 ps grids the drift stays
-below that, at most 1.9e-10 (fig3g at gamma = 5.8e4, ||G||_1 t_end
-~ 1.5e6), while a horizon of 1e20 ps on fig2 still delivers the whole
-pulse.
+to rounding.  `SectorPropagator.pulse` takes the start site and its rates
+in blocks of max(1, BLOCK_ENTRIES // (n^2 + 3)^2), 6 on fig2 (7 sites)
+and 1 from 10 sites up: one stacked exponential per block, no samples and
+no quadrature.  It returns eta(t_end) and the time-integrated density
+matrices, so no caller reads sector coordinates.  Its `_check_trace`
+checks the trace of every state at t_end against PULSE_TRACE_TOL; the
+rounding of exp(G t_end) grows like eps ||G||_1 t_end, and on the shipped
+presets' 20 ps grids the drift stays below that, at most 1.9e-10 (fig3g
+at gamma = 5.8e4, ||G||_1 t_end ~ 1.5e6), while a horizon of 1e20 ps on
+fig2 still delivers the whole pulse.  An exponential that overflows
+gives a trace of inf or NaN, and the check, not a numpy warning, reports
+it.
 
 `propagate` samples a trajectory instead: one propagator P = exp(G dt)
 carries the state from each sample to the next, one product per sample
 in `_samples`, and every sample is mapped back to rho.  No sweep calls
-it.  The vacuum-site coherences, which rotate at the on-site energy
+it.  Every sample passes the same `_check_trace`, which names the first
+bad one: the rounding of P compounds over the products, so on a 2-site
+chain a horizon of 1e12 ps is already off by 6.7e-5 and one of 1e20
+overflows.  At t_end = 0, dt is 0 and P is exactly I, so each of the
+n_eval samples is the Hermitian part of rho0 and nothing is extracted.
+The vacuum-site coherences, which rotate at the on-site energy
 (~2.3e3 ps^-1) and which no observable reads, stay out of G; a start
 state that carries them evolves its rho_s0 in their own decoupled
 n-square complex block, taken from the same entries, through the same
@@ -599,20 +607,38 @@ class SectorPropagator:
         """Sector coordinates of rho, bordered by an extracted population of 0."""
         return np.append(self.sec.coordinates(rho), 0.0)
 
-    def pulse(self, gammas: np.ndarray, x0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Bordered sector coordinates at t_end from x0, and their integrals over [0, t_end], at each rate.
+    def _check_trace(self, y: np.ndarray, what: str) -> None:
+        """Raise NonPhysicalState if a row of bordered coordinates y has a trace off 1 by over PULSE_TRACE_TOL.
 
-        The rates are taken in blocks of max(1, BLOCK_ENTRIES // (m + 1)^2),
-        one stacked `_expm` of the Van Loan matrices [[G, x0], [0, 0]] t_end
-        per block: the leading block of each is exp(G t_end), applied to
-        x0, and its last column the exact integral of exp(G s) x0 over
-        [0, t_end].  Both results are (k, m) arrays.  A state at t_end
-        whose trace is off 1 by more than PULSE_TRACE_TOL raises
-        NonPhysicalState; that and any other error in a block is raised
-        with `index` set to its rate's position in gammas, the block's
-        first rate for an error that names no row.
+        Its `index` names the first such row; a trace of NaN or inf fails.
         """
-        m = x0.size
+        with np.errstate(invalid="ignore"):  # inf - inf in the sum is NaN, which fails below
+            defect = np.abs(y[:, self.sec.pops].sum(axis=1) - 1.0)
+        bad = np.flatnonzero(~(defect <= PULSE_TRACE_TOL))
+        if bad.size:
+            raise NonPhysicalState(f"trace of {what} deviates from 1 by {defect[bad[0]]:.3e}, "
+                                   f"above {PULSE_TRACE_TOL:.0e}", index=int(bad[0]))
+
+    def pulse(self, gammas: np.ndarray, site: int, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Transfer efficiency and time-integrated state of a pulse from `site`, at each rate.
+
+        The pulse starts as the pure state |site><site|, bordered
+        coordinates x0.  The rates are taken in blocks of
+        max(1, BLOCK_ENTRIES // (m + 1)^2), one stacked `_expm` of the Van
+        Loan matrices [[G, x0], [0, 0]] t_end per block: the leading block
+        of each is exp(G t_end), applied to x0, and its last column the
+        exact integral of exp(G s) x0 over [0, t_end].  The results are
+        eta(t_end), the border coordinate at t_end, as a (k,) array, and
+        the integrals of rho(s) over [0, t_end] as a (k, d, d) stack.  A
+        state at t_end that fails `_check_trace`, an overflow in the
+        exponential among them, raises NonPhysicalState; that and any
+        other error in a block is raised with `index` set to its rate's
+        position in gammas, the block's first rate for an error that names
+        no row.
+        """
+        m = self.G_base.shape[0]
+        x0 = np.zeros(m)
+        x0[self.sec.pops[site]] = 1.0
         size = max(1, BLOCK_ENTRIES // (m + 1)**2)
         y, integral = np.empty((gammas.size, m)), np.empty((gammas.size, m))
         for start in range(0, gammas.size, size):
@@ -621,23 +647,20 @@ class SectorPropagator:
                 M = np.zeros((block.size, m + 1, m + 1))
                 M[:, :m, :m] = self.generator(block)
                 M[:, :m, m] = x0
-                M *= t_end
-                E = _expm(M)
-                y[start:start + size] = E[:, :m, :m] @ x0
+                with np.errstate(over="ignore", invalid="ignore"):  # _check_trace reports an overflow
+                    M *= t_end
+                    E = _expm(M)
+                    y[start:start + size] = E[:, :m, :m] @ x0
                 integral[start:start + size] = E[:, :m, m]
                 # this block's arrays go before the next block allocates its
                 # own: kept alive, they made glibc map fresh pages, 665 minor
                 # page faults per 20-point fig2 sweep against none
                 del M, E
-                defect = np.abs(y[start:start + size, self.sec.pops].sum(axis=1) - 1.0)
-                bad = np.flatnonzero(~(defect <= PULSE_TRACE_TOL))
-                if bad.size:
-                    raise NonPhysicalState(f"trace of rho(t_end) deviates from 1 by {defect[bad[0]]:.3e}, "
-                                           f"above {PULSE_TRACE_TOL:.0e}", index=int(bad[0]))
+                self._check_trace(y[start:start + size], "rho(t_end)")
             except Exception as exc:
                 exc.index = start + (getattr(exc, "index", None) or 0)
                 raise
-        return y, integral
+        return y[:, -1], self.sec.state(integral[:, :-1])
 
     def vacuum_block(self, gamma: float) -> np.ndarray:
         """The decoupled generator of the n coherences rho_s0 at dephasing rate gamma; rho_0s is their conjugate."""
@@ -656,36 +679,32 @@ def propagate(
 ) -> Trajectory:
     """Evolve the master equation from rho0 over [0, t_end] ps.
 
-    The returned trajectory samples n_eval equally spaced times.  One
-    `SectorPropagator` forms the bordered sector generator, whose extra
-    component carries the cumulative extracted population
-    integral(sum_s gamma_ext rho_ss dt), and `_samples` steps the samples
-    by one product each with the propagator P = expm(G dt), which is exact
-    on the grid up to rounding; each sample is mapped back to rho.  The
-    vacuum-site coherences rho_s0 of rho0 evolve by the exponential of
-    their own n-square block, formed only when rho0 has one, and rho_0s =
-    conj(rho_s0): both parts take the Hermitian part of rho0.  A
-    generator that couples them to the sector raises NotChargeConserving.
+    The returned trajectory samples n_eval equally spaced times, all 0
+    for t_end = 0.  One `SectorPropagator` forms the bordered sector
+    generator, whose extra component carries the cumulative extracted
+    population integral(sum_s gamma_ext rho_ss dt), and `_samples` steps
+    the samples by one product each with the propagator P = expm(G dt),
+    which is exact on the grid up to rounding.  A sample whose trace is off
+    1 by more than PULSE_TRACE_TOL raises NonPhysicalState with `index`
+    naming it, as a pulse's state at t_end does; each sample is mapped back
+    to rho.  The vacuum-site coherences rho_s0 of rho0 evolve by the
+    exponential of their own n-square block, formed only when rho0 has
+    one, and rho_0s = conj(rho_s0): both parts take the Hermitian part of
+    rho0.  A generator that couples them to the sector raises
+    NotChargeConserving.
     """
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} initial state, got {rho0.shape}")
     check_density_matrix(rho0)
-    t_end = _real(t_end, "t_end", what="finite and nonnegative")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    t_end = _real(t_end, "t_end", what="finite and nonnegative", least=0.0, finite=True)
     n_eval = _count(n_eval, "n_eval", what="an integer of at least 2", least=2)
-    if t_end == 0.0:
-        return Trajectory(
-            times=np.array([0.0]),
-            states=rho0[np.newaxis].astype(complex),
-            extracted=np.zeros(1),
-        )
-
     prop = SectorPropagator(H, spec, channels.gamma_inj, channels.gamma_ext)
     times = np.linspace(0.0, t_end, n_eval)
     dt = times[1] - times[0]
-    y = _samples(_expm(prop.generator(channels.gamma_deph) * dt), prop.coordinates(rho0), n_eval)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_trace reports an overflow
+        y = _samples(_expm(prop.generator(channels.gamma_deph) * dt), prop.coordinates(rho0), n_eval)
+    prop._check_trace(y, "a sample")
     states = prop.sec.state(y[:, :-1])
     if np.any(rho0[1:, 0]):
         c = _samples(_expm(prop.vacuum_block(channels.gamma_deph) * dt), rho0[1:, 0], n_eval)

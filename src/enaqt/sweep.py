@@ -35,35 +35,39 @@ single-site excitation for t_end picoseconds exactly.  One
 `solver.SectorPropagator` is built per sweep: it forms the (n^2 + 2)-square
 bordered charge-sector generator G at zero dephasing once, by projecting
 the closed-form entries of `lindblad.generator_entries` onto the sector
-as the sector LU does, and checks charge conservation on the way; the
-start state x0 is validated once.  Dephasing only shifts the diagonal of the coherence
-coordinates.  The grid goes to `SectorPropagator.pulse` whole, which
-walks it in blocks of max(1, BLOCK_ENTRIES // (n^2 + 3)^2) rates (6 on
-fig2, 1 from 10 sites up); each block is one stacked real exponential
-(`solver._expm`, numpy alone) of the Van Loan matrix [[G, x0], [0, 0]]
-t_end (Van Loan, IEEE TAC 23, 395 (1978)): its leading block applied to
-x0 is the state at t_end, whose trace the propagator checks, and its last
-column the exact time integral of the trajectory.  Nothing is sampled.
-An error is annotated with the gamma_deph of the rate its `index` names:
-its own, or the first of its block.  The emitted columns then read as
-follows: j_p is the transfer efficiency eta(t_end) (total extracted
-population, the border coordinate at t_end), j_q the time-integrated heat
-current, and the occupations (and the delta_n derived from them) are
-trajectory time averages.  Only the integrals are mapped back to density
-matrices, by one call on the stack of all of them, and the sweep
-evaluates the heat current, linear in rho, and delta_n once on that
-stack.
+as the sector LU does, and checks charge conservation on the way.
+Dephasing only shifts the diagonal of the coherence coordinates.  The
+grid and the start site go to `SectorPropagator.pulse` whole, which
+starts from the pure state of that site, x0, and walks the grid in blocks
+of max(1, BLOCK_ENTRIES // (n^2 + 3)^2) rates (6 on fig2, 1 from 10
+sites up); each block is one stacked real exponential (`solver._expm`,
+numpy alone) of the Van Loan matrix [[G, x0], [0, 0]] t_end (Van Loan,
+IEEE TAC 23, 395 (1978)): its leading block applied to x0 is the state at
+t_end, whose trace the propagator checks, and its last column the exact
+time integral of the trajectory.  Nothing is sampled.  `pulse` returns
+the transfer efficiency eta(t_end) (total extracted population) and the
+time-integrated density matrices, one stack for the whole grid; the sweep
+reads no sector coordinates.  An error is annotated with the gamma_deph
+of the rate its `index` names: its own, or the first of its block.  The
+emitted columns then read as follows: j_p is eta(t_end), j_q the
+time-integrated heat current, and the occupations (and the delta_n
+derived from them) are trajectory time averages.  The sweep evaluates the
+heat current, linear in rho, and delta_n once on the stack of integrals.
+
+A SweepConfig reads its numbers by the rules of `errors.py`, and applies
+the rule to the one number it derives: a log grid whose top rate rounds
+to inf (gamma_max near the float limit) raises ValueError naming
+gamma_max.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import _count, _real, _seed
-from .lindblad import ChannelSet, check_density_matrix
+from .lindblad import ChannelSet
 from .network import NetworkSpec, assemble_hamiltonian, network_to_dict
 from .observables import (
     Occupations,
@@ -112,9 +116,7 @@ class SweepConfig:
         if self.gamma_inj is None:
             put("gamma_inj", DEFAULT_RATE if self.mode == "steady" else 0.0)
         for name in ("gamma_min", "gamma_max", "gamma_inj", "gamma_ext"):
-            rate = put(name, _real(getattr(self, name), name, what="a finite nonnegative number"))
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(f"{name} must be a finite nonnegative number, got {rate!r}")
+            put(name, _real(getattr(self, name), name, what="a finite nonnegative number", least=0.0, finite=True))
         if self.spacing == "log" and self.gamma_min <= 0:
             raise ValueError("log spacing requires gamma_min > 0")
         if not self.gamma_min < self.gamma_max:
@@ -122,9 +124,7 @@ class SweepConfig:
         if self.mode not in ("steady", "pulse"):
             raise ValueError(f"mode must be 'steady' or 'pulse', got {self.mode!r}")
         if self.t_end is not None:
-            t_end = put("t_end", _real(self.t_end, "t_end", what="a number of picoseconds"))
-            if not math.isfinite(t_end):
-                raise ValueError(f"t_end must be finite, got {t_end}")
+            put("t_end", _real(self.t_end, "t_end", what="a finite number of picoseconds", finite=True))
         if self.mode == "steady" and (self.t_end, self.pulse_site) != (None, None):
             raise ValueError("a steady sweep takes no t_end or pulse_site, "
                              f"got {self.t_end!r} and {self.pulse_site!r}")
@@ -134,11 +134,14 @@ class SweepConfig:
             raise ValueError(f"pulse mode injects nothing: gamma_inj must be 0, got {self.gamma_inj}")
         n = self.network.n_sites
         if self.pulse_site is not None:
-            site = put("pulse_site", _count(self.pulse_site, "pulse_site", what=f"a site in 1..{n}", least=1))
-            if site > n:
-                raise ValueError(f"pulse_site must be a site in 1..{n}, got {site}")
+            put("pulse_site", _count(self.pulse_site, "pulse_site", what=f"a site in 1..{n}", least=1, most=n))
         if self.seed is not None:
             put("seed", _seed(self.seed))
+        # the one number derived here: a gamma_max near the float limit rounds
+        # the top of a log grid to inf, which the rule, not numpy, reports
+        with np.errstate(over="ignore"):
+            top = self.gamma_grid()[-1]
+        _real(top, f"the top grid rate of gamma_max={self.gamma_max!r}", what="finite", finite=True)
 
     def gamma_grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -196,17 +199,12 @@ def _steady_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np
 
 def _pulse_columns(cfg: SweepConfig, spec: NetworkSpec, H: np.ndarray, grid: np.ndarray) -> dict:
     site = cfg.pulse_site if cfg.pulse_site is not None else min(spec.inject_sites)
-    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
-    rho0[site, site] = 1.0
-    check_density_matrix(rho0)
     propagator = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
-    x0 = propagator.coordinates(rho0)
     try:
-        y, integral = propagator.pulse(grid, x0, cfg.t_end)
+        eta, rho_int = propagator.pulse(grid, site, cfg.t_end)
     except Exception as exc:
         _annotate(exc, float(grid[exc.index]))
         raise
-    rho_int = propagator.sec.state(integral[:, :-1])
     avg = np.diagonal(rho_int, axis1=1, axis2=2).real / cfg.t_end
     occ = Occupations(values=avg[:, 1:], vacuum=avg[:, 0])
-    return dict(j_p=y[:, -1], **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))
+    return dict(j_p=eta, **_columns(rho_int, occ, H, ChannelSet(0.0, cfg.gamma_ext, 0.0), spec))

@@ -192,7 +192,16 @@ def test_pulse_rejects_an_infinite_horizon(network_file, tmp_path, capsys):
     rc = main(["pulse", "--network", str(network_file), "--t-end", "inf",
                "--output", str(tmp_path / "pulse.csv")])
     assert rc == 1
-    assert "error: ValueError: t_end must be finite" in capsys.readouterr().err
+    assert "error: ValueError: t_end must be a finite number of picoseconds, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["pulse", "--t-end", "1"]])
+def test_a_grid_rate_that_overflows_names_gamma_max(network_file, tmp_path, capsys, command):
+    rc = main([*command, "--network", str(network_file), "--gamma-max=1.7976931348623157e+308",
+               "--output", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: ValueError: the top grid rate of gamma_max=1.7976931348623157e+308 "
+                                       "must be finite, got inf\n")
 
 
 def test_pulse_requires_t_end(network_file, tmp_path):

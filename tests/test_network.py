@@ -103,7 +103,7 @@ class TestValidation:
             two_site(couplings=((2, 1, 1.0),))
 
     def test_needs_a_site(self):
-        with pytest.raises(InvalidSize, match="n_sites must be positive, got 0"):
+        with pytest.raises(InvalidSize, match="n_sites must be a positive integer, got 0"):
             NetworkSpec(0, (), (), {1}, {2})
 
     def test_energy_count_must_match_the_sites(self):
@@ -223,21 +223,22 @@ class TestGeometry:
     def test_invalid_sizes(self):
         # a float, string or bool size is rejected, not truncated: int(7.9) is 7
         cases = [
-            ("chain", 0, "chain length"),
-            ("ring", 2, "ring length"),
+            ("chain", 0, "chain size must be an integer of at least 1, got 0"),
+            ("ring", 2, "ring size must be an integer of at least 3, got 2"),
             ("banana", 4, "unknown geometry"),
-            ("chain", 7.9, "chain size must be an integer, got 7.9"),
-            ("chain", True, "chain size must be an integer, got True"),
-            ("ring", 4.0, "ring size must be an integer, got 4.0"),
-            ("grid", (2.9, 2), "grid size must be an integer, got 2.9"),
-            ("grid", (2, False), "grid size must be an integer, got False"),
+            ("chain", 7.9, "chain size must be an integer of at least 1, got 7.9"),
+            ("chain", True, "chain size must be an integer of at least 1, got True"),
+            ("ring", 4.0, "ring size must be an integer of at least 3, got 4.0"),
+            ("grid", (2.9, 2), "grid size must be an integer of at least 1, got 2.9"),
+            ("grid", (2, False), "grid size must be an integer of at least 1, got False"),
             ("grid", 4, "grid size must be a (width, height) pair, got 4"),
             ("grid", (2, 3, 4), "grid size must be a (width, height) pair, got (2, 3, 4)"),
-            ("full_graph", "3", "full_graph size must be an integer, got '3'"),
-            ("full_graph", np.float64(3.0), "full_graph size must be an integer"),
-            ("full_graph", 1, "full graph needs >= 2 sites, got 1"),
-            ("grid", (0, 3), "grid dimensions must be positive, got 0x3"),
-            ("grid", (2, -1), "grid dimensions must be positive, got 2x-1"),
+            ("full_graph", "3", "full_graph size must be an integer of at least 2, got '3'"),
+            ("full_graph", np.float64(3.0), "full_graph size must be an integer of at least 2"),
+            ("full_graph", 1, "full_graph size must be an integer of at least 2, got 1"),
+            ("full_graph", np.int64(-1), "full_graph size must be an integer of at least 2, got -1"),
+            ("grid", (0, 3), "grid size must be an integer of at least 1, got 0"),
+            ("grid", (2, -1), "grid size must be an integer of at least 1, got -1"),
         ]
         for kind, params, match in cases:
             with pytest.raises(InvalidSize, match=re.escape(match)):

@@ -147,9 +147,11 @@ def _random(field):
     return build
 
 
-def _channel(v):
-    channels = ChannelSet(1.0, 1.0, v)
-    return channels.gamma_deph, apply_liouvillian(assemble_hamiltonian(CHAIN2), channels, CHAIN2, RHO2)
+def _channel(field):
+    def build(v):
+        channels = ChannelSet(**{**dict(gamma_inj=1.0, gamma_ext=1.0, gamma_deph=1.0), field: v})
+        return getattr(channels, field), apply_liouvillian(assemble_hamiltonian(CHAIN2), channels, CHAIN2, RHO2)
+    return f"ChannelSet.{field}", "real", field, build
 
 
 # (entry and field, kind of number, regex every ValueError message must match, build)
@@ -160,6 +162,10 @@ CASES = [
     spec_case("NetworkSpec.couplings.i", "count", r"couplings\[0\]|edge", couplings=lambda v: ((v, 3, 1.0),)),
     spec_case("NetworkSpec.inject_sites", "count", "inject_sites", inject_sites=lambda v: {v}),
     ("generate_geometry.params", "count", "chain|extract_sites", lambda v: geometry(params=v)),
+    ("generate_geometry.params(ring)", "count", "ring", lambda v: geometry(kind="ring", params=v)),
+    ("generate_geometry.params(grid)", "count", "grid", lambda v: geometry(kind="grid", params=(v, 2), extract={2})),
+    ("generate_geometry.params(full_graph)", "count", "full_graph",
+     lambda v: geometry(kind="full_graph", params=v, extract={2})),
     ("generate_geometry.seed", "count", "seed", lambda v: geometry(energy_spec=RandomUniform(0.0, 1.0), seed=v)),
     file_case("network_from_dict.sites.energy", "real", r"sites\[1\]\.energy|site 2",
               lambda doc, v: doc["sites"][1].update(energy=v)),
@@ -169,7 +175,9 @@ CASES = [
     ("Uniform.value", "real", r"Uniform\.value|non-finite", _uniform),
     ("RandomUniform.lo", "real", r"RandomUniform\.lo|lo < hi", _random("lo")),
     ("RandomUniform.hi", "real", r"RandomUniform\.hi|lo < hi", _random("hi")),
-    ("ChannelSet.gamma_deph", "real", "gamma_deph", _channel),
+    _channel("gamma_inj"),
+    _channel("gamma_ext"),
+    _channel("gamma_deph"),
     config_case("points", "count", "points"),
     config_case("gamma_min", "real", "gamma_min"),
     config_case("gamma_max", "real", "gamma_max"),
@@ -182,6 +190,8 @@ CASES = [
     ("propagate.n_eval", "count", "n_eval", lambda v: _propagate(n_eval=v)),
     chain_case("L", "count", "chain length"),
     chain_case("t", "real", "t"),
+    chain_case("gamma_inj", "real", "gamma_inj"),
+    chain_case("gamma_ext", "real", "gamma_ext"),
     chain_case("gamma_deph", "real", "gamma_deph"),
     ("build_preset.seed(fig3d)", "count", "seed", _preset("fig3d")),
     ("build_preset.seed(fig1)", "count", "seed", _preset("fig1")),
@@ -250,6 +260,7 @@ def run_cli(line, value):
 @settings(max_examples=20, deadline=None)
 @given(value=VALUES)
 @example(value=-1)
+@example(value=1.7976931348623157e308)  # a log grid to it ends in inf: the error names gamma_max
 def test_cli_numeric_flags_read_numbers_by_one_rule(flag, value):
     convert, line = CLI_CASES[flag]
     text = str(value)

@@ -69,13 +69,14 @@ class TestAnalyticOccupations:
 
     @pytest.mark.parametrize("L", [1, 0])
     def test_chain_needs_two_sites(self, L):
-        with pytest.raises(ValueError, match=f"chain length must be >= 2, got {L}"):
+        with pytest.raises(ValueError, match=f"chain length L must be an integer of at least 2, got {L}"):
             ChainParams(L, 1.0, 1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("L", [2.5, 3.0, True, "3", None])
     def test_chain_length_must_be_an_integer(self, L):
         # L = 2.5 would give three occupations
-        with pytest.raises(ValueError, match=f"chain length L must be an integer, got {re.escape(repr(L))}"):
+        match = f"chain length L must be an integer of at least 2, got {re.escape(repr(L))}"
+        with pytest.raises(ValueError, match=match):
             ChainParams(L, 1.0, 1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("field, value, rule", [

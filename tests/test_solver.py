@@ -567,6 +567,17 @@ class TestPropagate:
         traces = np.einsum("tii->t", traj.states).real
         assert np.max(np.abs(traces - 1.0)) <= TRACE_TOL
 
+    @pytest.mark.parametrize("t_end", [1e12, 1e16, 1e20, 1e30])
+    def test_a_long_horizon_fails_the_trace_check_of_its_samples(self, t_end):
+        # on the 2-site chain the last sample's trace once read 1.00027 at
+        # 1e12 ps, 0.836 at 1e16 and NaN at 1e20, with only numpy's warnings;
+        # the check the pulse sweep makes at t_end names the first bad sample
+        spec = NetworkSpec(2, (0.0, 0.0), ((1, 2, 1.0),), {1}, {2})
+        rho0 = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        with pytest.raises(NonPhysicalState, match="trace of a sample deviates from 1") as err:
+            propagate(assemble_hamiltonian(spec), ChannelSet(1, 1, 1), spec, rho0, t_end, n_eval=5)
+        assert err.value.index == 1
+
     def test_coarse_and_fine_grids_agree(self, asymmetric_chain):
         spec, H = asymmetric_chain
         channels = ChannelSet(RATE, RATE, 5.0)
@@ -868,8 +879,13 @@ class TestTransferEfficiency:
     def test_zero_horizon(self, asymmetric_chain):
         spec, H = asymmetric_chain
         rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
-        rho0[1, 1] = 1.0
-        traj = propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 0.0)
+        rho0[1, 1] = rho0[2, 2] = 0.5
+        rho0[1, 2], rho0[2, 1] = 0.25j, -0.25j
+        traj = propagate(H, ChannelSet(0.0, RATE, 1.0), spec, rho0, 0.0, n_eval=5)
+        # every sample is the start state exactly, and nothing is extracted
+        assert np.array_equal(traj.times, np.zeros(5))
+        assert np.array_equal(traj.states, np.broadcast_to(rho0, (5,) + rho0.shape))
+        assert np.array_equal(traj.extracted, np.zeros(5))
         assert transfer_efficiency(traj) == 0.0
 
     def test_pulse_at_extraction_site_is_fully_collected(self, asymmetric_chain):

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enaqt.solver
-import enaqt.sweep
 from conftest import random_networks, slow_refinement_network
 from enaqt.errors import NonPhysicalState, NonUniqueSteadyState
 from enaqt.lindblad import ChannelSet
@@ -340,6 +340,14 @@ class TestPulseSweep:
         assert np.max(np.abs(curve.j_p - 1.0)) <= 1e-10
         assert np.max(np.abs(curve.vacuum - 1.0)) <= 1e-9
 
+    def test_an_overflowing_horizon_fails_the_trace_check(self):
+        # G t_end overflows to inf: the trace check, not a numpy warning, reports it
+        cfg = build_preset("fig2", mode="pulse", t_end=sys.float_info.max, points=5)
+        first = cfg.gamma_grid()[0]
+        with pytest.raises(NonPhysicalState, match=re.escape(f"[gamma_deph={first:g}] trace of rho(t_end) deviates "
+                                                             "from 1 by nan")):
+            run_sweep(cfg)
+
     def test_trace_defect_at_t_end_names_its_rate(self, monkeypatch):
         expm = enaqt.solver._expm
 
@@ -355,16 +363,16 @@ class TestPulseSweep:
             run_sweep(cfg)
 
     @pytest.mark.parametrize("name", ["fig3d", "fig3g"])
-    def test_trace_defect_stays_below_the_bound(self, name):
-        # the presets whose grids reach gamma = 1e5, ||G||_1 t_end ~ 2.3e6
+    def test_trace_defect_stays_below_the_bound(self, name, monkeypatch):
+        # the presets whose grids reach gamma = 1e5, ||G||_1 t_end ~ 2.3e6:
+        # every state at t_end passes the trace check at a tenth of its bound
+        assert 1e-9 < enaqt.solver.PULSE_TRACE_TOL
+        monkeypatch.setattr(enaqt.solver, "PULSE_TRACE_TOL", 1e-9)
         cfg = build_preset(name, mode="pulse", t_end=20.0)
-        spec, H, rho0 = pulse_start(cfg)
-        prop = SectorPropagator(H, spec, 0.0, cfg.gamma_ext)
-        y, _ = prop.pulse(cfg.gamma_grid(), prop.coordinates(rho0), cfg.t_end)
-        defect = np.abs(y[:, prop.sec.pops].sum(axis=1) - 1.0)
-        assert defect.max() <= 1e-9 < enaqt.solver.PULSE_TRACE_TOL
+        spec, H, _ = pulse_start(cfg)
+        SectorPropagator(H, spec, 0.0, cfg.gamma_ext).pulse(cfg.gamma_grid(), min(spec.inject_sites), cfg.t_end)
 
-    def test_builds_the_generator_and_checks_the_start_state_once(self, monkeypatch):
+    def test_builds_the_generator_once_and_checks_only_traces(self, monkeypatch):
         calls = {"generator_entries": 0, "apply_liouvillian": 0, "check_density_matrix": 0}
 
         def counted(fn):
@@ -373,17 +381,14 @@ class TestPulseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the sweep resolves only check_density_matrix, the solver all three
-        for module, name in ((enaqt.sweep, "check_density_matrix"),
-                             (enaqt.solver, "check_density_matrix"),
-                             (enaqt.solver, "generator_entries"),
-                             (enaqt.solver, "apply_liouvillian")):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for name in calls:
+            monkeypatch.setattr(enaqt.solver, name, counted(getattr(enaqt.solver, name)))
         cfg = build_preset("fig2", mode="pulse", t_end=5.0, points=7)
         run_sweep(cfg)
         # one set of closed-form entries, projected onto the sector; the
-        # action is never applied
-        assert calls == {"generator_entries": 1, "apply_liouvillian": 0, "check_density_matrix": 1}
+        # action is never applied, and the pure start state is not checked:
+        # the trace of each state at t_end is
+        assert calls == {"generator_entries": 1, "apply_liouvillian": 0, "check_density_matrix": 0}
 
     def test_error_names_the_first_rate_of_its_block(self, monkeypatch):
         expm = enaqt.solver._expm
@@ -452,15 +457,23 @@ class TestConfigValidation:
     @pytest.mark.parametrize("mode", ["pulse", "steady"])
     @pytest.mark.parametrize("t_end", [np.inf, np.nan])
     def test_t_end_must_be_finite(self, chain2_cfg, mode, t_end):
-        with pytest.raises(ValueError, match="t_end must be finite"):
+        with pytest.raises(ValueError, match=f"t_end must be a finite number of picoseconds, got {t_end}"):
             replace(chain2_cfg, mode=mode, t_end=t_end)
 
     @pytest.mark.parametrize("mode", ["pulse", "steady"])
     @pytest.mark.parametrize("t_end", [True, False, "20"])
     def test_t_end_must_be_a_number(self, chain2_cfg, mode, t_end):
         # True is an Integral, and was once taken as a 1 ps horizon
-        with pytest.raises(ValueError, match="t_end must be a number of picoseconds"):
+        with pytest.raises(ValueError, match="t_end must be a finite number of picoseconds"):
             replace(chain2_cfg, mode=mode, t_end=t_end)
+
+    def test_a_grid_rate_that_overflows_names_gamma_max(self, chain2_cfg):
+        # log10 of the largest float rounds up, so the top of a log grid to it is inf;
+        # a linear grid ends at gamma_max itself
+        with pytest.raises(ValueError, match=r"gamma_max=1\.7976931348623157e\+308 must be finite, got inf"):
+            replace(chain2_cfg, gamma_max=sys.float_info.max)
+        linear = replace(chain2_cfg, gamma_max=sys.float_info.max, spacing="linear")
+        assert linear.gamma_grid()[-1] == sys.float_info.max
 
     @pytest.mark.parametrize("field,value", [("t_end", 20.0), ("pulse_site", 3), ("pulse_site", 99)])
     def test_steady_sweep_takes_no_pulse_fields(self, field, value):
